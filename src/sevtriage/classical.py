@@ -18,21 +18,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, FitError, ShapeError
-from .features import FeatureMatrix
+from .features import as_matrix
 from .seeds import substream
 
 
-def _as_2d(X):
-    """Accept FeatureMatrix, scipy sparse, or ndarray; return sparse or dense 2-D."""
-    if isinstance(X, FeatureMatrix):
-        return X.data
-    if sp.issparse(X):
-        return sp.csr_matrix(X, dtype=np.float64)
-    return np.atleast_2d(np.asarray(X, dtype=np.float64))
-
-
 def _as_dense(X) -> np.ndarray:
-    mat = _as_2d(X)
+    mat = as_matrix(X)
     return mat.toarray() if sp.issparse(mat) else mat
 
 
@@ -62,7 +53,7 @@ class LogRegModel:
     n_iter: int = 0
 
     def predict_proba(self, X) -> np.ndarray:
-        mat = _as_2d(X)
+        mat = as_matrix(X)
         _check_width(mat, len(self.weights))
         return _sigmoid(np.asarray(mat @ self.weights).ravel() + self.bias)
 
@@ -100,7 +91,7 @@ def train_logreg(X, y, C: float = 1.0, max_iter: int = 1000, tol: float = 1e-6) 
     """
     if C <= 0:
         raise ConfigError(f"C must be positive, got {C}")
-    mat = _as_2d(X)
+    mat = as_matrix(X)
     y = np.asarray(y, dtype=np.float64).ravel()
     if mat.shape[0] != len(y):
         raise ShapeError(f"{mat.shape[0]} rows but {len(y)} labels")
@@ -258,7 +249,6 @@ def _grow(X, y, depth, nodes, max_depth, min_leaf, rng, mtry):
 def train_tree(
     X,
     y,
-    criterion: str = "gini",
     max_depth: int | None = None,
     min_samples_leaf: int = 1,
     _rng: np.random.Generator | None = None,
@@ -270,8 +260,6 @@ def train_tree(
     The underscored arguments are the forest's per-split feature
     subsampling hooks; plain trees ignore them.
     """
-    if criterion != "gini":
-        raise ConfigError(f"unsupported criterion {criterion!r}")
     mat = _as_dense(X)
     y = np.asarray(y, dtype=np.int64).ravel()
     if mat.shape[0] != len(y):
@@ -409,8 +397,3 @@ def train_knn(X, y, k: int = 5) -> KnnModel:
     if not 1 <= k <= mat.shape[0]:
         raise ConfigError(f"k={k} must be in [1, {mat.shape[0]}]")
     return KnnModel(mat, y, k)
-
-
-def predict_proba(model, X) -> np.ndarray:
-    """Probability of the positive class, per row, for any trained model."""
-    return model.predict_proba(X)

@@ -4,13 +4,14 @@ ensembles, predict, plot.
 Every command reads one JSON config (flags override keys), writes its
 artifacts under the output directory, and exits 0 exactly when its
 primary artifact was written. Reruns with identical config and inputs
-produce byte-identical outputs.
+produce byte-identical outputs at a fixed BLAS thread count.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -27,7 +28,6 @@ from .pipelines import (
     feature_benchmark_pipelines,
     model_benchmark_pipelines,
 )
-from .seeds import substream
 
 
 def _fail(message: str) -> int:
@@ -39,11 +39,6 @@ def _load_lexicon(cfg: RunConfig) -> KeywordLexicon:
     if cfg["lexicon"]:
         return KeywordLexicon.from_file(cfg["lexicon"])
     return KeywordLexicon.default()
-
-
-def _tfidf_config(cfg: RunConfig) -> TfidfConfig:
-    t = cfg["tfidf"]
-    return TfidfConfig(ngram_range=(t["ngram_lo"], t["ngram_hi"]), max_features=t["max_features"])
 
 
 def _read_records(cfg: RunConfig):
@@ -110,25 +105,12 @@ def cmd_ingest(cfg: RunConfig, fmt: str = "csv") -> int:
 def cmd_benchmark_features(cfg: RunConfig) -> int:
     dataset = _prepared_dataset(cfg)
     lexicon = _load_lexicon(cfg)
-    tfidf = _tfidf_config(cfg)
     out = _out_dir(cfg)
-    pipes = feature_benchmark_pipelines(
-        lexicon=lexicon,
-        tfidf=tfidf,
-        svd_k=cfg["svd"]["k"],
-        select_k=cfg["select"]["k"],
-        pca_k=cfg["pca"]["k"],
-        seed=cfg.seed,
-        C=cfg["logreg"]["C"],
-        max_iter=cfg["logreg"]["max_iter"],
-    )
+    pipes = feature_benchmark_pipelines(config=cfg, lexicon=lexicon)
     table = evaluation.benchmark(pipes, dataset)
     # names may sharpen after fit (effective component counts)
     table = evaluation.BenchmarkTable(
-        tuple(
-            evaluation.BenchmarkRow(p.describe(), row.report, row.error, row.note)
-            for (name, p), row in zip(pipes, table.rows)
-        ),
+        tuple(dataclasses.replace(row, name=p.describe()) for (_, p), row in zip(pipes, table.rows)),
         table.support,
     )
     _write_table(out, "features_table", table)
@@ -186,37 +168,8 @@ def _pca_scatter_points(pca_pipe, dataset):
 
 def cmd_benchmark_models(cfg: RunConfig) -> int:
     dataset = _prepared_dataset(cfg)
-    lexicon = _load_lexicon(cfg)
-    tfidf = _tfidf_config(cfg)
     out = _out_dir(cfg)
-    net_cfg = cfg["net"]
-    spec_common = dict(
-        embedding_dim=net_cfg["embedding_dim"],
-        conv_filters=net_cfg["conv_filters"],
-        kernel_width=net_cfg["kernel_width"],
-        tabular_hidden=net_cfg["tabular_hidden"],
-        merge=tuple(net_cfg["merge"]),
-        dropout=net_cfg["dropout"],
-    )
-    pipes = model_benchmark_pipelines(
-        lexicon=lexicon,
-        tfidf=tfidf,
-        seed=cfg.seed,
-        logreg_kwargs=dict(cfg["logreg"]),
-        tree_kwargs=dict(cfg["tree"]),
-        forest_kwargs=dict(n_trees=cfg["forest"]["n_trees"], features_per_split=cfg["forest"]["features_per_split"]),
-        knn_k=cfg["knn"]["k"],
-        net_kwargs=dict(max_len=net_cfg["max_len"], vocab_cap=net_cfg["vocab_cap"]),
-    )
-    for name, pipe in pipes:
-        if name in ("ffnn", "cnn"):
-            pipe.spec = neural.NetSpec(variant=name, seed=substream(cfg.seed, f"net-{name}"), **spec_common)
-            pipe.train_config = neural.TrainConfig(
-                epochs=net_cfg["epochs"],
-                batch=net_cfg["batch"],
-                lr=net_cfg["lr"],
-                seed=substream(cfg.seed, f"net-{name}"),
-            )
+    pipes = model_benchmark_pipelines(config=cfg, lexicon=_load_lexicon(cfg))
     table = evaluation.benchmark(pipes, dataset)
     all_failed = all(row.report is None for row in table.rows)
     rows = list(table.rows) + [evaluation.BenchmarkRow("lstm", None, note="out of scope")]
@@ -236,8 +189,7 @@ def cmd_benchmark_models(cfg: RunConfig) -> int:
             out / f"confusion_{row.name}.csv",
             _csv_lines(["", "pred_0", "pred_1"], [("true_0", cm.tn, cm.fp), ("true_1", cm.fn, cm.tp)]),
         )
-        probs = trained[row.name].predict_proba(test_records)
-        roc = evaluation.roc_auc(test_labels, probs)
+        roc = evaluation.roc_auc(test_labels, row.probabilities)
         _write(
             out / f"roc_{row.name}.csv",
             _csv_lines(["fpr", "tpr"], [(f"{f:.6f}", f"{t:.6f}") for f, t in zip(roc.fpr, roc.tpr)]),
@@ -281,38 +233,37 @@ def cmd_ensembles(cfg: RunConfig) -> int:
     dataset = _prepared_dataset(cfg)
     lexicon = _load_lexicon(cfg)
     out = _out_dir(cfg)
-    builder = FeatureBuilder(lexicon, _tfidf_config(cfg)).fit(dataset.train_records())
+    builder = FeatureBuilder(lexicon, TfidfConfig.from_config(cfg)).fit(dataset.train_records())
     train_X = builder.transform(dataset.train_records())
     test_X = builder.transform(dataset.test_records())
     y_train = dataset.train_labels()
     y_test = dataset.test_labels()
     ens_cfg = cfg["ensemble"]
+    specs = [
+        ensembles.EnsembleSpec(
+            strategy,
+            seed=cfg.seed,
+            members=ens_cfg["members"],
+            sample_fraction=ens_cfg["sample_fraction"],
+            with_replacement=ens_cfg["with_replacement"],
+            c_values=tuple(ens_cfg["instance_c"]),
+            folds=ens_cfg["folds"],
+            knn_k=cfg["knn"]["k"],
+            n_trees=cfg["forest"]["n_trees"],
+        )
+        for strategy in ensembles.STRATEGIES
+    ]
 
     sections = []
-    for strategy in ensembles.STRATEGIES:
-        kwargs = {}
-        if strategy == "bootstrap":
-            kwargs = dict(
-                members=ens_cfg["members"],
-                sample_fraction=ens_cfg["sample_fraction"],
-                with_replacement=ens_cfg["with_replacement"],
-            )
-        elif strategy == "instance":
-            kwargs = dict(c_values=tuple(ens_cfg["instance_c"]))
-        elif strategy == "stacking":
-            kwargs = dict(folds=ens_cfg["folds"], knn_k=cfg["knn"]["k"], n_trees=cfg["forest"]["n_trees"])
-        elif strategy == "heterogeneous":
-            kwargs = dict(knn_k=cfg["knn"]["k"], n_trees=cfg["forest"]["n_trees"])
-        result = ensembles.run_strategy(strategy, train_X, y_train, test_X, seed=cfg.seed, **kwargs)
+    for spec in specs:
+        strategy = spec.strategy
+        result = spec.run(train_X, y_train, test_X)
         rep = evaluation.report(y_test, result.labels, result.probabilities)
         lines = [f"== {strategy} =="]
         if strategy == "bootstrap":
-            lines.append(
-                f"members: {ens_cfg['members']} logistic regressions, each on "
-                f"{ens_cfg['sample_fraction']:.0%} resamples"
-            )
+            lines.append(f"members: {spec.members} logistic regressions, each on {spec.sample_fraction:.0%} resamples")
         if strategy == "instance":
-            lines.append("C values: " + ", ".join(f"{c:g}" for c in ens_cfg["instance_c"]))
+            lines.append("C values: " + ", ".join(f"{c:g}" for c in spec.c_values))
         lines.append(rep.render())
         sections.append("\n".join(lines))
 

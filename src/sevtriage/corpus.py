@@ -130,21 +130,32 @@ def parse_csv(stream: BinaryIO | bytes, schema: Mapping[str, str] | None = None)
     """Parse a UTF-8 CSV of disclosures into records.
 
     ``schema`` maps our field names to the CSV's header names; identity
-    mapping by default. A CVSS cell that does not parse as a finite number
-    is stored as missing, never coerced to 0.
+    mapping by default. A UTF-8 byte-order mark before the header is
+    skipped. A CVSS cell that does not parse as a finite number is stored
+    as missing, never coerced to 0.
 
     Raises SchemaError when a mapped header column is absent, RowError
-    (with line number) for malformed rows.
+    (with line number) for bytes that are not UTF-8, CSV syntax errors
+    and malformed rows.
     """
     schema = dict(schema or {})
     for field in FIELDS:
         schema.setdefault(field, field)
 
-    if isinstance(stream, bytes):
-        stream = io.BytesIO(stream)
-    text = io.TextIOWrapper(stream, encoding="utf-8", newline="")
-    reader = csv.reader(text)
+    raw = stream if isinstance(stream, bytes) else stream.read()
+    try:
+        text = raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line_no = raw.count(b"\n", 0, exc.start) + 1
+        raise RowError(line_no, f"not valid UTF-8 (byte 0x{raw[exc.start]:02x})") from exc
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        return _read_records(reader, schema)
+    except csv.Error as exc:
+        raise RowError(reader.line_num, str(exc)) from exc
 
+
+def _read_records(reader, schema: Mapping[str, str]) -> list[DisclosureRecord]:
     try:
         header = next(reader)
     except StopIteration:

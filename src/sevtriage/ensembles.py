@@ -45,6 +45,10 @@ def _finish(strategy: str, members: dict[str, np.ndarray], combined: np.ndarray,
     )
 
 
+def _rows(X, idx):
+    return X.select_rows(idx) if isinstance(X, FeatureMatrix) else np.asarray(X)[idx]
+
+
 def feature_split_ensemble(train_X: FeatureMatrix, y_train, test_X: FeatureMatrix) -> EnsembleResult:
     """Average a full-feature model with a structured-features-only model.
 
@@ -96,8 +100,7 @@ def bootstrap_ensemble(
                 break
         else:
             raise FitError(f"member {i}: resample kept a single class after 10 draws")
-        sub_X = train_X.select_rows(idx) if isinstance(train_X, FeatureMatrix) else np.asarray(train_X)[idx]
-        model = train_logreg(sub_X, y_train[idx])
+        model = train_logreg(_rows(train_X, idx), y_train[idx])
         member_probs[f"member_{i}"] = model.predict_proba(test_X)
     combined = np.mean(np.stack(list(member_probs.values())), axis=0)
     detail = {"members": members, "sample_fraction": sample_fraction, "with_replacement": with_replacement}
@@ -150,15 +153,12 @@ def stacking_ensemble(
     seed: int = 0,
     knn_k: int = 5,
     n_trees: int = 100,
-    out_of_fold: bool = True,
 ) -> EnsembleResult:
     """Blend base-model probabilities with a logistic-regression meta-model.
 
     Meta-features for training rows come from out-of-fold base
-    predictions (no base model scores a row it has seen), unless
-    ``out_of_fold=False``, which refits bases on the full training set
-    and lets the meta-model see in-sample scores (parity experiments
-    only). Test-time meta-features always come from full-train refits.
+    predictions, so no base model scores a row it has seen. Test-time
+    meta-features come from full-train refits.
     """
     y_train = np.asarray(y_train, dtype=np.int64)
     n = len(y_train)
@@ -167,33 +167,28 @@ def stacking_ensemble(
         return {
             "logreg": train_logreg(X, y),
             "forest": train_forest(X, y, n_trees=n_trees, seed=substream(base_seed, "forest")),
-            "knn": train_knn(X, y, k=min(knn_k, X.n_rows if isinstance(X, FeatureMatrix) else len(y))),
+            "knn": train_knn(X, y, k=min(knn_k, len(y))),
         }
 
     base_names = ("logreg", "forest", "knn")
     meta_train = np.zeros((n, len(base_names)))
-    if out_of_fold:
-        fold_of = _stratified_folds(y_train, folds, seed)
-        for f in range(folds):
-            hold = np.flatnonzero(fold_of == f)
-            rest = np.flatnonzero(fold_of != f)
-            if len(hold) == 0:
-                continue
-            rest_X = train_X.select_rows(rest) if isinstance(train_X, FeatureMatrix) else np.asarray(train_X)[rest]
-            hold_X = train_X.select_rows(hold) if isinstance(train_X, FeatureMatrix) else np.asarray(train_X)[hold]
-            bases = fit_bases(rest_X, y_train[rest], substream(seed, f"fold-{f}"))
-            for j, name in enumerate(base_names):
-                meta_train[hold, j] = bases[name].predict_proba(hold_X)
-    full_bases = fit_bases(train_X, y_train, substream(seed, "full"))
-    if not out_of_fold:
+    fold_of = _stratified_folds(y_train, folds, seed)
+    for f in range(folds):
+        hold = np.flatnonzero(fold_of == f)
+        rest = np.flatnonzero(fold_of != f)
+        if len(hold) == 0:
+            continue
+        hold_X = _rows(train_X, hold)
+        bases = fit_bases(_rows(train_X, rest), y_train[rest], substream(seed, f"fold-{f}"))
         for j, name in enumerate(base_names):
-            meta_train[:, j] = full_bases[name].predict_proba(train_X)
+            meta_train[hold, j] = bases[name].predict_proba(hold_X)
+    full_bases = fit_bases(train_X, y_train, substream(seed, "full"))
 
     meta_model = train_logreg(meta_train, y_train)
     member_probs = {name: full_bases[name].predict_proba(test_X) for name in base_names}
     meta_test = np.stack([member_probs[name] for name in base_names], axis=1)
     combined = meta_model.predict_proba(meta_test)
-    return _finish("stacking", member_probs, combined, {"folds": folds, "out_of_fold": out_of_fold})
+    return _finish("stacking", member_probs, combined, {"folds": folds})
 
 
 STRATEGIES = ("feature_split", "bootstrap", "heterogeneous", "instance", "stacking")
@@ -201,11 +196,11 @@ STRATEGIES = ("feature_split", "bootstrap", "heterogeneous", "instance", "stacki
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Declarative description of one strategy, loadable from the config tree.
+    """Declarative description of one strategy, built from the config tree.
 
-    Member counts are pinned per strategy: bootstrap runs exactly 5
-    resampled members, instance exactly one per C value (3 by default),
-    and the heterogeneous/stacking bases are always LR + forest + KNN.
+    Bootstrap runs ``members`` resampled members (5 by default), instance
+    one member per C value (3 by default), and the heterogeneous/stacking
+    bases are always LR + forest + KNN.
     """
 
     strategy: str
@@ -217,7 +212,6 @@ class EnsembleSpec:
     folds: int = 5
     knn_k: int = 5
     n_trees: int = 100
-    threshold: float = THRESHOLD
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -241,18 +235,3 @@ class EnsembleSpec:
         if self.strategy == "instance":
             return instance_ensemble(train_X, y_train, test_X, c_values=self.c_values)
         return stacking_ensemble(train_X, y_train, test_X, folds=self.folds, seed=self.seed, knn_k=self.knn_k, n_trees=self.n_trees)
-
-
-def run_strategy(strategy: str, train_X: FeatureMatrix, y_train, test_X: FeatureMatrix, seed: int = 0, **kwargs) -> EnsembleResult:
-    """Dispatch one of the five strategies by name."""
-    if strategy == "feature_split":
-        return feature_split_ensemble(train_X, y_train, test_X)
-    if strategy == "bootstrap":
-        return bootstrap_ensemble(train_X, y_train, test_X, seed=seed, **kwargs)
-    if strategy == "heterogeneous":
-        return heterogeneous_ensemble(train_X, y_train, test_X, seed=seed, **kwargs)
-    if strategy == "instance":
-        return instance_ensemble(train_X, y_train, test_X, **kwargs)
-    if strategy == "stacking":
-        return stacking_ensemble(train_X, y_train, test_X, seed=seed, **kwargs)
-    raise ConfigError(f"unknown ensemble strategy {strategy!r}")

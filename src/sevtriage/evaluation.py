@@ -189,6 +189,7 @@ class BenchmarkRow:
     report: EvalReport | None
     error: str | None = None
     note: str = ""
+    probabilities: np.ndarray | None = None  # test-fold P(class 1), kept for ROC files
 
     def metric(self, column: str) -> float | None:
         if self.report is None:
@@ -261,7 +262,9 @@ def benchmark(pipelines: Sequence[tuple[str, object]], dataset) -> BenchmarkTabl
     """Train each named pipeline on the shared split and score the test fold.
 
     A pipeline exposes ``fit(records, labels)`` and ``predict_proba(records)``.
-    Per-pipeline failures become error rows instead of aborting the table.
+    Each scored row keeps its test probabilities, so callers never predict
+    twice. Per-pipeline failures become error rows instead of aborting the
+    table.
     """
     train_records = dataset.train_records()
     train_labels = dataset.train_labels()
@@ -273,7 +276,7 @@ def benchmark(pipelines: Sequence[tuple[str, object]], dataset) -> BenchmarkTabl
             pipe.fit(train_records, train_labels)
             probs = np.asarray(pipe.predict_proba(test_records), dtype=np.float64)
             preds = (probs >= 0.5).astype(np.int64)
-            rows.append(BenchmarkRow(name, report(test_labels, preds, probs)))
+            rows.append(BenchmarkRow(name, report(test_labels, preds, probs), probabilities=probs))
         except Exception as exc:  # noqa: BLE001 - error rows are part of the contract
             rows.append(BenchmarkRow(name, None, error=f"error: {exc}"))
     return BenchmarkTable(tuple(rows), support=len(test_records))

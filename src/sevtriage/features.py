@@ -8,7 +8,6 @@ frozen after fit; transforms are read-only and thread-safe.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -64,7 +63,10 @@ class FeatureMatrix:
         for g in set(self.groups):
             if g not in GROUPS:
                 raise ConfigError(f"unknown column group {g!r}")
-        self.data.eliminate_zeros()
+        if not self.data.data.all():  # explicit zeros: drop them from a copy, never the caller's matrix
+            data = self.data.copy()
+            data.eliminate_zeros()
+            object.__setattr__(self, "data", data)
         text_cols = [j for j, g in enumerate(self.groups) if g == "text"]
         if text_cols:
             norms = sp.linalg.norm(self.data[:, text_cols], axis=1)
@@ -112,53 +114,17 @@ class FeatureMatrix:
     def select_rows(self, indices) -> "FeatureMatrix":
         return FeatureMatrix(sp.csr_matrix(self.data[indices]), self.names, self.groups)
 
-    # -- serialization ------------------------------------------------------
 
-    def save_triplets(self, path) -> None:
-        """Sparse triplet file: one JSON header line, then row,col,value lines."""
-        coo = self.data.tocoo()
-        with open(path, "w", encoding="utf-8") as fh:
-            header = {"rows": self.n_rows, "cols": self.n_cols, "names": list(self.names), "groups": list(self.groups)}
-            fh.write(json.dumps(header, sort_keys=True) + "\n")
-            order = np.lexsort((coo.col, coo.row))
-            for k in order:
-                fh.write(f"{coo.row[k]},{coo.col[k]},{float(coo.data[k])!r}\n")
+def as_matrix(X):
+    """Accept FeatureMatrix, scipy sparse, or array-like; return float64 csr or 2-D ndarray.
 
-    @classmethod
-    def load_triplets(cls, path) -> "FeatureMatrix":
-        with open(path, "r", encoding="utf-8") as fh:
-            header = json.loads(fh.readline())
-            rows, cols, values = [], [], []
-            for line in fh:
-                r, c, v = line.rstrip("\n").split(",")
-                rows.append(int(r))
-                cols.append(int(c))
-                values.append(float(v))
-        mat = sp.csr_matrix((values, (rows, cols)), shape=(header["rows"], header["cols"]))
-        return cls(mat, tuple(header["names"]), tuple(header["groups"]))
-
-    def to_json(self) -> str:
-        coo = self.data.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        return json.dumps(
-            {
-                "rows": self.n_rows,
-                "cols": self.n_cols,
-                "names": list(self.names),
-                "groups": list(self.groups),
-                "entries": [[int(coo.row[k]), int(coo.col[k]), float(coo.data[k])] for k in order],
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, payload: str) -> "FeatureMatrix":
-        d = json.loads(payload)
-        rows = [e[0] for e in d["entries"]]
-        cols = [e[1] for e in d["entries"]]
-        vals = [e[2] for e in d["entries"]]
-        mat = sp.csr_matrix((vals, (rows, cols)), shape=(d["rows"], d["cols"]))
-        return cls(mat, tuple(d["names"]), tuple(d["groups"]))
+    A FeatureMatrix yields its own csr data without a copy.
+    """
+    if isinstance(X, FeatureMatrix):
+        return X.data
+    if sp.issparse(X):
+        return sp.csr_matrix(X, dtype=np.float64)
+    return np.atleast_2d(np.asarray(X, dtype=np.float64))
 
 
 def assemble(blocks: Sequence[FeatureMatrix]) -> FeatureMatrix:

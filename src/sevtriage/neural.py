@@ -17,6 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .classical import _sigmoid
 from .errors import ConfigError, ShapeError, TrainingDivergedError
 from .features import tokenize
 from .seeds import substream
@@ -121,15 +122,6 @@ def init_params(spec: NetSpec, vocab_size: int, tab_dim: int, seed: int | None =
     params["out_w"] = _glorot(rng, in_dim, 1, (in_dim, 1))
     params["out_b"] = np.zeros(1)
     return params
-
-
-def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 def _text_windows(emb: np.ndarray, width: int) -> np.ndarray:
@@ -350,8 +342,6 @@ def train(spec: NetSpec, sequences: PaddedSequences, tabular: np.ndarray, y, con
 
 # ---------------------------------------------------------------------------
 # Introspection
-
-LAYER_IDS = ("text_pool", "tabular_hidden", "merge_0", "merge_1", "conv_maps", "output")
 
 
 def activations(net: TrainedNet, layer_id: str, sample: tuple[np.ndarray, np.ndarray]) -> np.ndarray:

@@ -17,6 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import classical, neural, reduction, selection
+from .config import DEFAULTS
 from .corpus import DisclosureRecord
 from .errors import ConfigError
 from .features import (
@@ -38,6 +39,11 @@ from .seeds import substream
 class TfidfConfig:
     ngram_range: tuple[int, int] = (1, 2)
     max_features: int = 5000
+
+    @classmethod
+    def from_config(cls, config: Mapping) -> "TfidfConfig":
+        t = config["tfidf"]
+        return cls((t["ngram_lo"], t["ngram_hi"]), t["max_features"])
 
 
 class FeatureBuilder:
@@ -109,8 +115,7 @@ class LrFeaturePipeline:
         svd_k: int = 100,
         select_k: int = 300,
         pca_k: int = 100,
-        C: float = 1.0,
-        max_iter: int = 1000,
+        logreg: Mapping | None = None,
         seed: int = 0,
     ):
         if mode not in ("baseline", "svd", "chi2", "mi", "pca", "lda"):
@@ -120,8 +125,7 @@ class LrFeaturePipeline:
         self.svd_k = svd_k
         self.select_k = select_k
         self.pca_k = pca_k
-        self.C = C
-        self.max_iter = max_iter
+        self.logreg = dict(logreg or {})
         self.seed = seed
         self.svd = None
         self.selected: list[int] | None = None
@@ -175,7 +179,7 @@ class LrFeaturePipeline:
         self.builder.fit(records)
         X = self._reduced_assembly(records, fit=True, labels=np.asarray(labels))
         X = self._project(X, fit=True, labels=np.asarray(labels))
-        self.model = classical.train_logreg(X, labels, C=self.C, max_iter=self.max_iter)
+        self.model = classical.train_logreg(X, labels, **self.logreg)
         return self
 
     def predict_proba(self, records):
@@ -266,41 +270,56 @@ class NeuralPipeline:
         return self.net.predict_proba(seqs.ids, self._tabular(records))
 
 
-def feature_benchmark_pipelines(
-    lexicon=None,
-    tfidf: TfidfConfig | None = None,
-    svd_k: int = 100,
-    select_k: int = 300,
-    pca_k: int = 100,
-    seed: int = 0,
-    C: float = 1.0,
-    max_iter: int = 1000,
-) -> list[tuple[str, LrFeaturePipeline]]:
-    """The six feature-engineering comparison rows, all with logistic regression."""
-    shared = dict(lexicon=lexicon, tfidf=tfidf, svd_k=svd_k, select_k=select_k, pca_k=pca_k, seed=seed, C=C, max_iter=max_iter)
+def feature_benchmark_pipelines(config: Mapping = DEFAULTS, lexicon=None) -> list[tuple[str, LrFeaturePipeline]]:
+    """The six feature-engineering comparison rows, all with logistic regression.
+
+    ``config`` is the run's config tree (a RunConfig or a dict shaped like
+    ``DEFAULTS``); every hyperparameter comes from it.
+    """
+    shared = dict(
+        lexicon=lexicon,
+        tfidf=TfidfConfig.from_config(config),
+        svd_k=config["svd"]["k"],
+        select_k=config["select"]["k"],
+        pca_k=config["pca"]["k"],
+        logreg=config["logreg"],
+        seed=int(config["seed"]),
+    )
     modes = ("baseline", "svd", "chi2", "mi", "pca", "lda")
     pipes = [LrFeaturePipeline(mode=m, **shared) for m in modes]
     return [(p.describe(), p) for p in pipes]
 
 
-def model_benchmark_pipelines(
-    lexicon=None,
-    tfidf: TfidfConfig | None = None,
-    seed: int = 0,
-    logreg_kwargs: dict | None = None,
-    tree_kwargs: dict | None = None,
-    forest_kwargs: dict | None = None,
-    knn_k: int = 5,
-    net_kwargs: dict | None = None,
-) -> list[tuple[str, object]]:
-    """The classical-vs-neural comparison rows."""
+def model_benchmark_pipelines(config: Mapping = DEFAULTS, lexicon=None) -> list[tuple[str, object]]:
+    """The classical-vs-neural comparison rows, configured from the config tree."""
+    seed = int(config["seed"])
+    tfidf = TfidfConfig.from_config(config)
+    net = config["net"]
+
+    def neural_pipe(variant: str) -> NeuralPipeline:
+        net_seed = substream(seed, f"net-{variant}")
+        spec = neural.NetSpec(
+            variant=variant,
+            embedding_dim=net["embedding_dim"],
+            conv_filters=net["conv_filters"],
+            kernel_width=net["kernel_width"],
+            tabular_hidden=net["tabular_hidden"],
+            merge=tuple(net["merge"]),
+            dropout=net["dropout"],
+            seed=net_seed,
+        )
+        train_config = neural.TrainConfig(epochs=net["epochs"], batch=net["batch"], lr=net["lr"], seed=net_seed)
+        return NeuralPipeline(
+            variant, lexicon, max_len=net["max_len"], vocab_cap=net["vocab_cap"], seed=seed, spec=spec, train_config=train_config
+        )
+
     return [
-        ("logistic_regression", ClassicalModelPipeline("logreg", lexicon, tfidf, seed=seed, **(logreg_kwargs or {}))),
-        ("random_forest", ClassicalModelPipeline("forest", lexicon, tfidf, seed=seed, **(forest_kwargs or {}))),
-        ("decision_tree", ClassicalModelPipeline("tree", lexicon, tfidf, seed=seed, **(tree_kwargs or {}))),
-        ("knn", ClassicalModelPipeline("knn", lexicon, tfidf, seed=seed, k=knn_k)),
-        ("ffnn", NeuralPipeline("ffnn", lexicon, seed=seed, **(net_kwargs or {}))),
-        ("cnn", NeuralPipeline("cnn", lexicon, seed=seed, **(net_kwargs or {}))),
+        ("logistic_regression", ClassicalModelPipeline("logreg", lexicon, tfidf, seed=seed, **config["logreg"])),
+        ("random_forest", ClassicalModelPipeline("forest", lexicon, tfidf, seed=seed, **config["forest"])),
+        ("decision_tree", ClassicalModelPipeline("tree", lexicon, tfidf, seed=seed, **config["tree"])),
+        ("knn", ClassicalModelPipeline("knn", lexicon, tfidf, seed=seed, **config["knn"])),
+        ("ffnn", neural_pipe("ffnn")),
+        ("cnn", neural_pipe("cnn")),
     ]
 
 

@@ -7,28 +7,19 @@ concurrently.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import FitError, RankError, ShapeError
-from .features import FeatureMatrix
+from .features import as_matrix
 
 # Exact dense SVD below this size; randomized range finder above it.
 _EXACT_SVD_LIMIT = 512
 _POWER_ITERATIONS = 7
 _OVERSAMPLING = 10
-
-
-def _as_array_or_sparse(X):
-    if isinstance(X, FeatureMatrix):
-        return X.data
-    if sp.issparse(X):
-        return sp.csr_matrix(X, dtype=np.float64)
-    return np.asarray(X, dtype=np.float64)
 
 
 def _sign_normalize(components: np.ndarray) -> np.ndarray:
@@ -68,21 +59,6 @@ class SvdModel:
     def k(self) -> int:
         return self.components.shape[0]
 
-    def to_dict(self) -> dict:
-        return {
-            "components": self.components.tolist(),
-            "singular_values": self.singular_values.tolist(),
-            "explained_variance_ratio": self.explained_variance_ratio.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "SvdModel":
-        return cls(
-            np.asarray(d["components"], dtype=np.float64),
-            np.asarray(d["singular_values"], dtype=np.float64),
-            np.asarray(d["explained_variance_ratio"], dtype=np.float64),
-        )
-
 
 def _dense_top_k(X, k: int) -> tuple[np.ndarray, np.ndarray]:
     dense = X.toarray() if sp.issparse(X) else np.asarray(X, dtype=np.float64)
@@ -112,7 +88,7 @@ def fit_truncated_svd(X, k: int = 100, seed: int = 0) -> SvdModel:
     randomized range finder with power iterations; either way the result
     is deterministic for a given seed.
     """
-    mat = _as_array_or_sparse(X)
+    mat = as_matrix(X)
     n, d = mat.shape
     if k > min(n, d):
         raise RankError(f"k={k} exceeds min(n, d)={min(n, d)}")
@@ -125,7 +101,7 @@ def fit_truncated_svd(X, k: int = 100, seed: int = 0) -> SvdModel:
 
 
 def project_svd(svd: SvdModel, X) -> np.ndarray:
-    mat = _as_array_or_sparse(X)
+    mat = as_matrix(X)
     if mat.shape[1] != svd.components.shape[1]:
         raise ShapeError(f"matrix width {mat.shape[1]} != fitted width {svd.components.shape[1]}")
     return np.asarray(mat @ svd.components.T)
@@ -140,7 +116,7 @@ def explained_variance_curve(svd: SvdModel, X=None) -> np.ndarray:
     """
     if X is None:
         return np.cumsum(svd.explained_variance_ratio)
-    return np.cumsum(_variance_ratios(_as_array_or_sparse(X), svd.components))
+    return np.cumsum(_variance_ratios(as_matrix(X), svd.components))
 
 
 def top_terms_per_component(
@@ -173,21 +149,6 @@ class PcaModel:
     @property
     def k(self) -> int:
         return self.components.shape[0]
-
-    def to_dict(self) -> dict:
-        return {
-            "mean": self.mean.tolist(),
-            "components": self.components.tolist(),
-            "eigenvalues": self.eigenvalues.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "PcaModel":
-        return cls(
-            np.asarray(d["mean"], dtype=np.float64),
-            np.asarray(d["components"], dtype=np.float64),
-            np.asarray(d["eigenvalues"], dtype=np.float64),
-        )
 
 
 def fit_pca(X: np.ndarray, k: int) -> PcaModel:
@@ -222,12 +183,6 @@ class LdaModel:
     projection: np.ndarray  # 1 x d unit vector, class-1 mean projects higher
     class_means: np.ndarray  # 2 x d (row 0 = class 0)
 
-    def to_dict(self) -> dict:
-        return {"projection": self.projection.tolist(), "class_means": self.class_means.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "LdaModel":
-        return cls(np.asarray(d["projection"], dtype=np.float64), np.asarray(d["class_means"], dtype=np.float64))
 
 
 def fit_lda(X: np.ndarray, y) -> LdaModel:
@@ -266,16 +221,3 @@ def project_lda(lda: LdaModel, X: np.ndarray) -> np.ndarray:
     if X.shape[-1] != lda.projection.shape[1]:
         raise ShapeError(f"matrix width {X.shape[-1]} != fitted width {lda.projection.shape[1]}")
     return X @ lda.projection.T
-
-
-def save_model_json(model, path) -> None:
-    kind = type(model).__name__
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"kind": kind, **model.to_dict()}, fh, sort_keys=True)
-
-
-def load_model_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        d = json.load(fh)
-    cls = {"SvdModel": SvdModel, "PcaModel": PcaModel, "LdaModel": LdaModel}[d.pop("kind")]
-    return cls.from_dict(d)

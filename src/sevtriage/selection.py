@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DomainError, ShapeError
-from .features import FeatureMatrix
+from .features import FeatureMatrix, as_matrix
 
 
 @dataclass(frozen=True)
@@ -30,11 +30,10 @@ class FeatureScores:
             raise ShapeError(f"{len(self.scores)} scores for {len(self.names)} names")
 
 
-def _as_matrix(X) -> tuple[sp.csr_matrix, tuple[str, ...]]:
-    if isinstance(X, FeatureMatrix):
-        return X.data, X.names
-    mat = sp.csr_matrix(np.atleast_2d(np.asarray(X, dtype=np.float64)))
-    return mat, tuple(f"f{j}" for j in range(mat.shape[1]))
+def _csr_and_names(X) -> tuple[sp.csr_matrix, tuple[str, ...]]:
+    mat = sp.csr_matrix(as_matrix(X))
+    names = X.names if isinstance(X, FeatureMatrix) else tuple(f"f{j}" for j in range(mat.shape[1]))
+    return mat, names
 
 
 def chi2_scores(X, y) -> FeatureScores:
@@ -44,7 +43,7 @@ def chi2_scores(X, y) -> FeatureScores:
     rows of class c and expected mass exp_c = prior_c * total mass, score
     is sum_c (obs_c - exp_c)^2 / exp_c. An all-zero column scores 0.
     """
-    mat, names = _as_matrix(X)
+    mat, names = _csr_and_names(X)
     if mat.nnz and mat.data.min() < 0:
         raise DomainError("chi-square requires non-negative features")
     y = np.asarray(y, dtype=np.int64)
@@ -69,7 +68,7 @@ def mutual_info_scores(X, y) -> FeatureScores:
     Each feature is binarized by presence; the score is I(presence; y)
     from the empirical 2x2 joint, with 0*ln(0) taken as 0.
     """
-    mat, names = _as_matrix(X)
+    mat, names = _csr_and_names(X)
     y = np.asarray(y, dtype=np.int64)
     if len(y) != mat.shape[0]:
         raise ShapeError(f"{mat.shape[0]} rows but {len(y)} labels")

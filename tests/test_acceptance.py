@@ -131,7 +131,7 @@ class TestDatasetCriteria:
         y_train, y_test = real_split.train_labels(), real_split.test_labels()
         majority = max(float(np.mean(y_test)), 1.0 - float(np.mean(y_test)))
         for strategy in ensembles.STRATEGIES:
-            result = ensembles.run_strategy(strategy, train_X, y_train, test_X, seed=42)
+            result = ensembles.EnsembleSpec(strategy, seed=42).run(train_X, y_train, test_X)
             acc = float(np.mean(result.labels == y_test))
             assert acc >= majority, strategy
         print(f"\n[PASS] ensemble criterion: all 5 strategies >= majority rate {majority:.4f}")
@@ -256,9 +256,9 @@ class TestCriterion5PropertySuite:
     def test_ensemble_mean_bound_and_determinism(self):
         Xtr, ytr, Xte, _ = make_grouped_data(seed=6)
         for strategy in ensembles.STRATEGIES:
-            kwargs = {"n_trees": 10} if strategy in ("heterogeneous", "stacking") else {}
-            a = ensembles.run_strategy(strategy, Xtr, ytr, Xte, seed=11, **kwargs)
-            b = ensembles.run_strategy(strategy, Xtr, ytr, Xte, seed=11, **kwargs)
+            spec = ensembles.EnsembleSpec(strategy, seed=11, n_trees=10)
+            a = spec.run(Xtr, ytr, Xte)
+            b = spec.run(Xtr, ytr, Xte)
             assert np.array_equal(a.probabilities, b.probabilities), strategy
             if strategy != "stacking":  # the meta-model may leave the members' band
                 stack = np.stack(list(a.member_probabilities.values()))

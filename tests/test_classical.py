@@ -219,10 +219,6 @@ class TestDecisionTree:
                 node = model.nodes[node["left"] if row[node["feature"]] <= node["threshold"] else node["right"]]
             assert node["counts"][y[i]] >= 1
 
-    def test_unsupported_criterion(self):
-        with pytest.raises(ConfigError):
-            classical.train_tree(np.ones((2, 1)), np.array([0, 1]), criterion="entropy")
-
 
 class TestRandomForest:
     def _noisy_instance(self, seed=7, n=40):

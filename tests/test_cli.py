@@ -43,6 +43,12 @@ class TestIngest:
         assert main(["ingest", "--data", str(missing), "--out", str(tmp_path)]) != 0
         assert str(missing) in capsys.readouterr().err
 
+    def test_invalid_utf8_exits_nonzero_naming_the_line(self, tmp_path, capsys):
+        src = tmp_path / "bad.csv"
+        src.write_bytes(b"zdi_id,cve_id,cvss,published,vendor,description\nZ-1,,5.0,2024-01-01,V,caf\xff\n")
+        assert main(["ingest", "--data", str(src), "--out", str(tmp_path)]) != 0
+        assert "line 2" in capsys.readouterr().err
+
     def test_jsonl_format(self, synthetic_csv, tmp_path):
         assert main(["ingest", "--data", str(synthetic_csv), "--out", str(tmp_path), "--format", "jsonl"]) == 0
         lines = (tmp_path / "clean.jsonl").read_text().splitlines()
@@ -156,6 +162,19 @@ class TestEnsemblesCommand:
         assert rows[0][0] == "combined"
         assert len(rows[0]) == 6  # combined + 5 members
         assert len(rows) - 1 == len(synthetic_dataset.test_idx)
+
+    def test_config_tree_sets_members_and_c_values(self, ens_out, tmp_path, synthetic_csv):
+        cfg = tmp_path / "ens.json"
+        cfg.write_text(json.dumps({"ensemble": {"members": 3, "instance_c": [0.25, 4.0]}}))
+        out = tmp_path / "o"
+        args = ["--config", str(cfg), "--data", str(synthetic_csv), "--out", str(out), "--seed", "42", "--n-trees", "20"]
+        assert main(["ensembles", *args]) == 0
+        text = (out / "ensembles_report.txt").read_text()
+        assert text != (ens_out / "ensembles_report.txt").read_text()
+        assert "members: 3 logistic regressions" in text
+        assert "C values: 0.25, 4" in text
+        assert len(next(csv.reader((out / "ensemble_bootstrap_probs.csv").open()))) == 4  # combined + 3 members
+        assert next(csv.reader((out / "ensemble_instance_probs.csv").open()))[1:] == ["C=0.25", "C=4"]
 
 
 class TestPredict:
@@ -300,6 +319,24 @@ class TestConfigFile:
         assert rc == 0
         table = (tmp_path / "o" / "features_table.txt").read_text()
         assert "tfidf_chi2(k=50)" in table
+
+    def test_logreg_tol_reaches_feature_pipelines(self, tmp_path, synthetic_csv, monkeypatch):
+        import sevtriage.cli as cli_mod
+
+        built = []
+        real = cli_mod.feature_benchmark_pipelines
+
+        def capture(**kw):
+            built.extend(real(**kw))
+            return built
+
+        monkeypatch.setattr(cli_mod, "feature_benchmark_pipelines", capture)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"data": str(synthetic_csv), "logreg": {"tol": 10.0}}))
+        assert main(["benchmark-features", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert len(built) == 6
+        # a tolerance above the initial gradient norm stops every fit before its first step
+        assert all(pipe.model.n_iter == 0 for _, pipe in built)
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sevtriage import corpus
-from sevtriage.errors import LabelError, RowError, SchemaError, StratificationError
+from sevtriage.errors import LabelError, RowError, SchemaError, StratificationError, TriageError
 
 HEADER = "zdi_id,cve_id,cvss,published,vendor,description\n"
 
@@ -68,6 +68,28 @@ class TestParseCsv:
         records = corpus.parse_csv(data.encode())
         assert records[0].published == date(2024, 1, 20)
         assert records[1].published is None  # kept, date is not a model feature
+
+    def test_utf8_bom_before_header_is_skipped(self):
+        data = b"\xef\xbb\xbf" + (HEADER + "Z-1,,5.0,2024-01-01,V,d\n").encode()
+        (r,) = corpus.parse_csv(data)
+        assert r.zdi_id == "Z-1"
+
+    def test_invalid_utf8_is_row_error_naming_the_line(self):
+        data = (HEADER + "Z-1,,5.0,2024-01-01,V,d\n").encode() + b"Z-2,,5.0,2024-01-01,V,bad \xff byte\n"
+        with pytest.raises(RowError) as exc:
+            corpus.parse_csv(data)
+        assert exc.value.line_no == 3
+        assert "0xff" in str(exc.value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=300))
+    def test_arbitrary_bytes_give_records_or_triage_error(self, blob):
+        for data in (blob, HEADER.encode() + blob):
+            try:
+                records = corpus.parse_csv(data)
+            except TriageError:
+                continue
+            assert all(isinstance(r, corpus.DisclosureRecord) for r in records)
 
 
 class TestClean:

@@ -156,19 +156,12 @@ class TestStacking:
         with pytest.raises(StratificationError):
             ensembles.stacking_ensemble(Xtr, ytr, Xte, folds=3, seed=0)
 
-    def test_in_sample_flag_changes_meta_features_not_interface(self, data):
-        Xtr, ytr, Xte, _ = data
-        res = ensembles.stacking_ensemble(Xtr, ytr, Xte, seed=2, n_trees=10, out_of_fold=False)
-        assert res.detail["out_of_fold"] is False
-        assert res.probabilities.shape == (Xte.n_rows,)
-
 
 class TestDispatch:
     def test_all_strategies_run_and_threshold(self, data):
         Xtr, ytr, Xte, _ = data
         for strategy in ensembles.STRATEGIES:
-            kwargs = {"n_trees": 10} if strategy in ("heterogeneous", "stacking") else {}
-            res = ensembles.run_strategy(strategy, Xtr, ytr, Xte, seed=3, **kwargs)
+            res = ensembles.EnsembleSpec(strategy, seed=3, n_trees=10).run(Xtr, ytr, Xte)
             assert res.strategy == strategy
             assert res.probabilities.shape == (Xte.n_rows,)
             assert set(np.unique(res.labels)) <= {0, 1}
@@ -177,4 +170,4 @@ class TestDispatch:
     def test_unknown_strategy(self, data):
         Xtr, ytr, Xte, _ = data
         with pytest.raises(ConfigError):
-            ensembles.run_strategy("boosting", Xtr, ytr, Xte)
+            ensembles.EnsembleSpec("boosting").run(Xtr, ytr, Xte)

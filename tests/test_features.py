@@ -254,22 +254,14 @@ class TestFeatureMatrix:
         fm = FeatureMatrix.from_csr(mat, ["a", "b"], "indicator")
         assert fm.data.nnz == 1
 
-    def test_triplet_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(4)
-        dense = np.where(rng.random((5, 4)) < 0.4, rng.random((5, 4)), 0.0)
-        fm = FeatureMatrix.from_dense(dense, ["w", "x", "y", "z"], "indicator")
-        path = tmp_path / "m.triplets"
-        fm.save_triplets(path)
-        back = FeatureMatrix.load_triplets(path)
-        assert back.names == fm.names
-        assert back.groups == fm.groups
-        assert np.array_equal(back.to_dense(), fm.to_dense())
+    def test_caller_matrix_not_mutated(self):
+        import scipy.sparse as sp
 
-    def test_json_roundtrip(self):
-        fm = FeatureMatrix.from_dense(np.eye(3), ["a", "b", "c"], "vendor")
-        back = FeatureMatrix.from_json(fm.to_json())
-        assert back.names == fm.names
-        assert np.array_equal(back.to_dense(), fm.to_dense())
+        mat = sp.csr_matrix(([0.0, 1.0], ([0, 0], [0, 1])), shape=(2, 2))
+        fm = FeatureMatrix(mat, ("a", "b"), ("indicator", "indicator"))
+        assert fm.data.nnz == 1
+        assert mat.nnz == 2
+        assert mat.data.tolist() == [0.0, 1.0]
 
     def test_select_groups_missing_raises(self):
         fm = FeatureMatrix.from_dense(np.eye(2), ["a", "b"], "vendor")

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from sevtriage import pipelines
+from sevtriage.config import load_config
 from sevtriage.errors import ConfigError
+from sevtriage.seeds import substream
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +79,7 @@ class TestLrFeaturePipeline:
 
 class TestModelPipelines:
     def test_factory_returns_six_named_pipelines(self):
-        pipes = pipelines.model_benchmark_pipelines(seed=1)
+        pipes = pipelines.model_benchmark_pipelines()
         assert [name for name, _ in pipes] == [
             "logistic_regression",
             "random_forest",
@@ -86,6 +88,15 @@ class TestModelPipelines:
             "ffnn",
             "cnn",
         ]
+
+    def test_net_config_reaches_spec_and_training(self):
+        cfg = load_config(overrides={"seed": 3, "net": {"epochs": 2, "merge": [16], "max_len": 20, "lr": 0.01}})
+        nets = dict(pipelines.model_benchmark_pipelines(config=cfg))
+        for variant in ("ffnn", "cnn"):
+            pipe = nets[variant]
+            assert pipe.spec.variant == variant and pipe.spec.merge == (16,)
+            assert pipe.spec.seed == pipe.train_config.seed == substream(3, f"net-{variant}")
+            assert (pipe.train_config.epochs, pipe.train_config.lr, pipe.max_len) == (2, 0.01, 20)
 
     def test_classical_kinds_fit_and_score(self, split):
         train_records, train_labels, test_records, _ = split

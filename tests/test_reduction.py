@@ -220,23 +220,3 @@ class TestLda:
     def test_single_class_raises(self):
         with pytest.raises(FitError):
             reduction.fit_lda(np.ones((4, 2)), np.zeros(4, dtype=int))
-
-
-class TestSerialization:
-    def test_svd_json_roundtrip(self, tmp_path):
-        svd = reduction.fit_truncated_svd(np.diag([3.0, 2.0, 1.0]), k=2, seed=0)
-        path = tmp_path / "svd.json"
-        reduction.save_model_json(svd, path)
-        back = reduction.load_model_json(path)
-        assert isinstance(back, reduction.SvdModel)
-        assert np.allclose(back.components, svd.components)
-
-    def test_pca_lda_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(13)
-        X = rng.random((10, 3))
-        y = np.array([0, 1] * 5)
-        for model in (reduction.fit_pca(X, 2), reduction.fit_lda(X, y)):
-            path = tmp_path / "m.json"
-            reduction.save_model_json(model, path)
-            back = reduction.load_model_json(path)
-            assert type(back) is type(model)
