@@ -6,6 +6,13 @@ logistic regression trains by full-batch gradient descent with a
 backtracking line search, so its loss never increases; trees search
 midpoint splits exactly; the forest averages bootstrap trees; KNN
 memorizes and votes.
+
+A tree grows depth-first on arrays of row indices into one dense matrix,
+never copying a node's rows. At each node one pass scores every
+candidate feature: the node's (rows x features) block is stably sorted
+down each column, and label prefix sums give the class counts of every
+cut. The lower feature index, then the lower threshold, wins a tie.
+Prediction routes all rows through a tree together, one level per step.
 """
 
 from __future__ import annotations
@@ -155,16 +162,21 @@ class TreeModel:
     min_samples_leaf: int
 
     def predict_proba(self, X) -> np.ndarray:
+        """Route all rows together, one tree level per step."""
         mat = _as_dense(X)
         _check_width(mat, self.n_features)
-        out = np.empty(mat.shape[0])
-        for i, row in enumerate(mat):
-            node = self.nodes[0]
-            while "feature" in node:
-                node = self.nodes[node["left"] if row[node["feature"]] <= node["threshold"] else node["right"]]
-            c0, c1 = node["counts"]
-            out[i] = c1 / (c0 + c1)
-        return out
+        feature, threshold, left, right = (
+            np.array([node.get(key, 0) for node in self.nodes]) for key in ("feature", "threshold", "left", "right")
+        )
+        leaf = np.array(["counts" in node for node in self.nodes])
+        prob = np.array([node["counts"][1] / sum(node["counts"]) if "counts" in node else np.nan for node in self.nodes])
+        at = np.zeros(mat.shape[0], dtype=np.intp)
+        active = np.flatnonzero(~leaf[at])
+        while active.size:
+            node = at[active]
+            at[active] = np.where(mat[active, feature[node]] <= threshold[node], left[node], right[node])
+            active = active[~leaf[at[active]]]
+        return prob[at]
 
     def to_dict(self) -> dict:
         return {
@@ -185,63 +197,64 @@ def _gini(counts1: np.ndarray, size: np.ndarray) -> np.ndarray:
     return 1.0 - p1 * p1 - p0 * p0
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, feature_ids: np.ndarray, min_leaf: int):
+def _best_split(X: np.ndarray, rows: np.ndarray, y: np.ndarray, feature_ids: np.ndarray, min_leaf: int):
     """Best (feature, threshold, weighted impurity) over midpoint candidates.
 
+    ``rows`` index the node's rows of ``X`` and ``y`` holds their labels.
     Candidates are midpoints between consecutive distinct sorted values;
-    rows with value <= threshold go left. Lower feature index, then lower
-    threshold, wins ties.
+    rows with value <= threshold go left. All candidate features are
+    scored in one pass: the node's (rows x features) block is stably
+    sorted down each column, and label prefix sums give every cut's class
+    counts. Cuts between equal values, or leaving fewer than ``min_leaf``
+    rows on a side, are dropped. The rest are listed in feature-major
+    order (thresholds ascending within a feature), so the first minimum
+    of one argmin is the lower feature index, then the lower threshold,
+    among tied scores. Counts are integers, so every score is the same
+    float however the cuts are batched.
     """
-    m = len(y)
-    best = None
-    for j in feature_ids:
-        values = X[:, j]
-        order = np.argsort(values, kind="stable")
-        sv = values[order]
-        sy = y[order]
-        cut = np.flatnonzero(sv[:-1] < sv[1:])  # split after position i
-        if cut.size == 0:
-            continue
-        left_size = cut + 1
-        right_size = m - left_size
-        ok = (left_size >= min_leaf) & (right_size >= min_leaf)
-        if not np.any(ok):
-            continue
-        cut = cut[ok]
-        left_size = left_size[ok]
-        right_size = right_size[ok]
-        left_pos = np.cumsum(sy)[cut]
-        right_pos = int(np.sum(sy)) - left_pos
-        score = (left_size * _gini(left_pos, left_size) + right_size * _gini(right_pos, right_size)) / m
-        at = int(np.argmin(score))
-        if best is None or score[at] < best[2]:
-            threshold = (sv[cut[at]] + sv[cut[at] + 1]) / 2.0
-            best = (int(j), float(threshold), float(score[at]))
-    return best
+    m = len(rows)
+    block = X[np.ix_(rows, feature_ids)]
+    order = np.argsort(block, axis=0, kind="stable")
+    sv = np.take_along_axis(block, order, axis=0)
+    sizes = np.arange(1, m)[:, None]  # left size when splitting after position i
+    ok = (sv[:-1] < sv[1:]) & (sizes >= min_leaf) & (m - sizes >= min_leaf)
+    f, cut = np.nonzero(ok.T)  # feature-major, thresholds ascending within a feature
+    if f.size == 0:
+        return None
+    left_pos = np.cumsum(y[order], axis=0)[cut, f]
+    right_pos = int(np.sum(y)) - left_pos
+    left_size = cut + 1
+    right_size = m - left_size
+    score = (left_size * _gini(left_pos, left_size) + right_size * _gini(right_pos, right_size)) / m
+    at = int(np.argmin(score))
+    threshold = (sv[cut[at], f[at]] + sv[cut[at] + 1, f[at]]) / 2.0
+    return int(feature_ids[f[at]]), float(threshold), float(score[at])
 
 
-def _grow(X, y, depth, nodes, max_depth, min_leaf, rng, mtry):
-    counts = (int(np.sum(y == 0)), int(np.sum(y == 1)))
-    parent_gini = float(_gini(np.array([counts[1]]), np.array([len(y)]))[0])
+def _grow(X, y, rows, depth, nodes, max_depth, min_leaf, rng, mtry):
+    m = len(rows)
+    node_y = y[rows]
+    c1 = int(np.sum(node_y))
+    counts = [m - c1, c1]
     index = len(nodes)
     nodes.append(None)
     depth_ok = max_depth is None or depth < max_depth
-    if counts[0] == 0 or counts[1] == 0 or not depth_ok or len(y) < 2 * min_leaf:
-        nodes[index] = {"counts": list(counts)}
+    if c1 == 0 or c1 == m or not depth_ok or m < 2 * min_leaf:
+        nodes[index] = {"counts": counts}
         return index
     d = X.shape[1]
     if rng is not None and mtry is not None and mtry < d:
         feature_ids = np.sort(rng.choice(d, size=mtry, replace=False))
     else:
         feature_ids = np.arange(d)
-    best = _best_split(X, y, feature_ids, min_leaf)
-    if best is None or best[2] >= parent_gini:
-        nodes[index] = {"counts": list(counts)}
+    best = _best_split(X, rows, node_y, feature_ids, min_leaf)
+    if best is None or best[2] >= _gini(c1, m):
+        nodes[index] = {"counts": counts}
         return index
     j, threshold, _ = best
-    mask = X[:, j] <= threshold
-    left = _grow(X[mask], y[mask], depth + 1, nodes, max_depth, min_leaf, rng, mtry)
-    right = _grow(X[~mask], y[~mask], depth + 1, nodes, max_depth, min_leaf, rng, mtry)
+    mask = X[rows, j] <= threshold
+    left = _grow(X, y, rows[mask], depth + 1, nodes, max_depth, min_leaf, rng, mtry)
+    right = _grow(X, y, rows[~mask], depth + 1, nodes, max_depth, min_leaf, rng, mtry)
     nodes[index] = {"feature": j, "threshold": threshold, "left": left, "right": right}
     return index
 
@@ -267,7 +280,7 @@ def train_tree(
     if len(y) < 1:
         raise FitError("cannot fit a tree on an empty dataset")
     nodes: list[dict | None] = []
-    _grow(mat, y, 0, nodes, max_depth, min_samples_leaf, _rng, _max_features)
+    _grow(mat, y, np.arange(len(y)), 0, nodes, max_depth, min_samples_leaf, _rng, _max_features)
     return TreeModel(tuple(nodes), mat.shape[1], max_depth, min_samples_leaf)
 
 
@@ -282,7 +295,8 @@ class ForestModel:
     features_per_split: str | float
 
     def predict_proba(self, X) -> np.ndarray:
-        per_tree = np.stack([t.predict_proba(X) for t in self.trees])
+        mat = _as_dense(X)
+        per_tree = np.stack([t.predict_proba(mat) for t in self.trees])
         return per_tree.mean(axis=0)
 
     def to_dict(self) -> dict:

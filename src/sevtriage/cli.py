@@ -284,7 +284,7 @@ def cmd_ensembles(cfg: RunConfig) -> int:
 def cmd_predict(cfg: RunConfig, model_path: str, input_path: str) -> int:
     artifact = ScoringArtifact.load(model_path)
     with open(input_path, "rb") as fh:
-        records = corpus.parse_csv(fh, cfg["schema"])
+        records = corpus.parse_csv(fh, cfg["schema"], require_cvss=False)
     out = _out_dir(cfg)
     target = out / "predictions.csv"
     with open(target, "w", encoding="utf-8", newline="") as fh:

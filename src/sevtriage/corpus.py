@@ -126,17 +126,21 @@ def _parse_date(raw: str) -> date | None:
         return None
 
 
-def parse_csv(stream: BinaryIO | bytes, schema: Mapping[str, str] | None = None) -> list[DisclosureRecord]:
+def parse_csv(
+    stream: BinaryIO | bytes, schema: Mapping[str, str] | None = None, require_cvss: bool = True
+) -> list[DisclosureRecord]:
     """Parse a UTF-8 CSV of disclosures into records.
 
     ``schema`` maps our field names to the CSV's header names; identity
     mapping by default. A UTF-8 byte-order mark before the header is
     skipped. A CVSS cell that does not parse as a finite number is stored
-    as missing, never coerced to 0.
+    as missing, never coerced to 0. With ``require_cvss=False`` (scoring
+    unscored advisories) the CVSS column may be absent, and every record
+    then has ``cvss=None``.
 
-    Raises SchemaError when a mapped header column is absent, RowError
-    (with line number) for bytes that are not UTF-8, CSV syntax errors
-    and malformed rows.
+    Raises SchemaError when a required header column is absent, RowError
+    (with the physical line on which the row starts) for bytes that are
+    not UTF-8, CSV syntax errors and malformed rows.
     """
     schema = dict(schema or {})
     for field in FIELDS:
@@ -150,12 +154,12 @@ def parse_csv(stream: BinaryIO | bytes, schema: Mapping[str, str] | None = None)
         raise RowError(line_no, f"not valid UTF-8 (byte 0x{raw[exc.start]:02x})") from exc
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        return _read_records(reader, schema)
+        return _read_records(reader, schema, require_cvss)
     except csv.Error as exc:
         raise RowError(reader.line_num, str(exc)) from exc
 
 
-def _read_records(reader, schema: Mapping[str, str]) -> list[DisclosureRecord]:
+def _read_records(reader, schema: Mapping[str, str], require_cvss: bool) -> list[DisclosureRecord]:
     try:
         header = next(reader)
     except StopIteration:
@@ -164,12 +168,17 @@ def _read_records(reader, schema: Mapping[str, str]) -> list[DisclosureRecord]:
     positions = {}
     for field in FIELDS:
         column = schema[field]
-        if column not in col_index:
+        if column in col_index:
+            positions[field] = col_index[column]
+        elif field != "cvss" or require_cvss:
             raise SchemaError(f"column {column!r} (for field {field!r}) not in header")
-        positions[field] = col_index[column]
+    cvss_at = positions.get("cvss")
 
     records = []
-    for line_no, row in enumerate(reader, start=2):
+    end_line = reader.line_num
+    for row in reader:
+        # a quoted cell may span lines: the row starts after the previous one ended
+        line_no, end_line = end_line + 1, reader.line_num
         if not row:
             continue
         if len(row) != len(header):
@@ -182,7 +191,7 @@ def _read_records(reader, schema: Mapping[str, str]) -> list[DisclosureRecord]:
             DisclosureRecord(
                 zdi_id=zdi_id,
                 cve_id=cve,
-                cvss=_parse_cvss(row[positions["cvss"]]),
+                cvss=None if cvss_at is None else _parse_cvss(row[cvss_at]),
                 published=_parse_date(row[positions["published"]]),
                 vendor=row[positions["vendor"]].strip(),
                 description=row[positions["description"]].strip(),

@@ -1,7 +1,12 @@
 """Classical learners against finite-difference and exhaustive-search oracles."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sevtriage import classical
 from sevtriage.errors import ConfigError, FitError, ShapeError
@@ -167,6 +172,20 @@ def to_nested(model: classical.TreeModel, index=0):
     }
 
 
+@st.composite
+def tied_instances(draw):
+    """Small matrices with duplicate rows and tied values, labels and growth limits."""
+    n_cols = draw(st.integers(1, 3))
+    value = st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0])
+    distinct = draw(st.lists(st.lists(value, min_size=n_cols, max_size=n_cols), min_size=1, max_size=5))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=12))
+    X = np.array([distinct[i] for i in picks])
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=len(picks), max_size=len(picks))))
+    max_depth = draw(st.none() | st.integers(0, 4))
+    min_leaf = draw(st.integers(1, 3))
+    return X, y, max_depth, min_leaf
+
+
 class TestDecisionTree:
     def test_pure_input_single_leaf(self):
         model = classical.train_tree(np.arange(8.0).reshape(4, 2), np.ones(4, dtype=int))
@@ -201,6 +220,13 @@ class TestDecisionTree:
             got = to_nested(classical.train_tree(X, y, max_depth=2, min_samples_leaf=2))
             want = oracle_tree(X, y, max_depth=2, min_leaf=2)
             assert got == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_instances())
+    def test_matches_oracle_with_duplicate_rows_and_ties(self, instance):
+        X, y, max_depth, min_leaf = instance
+        got = to_nested(classical.train_tree(X, y, max_depth=max_depth, min_samples_leaf=min_leaf))
+        assert got == oracle_tree(X, y, max_depth=max_depth, min_leaf=min_leaf)
 
     def test_leaf_fraction_probability(self):
         nodes = ({"counts": [2, 6]},)
@@ -256,6 +282,21 @@ class TestRandomForest:
         forest = classical.train_forest(X, y, n_trees=7, seed=1)
         member_mean = np.mean([t.predict_proba(X) for t in forest.trees], axis=0)
         assert np.array_equal(forest.predict_proba(X), member_mean)
+
+    def test_nodes_match_recorded_digest(self):
+        # SHA-256 of the nodes grown by the per-feature split search that the
+        # one-pass search replaced; any change to the grown trees shows here.
+        rng = np.random.default_rng(2026)
+        X = np.empty((60, 8))
+        X[:, :4] = rng.integers(0, 4, size=(60, 4))
+        X[:, 4:] = np.round(rng.random((60, 4)), 1)
+        X[30:36] = X[:6]
+        y = (X[:, 0] + X[:, 4] * 3 > 3).astype(int)
+        flip = rng.random(60) < 0.1
+        y[flip] = 1 - y[flip]
+        forest = classical.train_forest(X, y, n_trees=12, seed=7)
+        digest = hashlib.sha256(json.dumps([t.nodes for t in forest.trees]).encode()).hexdigest()
+        assert digest == "55fd2b4302e432c75a258418f29b209b207f4ef118591362b4dfdfc53310c2a7"
 
     def test_tree_seeds_distinct(self):
         X, y = self._noisy_instance()

@@ -209,6 +209,26 @@ class TestPredict:
         rows = list(csv.reader((tmp_path / "predictions.csv").open()))
         assert len(rows) == 1
 
+    def test_input_without_cvss_column_is_scored(self, workdir, tmp_path):
+        out, _, _ = workdir
+        src = tmp_path / "unscored.csv"
+        src.write_text(
+            "zdi_id,cve_id,published,vendor,description\n"
+            "X-1,CVE-2024-99999,2024-05-01,Adobe,remote code execution via buffer overflow\n"
+        )
+        rc = main(["predict", "--model", str(out / "model_baseline_lr.json"), "--input", str(src), "--out", str(tmp_path)])
+        assert rc == 0
+        rows = list(csv.reader((tmp_path / "predictions.csv").open()))
+        assert len(rows) == 2
+        assert rows[1][rows[0].index("cvss")] == ""
+
+    @pytest.mark.parametrize("command", ["ingest", "benchmark-features", "benchmark-models", "ensembles"])
+    def test_training_commands_still_require_cvss_column(self, command, tmp_path, capsys):
+        src = tmp_path / "unscored.csv"
+        src.write_text("zdi_id,cve_id,published,vendor,description\nX-1,,2024-05-01,Adobe,overflow\n")
+        assert main([command, "--data", str(src), "--out", str(tmp_path)]) != 0
+        assert "column 'cvss' (for field 'cvss') not in header" in capsys.readouterr().err
+
     def test_missing_artifact_exits_nonzero(self, tmp_path, capsys):
         rc = main(["predict", "--model", str(tmp_path / "none.json"), "--input", str(tmp_path / "x.csv"), "--out", str(tmp_path)])
         assert rc != 0

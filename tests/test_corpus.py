@@ -48,11 +48,24 @@ class TestParseCsv:
         with pytest.raises(SchemaError):
             corpus.parse_csv(b"zdi_id,cvss\nZ,5\n")
 
+    def test_cvss_column_optional_only_when_not_required(self):
+        data = b"zdi_id,cve_id,published,vendor,description\nZ-1,,2024-01-01,V,d\n"
+        with pytest.raises(SchemaError, match="'cvss'"):
+            corpus.parse_csv(data)
+        (r,) = corpus.parse_csv(data, require_cvss=False)
+        assert r.cvss is None and r.zdi_id == "Z-1" and r.description == "d"
+
     def test_short_row_is_row_error_with_line_number(self):
         data = HEADER + "Z-1,,5.0,2024-01-01,V,d\nZ-2,,6.0\n"
         with pytest.raises(RowError) as exc:
             corpus.parse_csv(data.encode())
         assert exc.value.line_no == 3
+
+    def test_row_error_counts_physical_lines_of_multiline_cells(self):
+        data = HEADER + 'Z-1,,5.0,2024-01-01,V,"two\nlines"\nZ-2,,6.0\n'
+        with pytest.raises(RowError) as exc:
+            corpus.parse_csv(data.encode())
+        assert exc.value.line_no == 4
 
     def test_empty_identifier_is_row_error(self):
         data = HEADER + ",,5.0,2024-01-01,V,d\n"
