@@ -59,9 +59,13 @@ class LogRegModel:
     C: float
     n_iter: int = 0
 
+    @property
+    def n_features(self) -> int:
+        return len(self.weights)
+
     def predict_proba(self, X) -> np.ndarray:
         mat = as_matrix(X)
-        _check_width(mat, len(self.weights))
+        _check_width(mat, self.n_features)
         return _sigmoid(np.asarray(mat @ self.weights).ravel() + self.bias)
 
     def to_dict(self) -> dict:
@@ -266,21 +270,25 @@ def train_tree(
     min_samples_leaf: int = 1,
     _rng: np.random.Generator | None = None,
     _max_features: int | None = None,
+    _rows: np.ndarray | None = None,
 ) -> TreeModel:
     """Greedy gini tree over exact midpoint split candidates.
 
     Growth stops at purity, the depth limit, or the minimum leaf size.
-    The underscored arguments are the forest's per-split feature
-    subsampling hooks; plain trees ignore them.
+    The underscored arguments are the forest's hooks: per-split feature
+    subsampling, and the root's row indices into ``X`` and ``y`` (its
+    bootstrap sample, repeats allowed; all rows in order by default).
+    Plain trees ignore them.
     """
     mat = _as_dense(X)
     y = np.asarray(y, dtype=np.int64).ravel()
     if mat.shape[0] != len(y):
         raise ShapeError(f"{mat.shape[0]} rows but {len(y)} labels")
-    if len(y) < 1:
+    rows = np.arange(len(y)) if _rows is None else _rows
+    if len(rows) < 1:
         raise FitError("cannot fit a tree on an empty dataset")
     nodes: list[dict | None] = []
-    _grow(mat, y, np.arange(len(y)), 0, nodes, max_depth, min_samples_leaf, _rng, _max_features)
+    _grow(mat, y, rows, 0, nodes, max_depth, min_samples_leaf, _rng, _max_features)
     return TreeModel(tuple(nodes), mat.shape[1], max_depth, min_samples_leaf)
 
 
@@ -293,6 +301,10 @@ class ForestModel:
     trees: tuple[TreeModel, ...]
     tree_seeds: tuple[int, ...]
     features_per_split: str | float
+
+    @property
+    def n_features(self) -> int:
+        return self.trees[0].n_features
 
     def predict_proba(self, X) -> np.ndarray:
         mat = _as_dense(X)
@@ -340,8 +352,10 @@ def train_forest(
 
     Every tree draws its own seeded bootstrap sample (n rows with
     replacement) and its own feature-subset stream, so the whole forest
-    is reproducible from one seed. ``bootstrap=False`` trains every tree
-    on the full sample (test mode).
+    is reproducible from one seed. Every tree grows on the forest's one
+    dense matrix, with its bootstrap indices as the root's rows, so no
+    tree copies its sample. ``bootstrap=False`` trains every tree on the
+    full sample (test mode).
     """
     if n_trees < 1:
         raise ConfigError(f"n_trees must be >= 1, got {n_trees}")
@@ -358,12 +372,13 @@ def train_forest(
         idx = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
         trees.append(
             train_tree(
-                mat[idx],
-                y[idx],
+                mat,
+                y,
                 max_depth=max_depth,
                 min_samples_leaf=min_samples_leaf,
                 _rng=rng,
                 _max_features=mtry if mtry < d else None,
+                _rows=idx,
             )
         )
     return ForestModel(tuple(trees), tuple(seeds), features_per_split)
@@ -379,9 +394,13 @@ class KnnModel:
     y_train: np.ndarray
     k: int
 
+    @property
+    def n_features(self) -> int:
+        return self.X_train.shape[1]
+
     def predict_proba(self, X) -> np.ndarray:
         mat = _as_dense(X)
-        _check_width(mat, self.X_train.shape[1])
+        _check_width(mat, self.n_features)
         n = self.X_train.shape[0]
         out = np.empty(mat.shape[0])
         for i, q in enumerate(mat):

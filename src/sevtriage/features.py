@@ -4,13 +4,24 @@ Blocks are built per source (vendor one-hot, binary indicators, TF-IDF
 text) and assembled by horizontal concatenation into one matrix whose
 columns carry both a name and a group tag. All fitted models here are
 frozen after fit; transforms are read-only and thread-safe.
+
+Each block makes one pass over its rows and writes its CSR arrays
+(``indptr``/``indices``/``data``) directly, in the manner of
+scikit-learn's ``CountVectorizer``. A description is tokenized once, and
+its tokens serve both the keyword flags and the TF-IDF n-grams. A
+keyword is found by looking its token tuple up in the set of the
+record's k-grams. Blocks are not validated; :func:`assemble` validates
+the one matrix it returns. A caller that assembles the same blocks again
+and again passes the :class:`Columns` it derived once (a fitted
+``FeatureBuilder`` fixes them at fit and at load), so column names,
+groups and their order are not rebuilt per call.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -44,6 +55,11 @@ def tokenize(text: str) -> list[str]:
     return [t for t in _TOKEN_RE.findall(text.lower()) if len(t) >= 2]
 
 
+def _kgrams(tokens: Sequence[str], k: int):
+    """The token k-tuples at every position, in order."""
+    return zip(*(tokens[i:] for i in range(k)))
+
+
 # ---------------------------------------------------------------------------
 # FeatureMatrix
 
@@ -67,11 +83,8 @@ class FeatureMatrix:
             data = self.data.copy()
             data.eliminate_zeros()
             object.__setattr__(self, "data", data)
-        text_cols = [j for j, g in enumerate(self.groups) if g == "text"]
-        if text_cols:
-            norms = sp.linalg.norm(self.data[:, text_cols], axis=1)
-            if np.any(norms > 1.0 + 1e-9):
-                raise ShapeError("text block rows must have L2 norm <= 1")
+        if np.any(_text_row_norms(self.data, self.groups) > 1.0 + 1e-9):
+            raise ShapeError("text block rows must have L2 norm <= 1")
 
     @classmethod
     def from_dense(cls, array, names: Sequence[str], group: str | Sequence[str]) -> "FeatureMatrix":
@@ -115,6 +128,17 @@ class FeatureMatrix:
         return FeatureMatrix(sp.csr_matrix(self.data[indices]), self.names, self.groups)
 
 
+def _text_row_norms(mat: sp.csr_matrix, groups: Sequence[str]) -> np.ndarray:
+    """L2 norm of each row's text entries, looking up the groups of the stored columns only."""
+    n, d = mat.shape
+    used = np.flatnonzero(np.bincount(mat.indices, minlength=d))
+    is_text = np.zeros(d, dtype=bool)
+    is_text[used] = [groups[j] == "text" for j in used.tolist()]
+    text = is_text[mat.indices]
+    rows = np.repeat(np.arange(n), np.diff(mat.indptr))[text]
+    return np.sqrt(np.bincount(rows, weights=mat.data[text] ** 2, minlength=n))
+
+
 def as_matrix(X):
     """Accept FeatureMatrix, scipy sparse, or array-like; return float64 csr or 2-D ndarray.
 
@@ -127,12 +151,81 @@ def as_matrix(X):
     return np.atleast_2d(np.asarray(X, dtype=np.float64))
 
 
-def assemble(blocks: Sequence[FeatureMatrix]) -> FeatureMatrix:
-    """Concatenate blocks horizontally into one group-ordered matrix.
+# ---------------------------------------------------------------------------
+# Blocks and their assembly
+
+
+@dataclass(frozen=True)
+class Block:
+    """One source's columns, built for :func:`assemble`; not validated on its own."""
+
+    data: sp.csr_matrix
+    names: tuple[str, ...]
+    group: str
+
+    @property
+    def n_rows(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def n_cols(self) -> int:
+        return self.data.shape[1]
+
+    @property
+    def groups(self) -> tuple[str, ...]:
+        return (self.group,) * self.n_cols
+
+    def to_dense(self) -> np.ndarray:
+        return self.data.toarray()
+
+
+def _block(indptr, indices, values, names: tuple[str, ...], group: str) -> Block:
+    mat = sp.csr_matrix(
+        (np.asarray(values, dtype=np.float64), np.asarray(indices, dtype=np.int64), np.asarray(indptr, dtype=np.int64)),
+        shape=(len(indptr) - 1, len(names)),
+    )
+    return Block(mat, names, group)
+
+
+@dataclass(frozen=True)
+class Columns:
+    """The names, groups and group order of an assembled matrix.
+
+    ``order`` permutes the concatenated columns into group order; it is
+    None when they are in group order already.
+    """
+
+    names: tuple[str, ...]
+    groups: tuple[str, ...]
+    order: list[int] | None
+
+
+def assembled_columns(parts: Sequence[tuple[Sequence[str], Sequence[str]]]) -> Columns:
+    """Columns of the assembly of blocks given as (names, groups) pairs.
 
     Columns are stably reordered so groups appear as vendor, indicator,
     text, reduced; names get a ``group__`` prefix (idempotently), so
     assembling already-assembled matrices never double-prefixes.
+    """
+    names = []
+    groups = []
+    for block_names, block_groups in parts:
+        for name, g in zip(block_names, block_groups):
+            prefix = f"{g}__"
+            names.append(name if name.startswith(prefix) else prefix + name)
+            groups.append(g)
+    order = sorted(range(len(groups)), key=lambda j: _GROUP_RANK[groups[j]])
+    if order == list(range(len(order))):
+        return Columns(tuple(names), tuple(groups), None)
+    return Columns(tuple(names[j] for j in order), tuple(groups[j] for j in order), order)
+
+
+def assemble(blocks: Sequence[Block | FeatureMatrix], columns: Columns | None = None) -> FeatureMatrix:
+    """Concatenate blocks horizontally into one group-ordered, validated matrix.
+
+    ``columns`` is :func:`assembled_columns` of these blocks, for a
+    caller that assembles blocks of the same columns repeatedly; without
+    it the columns are derived from the blocks.
     """
     if not blocks:
         raise ShapeError("assemble needs at least one block")
@@ -140,20 +233,15 @@ def assemble(blocks: Sequence[FeatureMatrix]) -> FeatureMatrix:
     for b in blocks[1:]:
         if b.n_rows != n:
             raise ShapeError(f"row count mismatch: {n} vs {b.n_rows}")
+    if columns is None:
+        columns = assembled_columns([(b.names, b.groups) for b in blocks])
+    width = sum(b.n_cols for b in blocks)
+    if width != len(columns.names):
+        raise ShapeError(f"blocks have {width} columns but the layout has {len(columns.names)}")
     data = sp.hstack([b.data for b in blocks], format="csr")
-    names = []
-    groups = []
-    for b in blocks:
-        for name, g in zip(b.names, b.groups):
-            prefix = f"{g}__"
-            names.append(name if name.startswith(prefix) else prefix + name)
-            groups.append(g)
-    order = sorted(range(len(groups)), key=lambda j: _GROUP_RANK[groups[j]])
-    return FeatureMatrix(
-        sp.csr_matrix(data[:, order]),
-        tuple(names[j] for j in order),
-        tuple(groups[j] for j in order),
-    )
+    if columns.order is not None:
+        data = sp.csr_matrix(data[:, columns.order])
+    return FeatureMatrix(data, columns.names, columns.groups)
 
 
 # ---------------------------------------------------------------------------
@@ -162,19 +250,27 @@ def assemble(blocks: Sequence[FeatureMatrix]) -> FeatureMatrix:
 
 @dataclass(frozen=True)
 class KeywordLexicon:
-    """Ordered set of lowercase keyword phrases (1-4 tokens each)."""
+    """Ordered set of lowercase keyword phrases (1-4 tokens each).
+
+    ``tokens`` holds each phrase's token tuple and ``lengths`` the
+    distinct phrase lengths, both fixed at construction.
+    """
 
     phrases: tuple[str, ...]
+    tokens: tuple[tuple[str, ...], ...] = field(init=False, repr=False, compare=False)
+    lengths: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.phrases:
             raise ConfigError("lexicon must not be empty")
         if len(set(self.phrases)) != len(self.phrases):
             raise ConfigError("lexicon phrases must be unique")
-        for p in self.phrases:
-            n_tokens = len(tokenize(p))
-            if not 1 <= n_tokens <= 4:
-                raise ConfigError(f"phrase {p!r} must be 1-4 tokens, got {n_tokens}")
+        tokens = tuple(tuple(tokenize(p)) for p in self.phrases)
+        for p, t in zip(self.phrases, tokens):
+            if not 1 <= len(t) <= 4:
+                raise ConfigError(f"phrase {p!r} must be 1-4 tokens, got {len(t)}")
+        object.__setattr__(self, "tokens", tokens)
+        object.__setattr__(self, "lengths", tuple(sorted({len(t) for t in tokens})))
 
     @classmethod
     def default(cls) -> "KeywordLexicon":
@@ -197,20 +293,18 @@ def cve_flag(record: DisclosureRecord) -> int:
     return 1 if _CVE_RE.fullmatch(record.cve_id.strip()) else 0
 
 
-def _contains_subsequence(tokens: Sequence[str], phrase_tokens: Sequence[str]) -> bool:
-    k = len(phrase_tokens)
-    if k == 0 or k > len(tokens):
-        return False
-    return any(tuple(tokens[i : i + k]) == tuple(phrase_tokens) for i in range(len(tokens) - k + 1))
+def keyword_hits(tokens: Sequence[str], lexicon: KeywordLexicon) -> list[int]:
+    """Indices of the phrases that occur in ``tokens`` as contiguous runs."""
+    grams = set()
+    for k in lexicon.lengths:
+        grams.update(_kgrams(tokens, k))
+    return [i for i, phrase in enumerate(lexicon.tokens) if phrase in grams]
 
 
 def keyword_flags(description: str, lexicon: KeywordLexicon) -> np.ndarray:
     """Binary vector: flag i is 1 iff phrase i occurs as a contiguous token run."""
-    tokens = tokenize(description)
     flags = np.zeros(len(lexicon), dtype=np.int64)
-    for i, phrase in enumerate(lexicon.phrases):
-        if _contains_subsequence(tokens, tokenize(phrase)):
-            flags[i] = 1
+    flags[keyword_hits(tokenize(description), lexicon)] = 1
     return flags
 
 
@@ -221,21 +315,36 @@ def keyword_frequencies(
 
     Descending by count, ties alphabetical; at most ``top_k`` entries.
     """
-    counts = np.zeros(len(lexicon), dtype=np.int64)
+    counts = [0] * len(lexicon)
     for text in descriptions:
-        counts += keyword_flags(text, lexicon)
-    ranked = sorted(zip(lexicon.phrases, counts.tolist()), key=lambda kv: (-kv[1], kv[0]))
+        for i in keyword_hits(tokenize(text), lexicon):
+            counts[i] += 1
+    ranked = sorted(zip(lexicon.phrases, counts), key=lambda kv: (-kv[1], kv[0]))
     return ranked[: max(0, top_k)]
 
 
-def indicator_block(records: Sequence[DisclosureRecord], lexicon: KeywordLexicon) -> FeatureMatrix:
-    """CVE-presence flag plus keyword flags for each record."""
-    rows = np.zeros((len(records), 1 + len(lexicon)), dtype=np.float64)
-    for i, r in enumerate(records):
-        rows[i, 0] = cve_flag(r)
-        rows[i, 1:] = keyword_flags(r.description, lexicon)
-    names = ("has_cve",) + lexicon.phrases
-    return FeatureMatrix.from_dense(rows, names, "indicator")
+def indicator_names(lexicon: KeywordLexicon) -> tuple[str, ...]:
+    return ("has_cve",) + lexicon.phrases
+
+
+def indicator_block(
+    records: Sequence[DisclosureRecord], lexicon: KeywordLexicon, tokens: Sequence[Sequence[str]] | None = None
+) -> Block:
+    """CVE-presence flag plus keyword flags for each record.
+
+    ``tokens`` are the records' description tokens when the caller has
+    them already.
+    """
+    if tokens is None:
+        tokens = [tokenize(r.description) for r in records]
+    indptr = [0]
+    indices = []
+    for r, toks in zip(records, tokens):
+        if cve_flag(r):
+            indices.append(0)
+        indices.extend(1 + i for i in keyword_hits(toks, lexicon))
+        indptr.append(len(indices))
+    return _block(indptr, indices, np.ones(len(indices)), indicator_names(lexicon), "indicator")
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +353,16 @@ def indicator_block(records: Sequence[DisclosureRecord], lexicon: KeywordLexicon
 
 @dataclass(frozen=True)
 class VendorEncoder:
-    """One-hot encoder over the vendors seen at fit time (sorted order)."""
+    """One-hot encoder over the vendors seen at fit time (sorted order).
+
+    ``index`` maps each category to its column, fixed at construction.
+    """
 
     categories: tuple[str, ...]
+    index: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "index", {v: j for j, v in enumerate(self.categories)})
 
     def to_dict(self) -> dict:
         return {"categories": list(self.categories)}
@@ -263,16 +379,21 @@ def fit_vendor(records: Sequence[DisclosureRecord]) -> VendorEncoder:
 def encode_vendor(encoder: VendorEncoder, record: DisclosureRecord) -> np.ndarray:
     """One 1 for a known vendor, all zeros for an unseen one."""
     vec = np.zeros(len(encoder.categories), dtype=np.float64)
-    try:
-        vec[encoder.categories.index(record.vendor)] = 1.0
-    except ValueError:
-        pass
+    j = encoder.index.get(record.vendor)
+    if j is not None:
+        vec[j] = 1.0
     return vec
 
 
-def vendor_block(encoder: VendorEncoder, records: Sequence[DisclosureRecord]) -> FeatureMatrix:
-    rows = np.stack([encode_vendor(encoder, r) for r in records]) if records else np.zeros((0, len(encoder.categories)))
-    return FeatureMatrix.from_dense(rows, encoder.categories, "vendor")
+def vendor_block(encoder: VendorEncoder, records: Sequence[DisclosureRecord]) -> Block:
+    indptr = [0]
+    indices = []
+    for r in records:
+        j = encoder.index.get(r.vendor)
+        if j is not None:
+            indices.append(j)
+        indptr.append(len(indices))
+    return _block(indptr, indices, np.ones(len(indices)), encoder.categories, "vendor")
 
 
 # ---------------------------------------------------------------------------
@@ -281,24 +402,29 @@ def vendor_block(encoder: VendorEncoder, records: Sequence[DisclosureRecord]) ->
 
 @dataclass(frozen=True)
 class TfidfModel:
-    """Vocabulary and idf weights learned from the training corpus only."""
+    """Vocabulary and idf weights learned from the training corpus only.
+
+    ``names`` holds the terms in column order, fixed at construction.
+    """
 
     vocabulary: dict[str, int]
     idf: np.ndarray
     ngram_range: tuple[int, int]
     max_features: int
+    names: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.idf) != len(self.vocabulary):
             raise ShapeError("idf length must match vocabulary size")
+        out = [""] * len(self.vocabulary)
+        for term, j in self.vocabulary.items():
+            out[j] = term
+        object.__setattr__(self, "names", tuple(out))
 
     @property
     def terms(self) -> list[str]:
         """Vocabulary terms in column order."""
-        out = [""] * len(self.vocabulary)
-        for term, j in self.vocabulary.items():
-            out[j] = term
-        return out
+        return list(self.names)
 
     def to_dict(self) -> dict:
         return {
@@ -321,7 +447,7 @@ class TfidfModel:
 def _ngrams(tokens: Sequence[str], lo: int, hi: int) -> list[str]:
     grams = []
     for n in range(lo, hi + 1):
-        grams.extend(" ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+        grams.extend(tokens if n == 1 else map(" ".join, _kgrams(tokens, n)))
     return grams
 
 
@@ -361,7 +487,10 @@ def fit_tfidf(
 
 
 def transform_tfidf(model: TfidfModel, text: str) -> sp.csr_matrix:
-    """One L2-normalized tf-idf row; all-zero when nothing is in vocabulary."""
+    """One L2-normalized tf-idf row; all-zero when nothing is in vocabulary.
+
+    The row-at-a-time reference for :func:`text_block`.
+    """
     lo, hi = model.ngram_range
     counts: dict[int, int] = {}
     for g in _ngrams(tokenize(text), lo, hi):
@@ -379,7 +508,30 @@ def transform_tfidf(model: TfidfModel, text: str) -> sp.csr_matrix:
     return sp.csr_matrix((vals, ([0] * len(cols), cols)), shape=(1, d))
 
 
-def text_block(model: TfidfModel, texts: Sequence[str]) -> FeatureMatrix:
-    rows = [transform_tfidf(model, t) for t in texts]
-    mat = sp.vstack(rows, format="csr") if rows else sp.csr_matrix((0, len(model.vocabulary)))
-    return FeatureMatrix.from_csr(mat, model.terms, "text")
+def text_block(model: TfidfModel, tokens: Sequence[Sequence[str]]) -> Block:
+    """L2-normalized tf-idf rows, one per token list (see :func:`tokenize`).
+
+    A row's entries are ``count * idf`` over its sorted in-vocabulary
+    columns, divided by ``sqrt(sum(v * v))`` of that row.
+    """
+    lo, hi = model.ngram_range
+    lookup = model.vocabulary.get
+    indptr = [0]
+    cols_parts = []
+    vals_parts = []
+    for toks in tokens:
+        hits = [j for j in map(lookup, _ngrams(toks, lo, hi)) if j is not None]
+        if hits:
+            cols, counts = np.unique(hits, return_counts=True)
+            vals = counts * model.idf[cols]
+            norm = np.sqrt(np.sum(vals * vals))
+            if norm > 0:
+                vals /= norm
+            cols_parts.append(cols)
+            vals_parts.append(vals)
+            indptr.append(indptr[-1] + len(cols))
+        else:
+            indptr.append(indptr[-1])
+    indices = np.concatenate(cols_parts) if cols_parts else []
+    values = np.concatenate(vals_parts) if vals_parts else []
+    return _block(indptr, indices, values, model.names, "text")

@@ -16,19 +16,22 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import classical, neural, reduction, selection
+from . import classical, features, neural, reduction, selection
 from .config import DEFAULTS
 from .corpus import DisclosureRecord
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 from .features import (
+    Columns,
     FeatureMatrix,
     KeywordLexicon,
     TfidfModel,
     VendorEncoder,
     assemble,
+    assembled_columns,
     fit_tfidf,
     fit_vendor,
     indicator_block,
+    indicator_names,
     text_block,
     vendor_block,
 )
@@ -47,13 +50,19 @@ class TfidfConfig:
 
 
 class FeatureBuilder:
-    """Vendor one-hot + indicator + TF-IDF blocks, fit on training records."""
+    """Vendor one-hot + indicator + TF-IDF blocks, fit on training records.
+
+    ``columns`` (the assembled names, groups and order) is fixed when the
+    builder is fitted or loaded; ``transform`` tokenizes each description
+    once and shares the tokens between the indicator and text blocks.
+    """
 
     def __init__(self, lexicon: KeywordLexicon | None = None, tfidf: TfidfConfig | None = None):
         self.lexicon = lexicon or KeywordLexicon.default()
         self.tfidf_config = tfidf or TfidfConfig()
         self.tfidf_model: TfidfModel | None = None
         self.vendor_encoder: VendorEncoder | None = None
+        self.columns: Columns | None = None
 
     def fit(self, records: Sequence[DisclosureRecord]) -> "FeatureBuilder":
         self.tfidf_model = fit_tfidf(
@@ -62,17 +71,28 @@ class FeatureBuilder:
             max_features=self.tfidf_config.max_features,
         )
         self.vendor_encoder = fit_vendor(records)
+        self._fix_columns()
         return self
 
+    def _fix_columns(self) -> None:
+        parts = (
+            (self.vendor_encoder.categories, "vendor"),
+            (indicator_names(self.lexicon), "indicator"),
+            (self.tfidf_model.names, "text"),
+        )
+        self.columns = assembled_columns([(names, (group,) * len(names)) for names, group in parts])
+
     def transform(self, records: Sequence[DisclosureRecord]) -> FeatureMatrix:
-        if self.tfidf_model is None:
+        if self.columns is None:
             raise ConfigError("FeatureBuilder.transform called before fit")
+        tokens = [features.tokenize(r.description) for r in records]
         return assemble(
             [
                 vendor_block(self.vendor_encoder, records),
-                indicator_block(records, self.lexicon),
-                text_block(self.tfidf_model, [r.description for r in records]),
-            ]
+                indicator_block(records, self.lexicon, tokens),
+                text_block(self.tfidf_model, tokens),
+            ],
+            self.columns,
         )
 
     def to_dict(self) -> dict:
@@ -91,6 +111,8 @@ class FeatureBuilder:
             fb.tfidf_model = TfidfModel.from_dict(d["tfidf_model"])
         if d.get("vendor_encoder"):
             fb.vendor_encoder = VendorEncoder.from_dict(d["vendor_encoder"])
+        if fb.tfidf_model is not None and fb.vendor_encoder is not None:
+            fb._fix_columns()
         return fb
 
 
@@ -337,10 +359,24 @@ _MODEL_CODECS = {
 
 @dataclass
 class ScoringArtifact:
-    """Everything needed to score new records with a trained pipeline."""
+    """Everything needed to score new records with a trained pipeline.
+
+    The builder's column count, fixed when it was fitted or loaded, must
+    equal the model's input width; an artifact that disagrees is refused
+    when it is built or loaded, not when it first scores.
+    """
 
     builder: FeatureBuilder
     model: object
+
+    def __post_init__(self):
+        if self.builder.columns is None:
+            raise ConfigError("scoring artifact needs a fitted FeatureBuilder")
+        built, expected = len(self.builder.columns.names), self.model.n_features
+        if built != expected:
+            raise ShapeError(
+                f"artifact's featurizer makes {built} columns but its {type(self.model).__name__} expects {expected}"
+            )
 
     def predict(self, records) -> tuple[np.ndarray, np.ndarray]:
         X = self.builder.transform(records)

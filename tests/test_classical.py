@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from sevtriage import classical
 from sevtriage.errors import ConfigError, FitError, ShapeError
+from sevtriage.seeds import substream
 
 
 def bce(weights, bias, X, y):
@@ -297,6 +298,21 @@ class TestRandomForest:
         forest = classical.train_forest(X, y, n_trees=12, seed=7)
         digest = hashlib.sha256(json.dumps([t.nodes for t in forest.trees]).encode()).hexdigest()
         assert digest == "55fd2b4302e432c75a258418f29b209b207f4ef118591362b4dfdfc53310c2a7"
+
+    @pytest.mark.parametrize("max_depth,min_leaf", [(None, 1), (3, 2)])
+    def test_trees_equal_trees_grown_on_copied_bootstrap_rows(self, max_depth, min_leaf):
+        # a forest tree grows on bootstrap row indices into the one matrix;
+        # growing it on a copy of those rows, in the same order, is the same tree
+        X, y = self._noisy_instance()
+        forest = classical.train_forest(X, y, n_trees=5, seed=4, max_depth=max_depth, min_samples_leaf=min_leaf)
+        mtry = classical._mtry("sqrt", X.shape[1])
+        for i, tree in enumerate(forest.trees):
+            rng = np.random.default_rng(substream(4, f"forest-tree-{i}"))
+            idx = rng.integers(0, len(y), size=len(y))
+            copied = classical.train_tree(
+                X[idx], y[idx], max_depth=max_depth, min_samples_leaf=min_leaf, _rng=rng, _max_features=mtry
+            )
+            assert copied.nodes == tree.nodes
 
     def test_tree_seeds_distinct(self):
         X, y = self._noisy_instance()

@@ -1,5 +1,8 @@
-"""Tokenizer, indicators, TF-IDF (against a hand oracle), and assembly."""
+"""Tokenizer, indicators, TF-IDF (against a hand oracle), assembly, and
+the one-pass featurizer against its row-at-a-time reference."""
 
+import copy
+import hashlib
 import math
 
 import numpy as np
@@ -11,6 +14,7 @@ from sevtriage import features
 from sevtriage.corpus import DisclosureRecord
 from sevtriage.errors import ConfigError, FitError, ShapeError
 from sevtriage.features import FeatureMatrix, KeywordLexicon
+from sevtriage.pipelines import FeatureBuilder, TfidfConfig
 
 
 def _rec(cve_id=None, vendor="V", description=""):
@@ -279,3 +283,145 @@ class TestIndicatorBlock:
         block = features.indicator_block(records, lex)
         assert block.names == ("has_cve", "buffer overflow", "xss")
         assert block.to_dense().tolist() == [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+
+
+# ---------------------------------------------------------------------------
+# The one-pass FeatureBuilder.transform
+
+
+def _matrix_digest(X: FeatureMatrix) -> str:
+    h = hashlib.sha256()
+    for arr in (X.data.indptr, X.data.indices, X.data.data):
+        h.update(str(arr.dtype).encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    h.update("\n".join(X.names).encode())
+    h.update("\n".join(X.groups).encode())
+    return h.hexdigest()
+
+
+def _scan_contains(tokens, phrase_tokens) -> bool:
+    """Brute-force phrase search: compare the phrase at every position."""
+    k = len(phrase_tokens)
+    return any(tuple(tokens[i : i + k]) == tuple(phrase_tokens) for i in range(len(tokens) - k + 1))
+
+
+def _reference_matrix(builder: FeatureBuilder, records) -> tuple[np.ndarray, tuple, tuple]:
+    """Dense matrix, names and groups assembled row by row from the per-row functions."""
+    enc, lex, model = builder.vendor_encoder, builder.lexicon, builder.tfidf_model
+    rows = []
+    for r in records:
+        flags = features.keyword_flags(r.description, lex)
+        tokens = features.tokenize(r.description)
+        assert flags.tolist() == [int(_scan_contains(tokens, features.tokenize(p))) for p in lex.phrases]
+        rows.append(
+            np.concatenate(
+                [
+                    features.encode_vendor(enc, r),
+                    [features.cve_flag(r)],
+                    flags,
+                    features.transform_tfidf(model, r.description).toarray().ravel(),
+                ]
+            )
+        )
+    width = len(enc.categories) + 1 + len(lex) + len(model.vocabulary)
+    dense = np.array(rows, dtype=np.float64).reshape(len(records), width)
+    names = (
+        tuple(f"vendor__{v}" for v in enc.categories)
+        + tuple(f"indicator__{p}" for p in ("has_cve",) + lex.phrases)
+        + tuple(f"text__{t}" for t in model.terms)
+    )
+    groups = ("vendor",) * len(enc.categories) + ("indicator",) * (1 + len(lex)) + ("text",) * len(model.vocabulary)
+    return dense, names, groups
+
+
+_WORDS = ("aa", "bb", "cc", "dd", "ee")
+_UNSEEN = ("zz", "yy")
+_SEPARATORS = (" ", "  ", ", ", "-", "\t", " x ")
+
+
+def _description(draw, words) -> str:
+    tokens = draw(st.lists(st.sampled_from(words), max_size=12))
+    out = ""
+    for t in tokens:
+        out += t + draw(st.sampled_from(_SEPARATORS))
+    return draw(st.sampled_from(["", "Advisory: "])) + out.upper() if draw(st.booleans()) else out
+
+
+@st.composite
+def _records(draw, vendors, words, min_size=0):
+    n = draw(st.integers(min_size, 8))
+    return [
+        DisclosureRecord(
+            f"Z{i}",
+            draw(st.sampled_from([None, "", "CVE-2024-12345", "CVE-2024-001", "ZDI-CAN-1"])),
+            5.0,
+            None,
+            draw(st.sampled_from(vendors)),
+            _description(draw, words),
+        )
+        for i in range(n)
+    ]
+
+
+_phrases = st.lists(
+    st.lists(st.sampled_from(_WORDS + _UNSEEN), min_size=1, max_size=4).map(" ".join),
+    min_size=1,
+    max_size=6,
+    unique=True,
+)
+
+
+class TestOnePassTransform:
+    def test_matches_digest_recorded_before_the_rewrite(self, synthetic_dataset):
+        # SHA-256 of indptr/indices/data (with dtypes), names and groups as the
+        # per-block, per-row featurizer built them before the one-pass rewrite.
+        builder = FeatureBuilder().fit(synthetic_dataset.train_records())
+        X = builder.transform(synthetic_dataset.test_records())
+        assert _matrix_digest(X) == "2077651842331fb662210bb9ae33716eb8226582b4f2d446567072b4add7d3ad"
+        trigram = FeatureBuilder(tfidf=TfidfConfig((1, 3), 40)).fit(synthetic_dataset.train_records())
+        X3 = trigram.transform(synthetic_dataset.test_records())
+        assert _matrix_digest(X3) == "f64000c987cf940c0a6842272dbe1c28024ff9fb754b30baa6a3172ff388f575"
+
+    @given(
+        train=_records(("A", "B"), _WORDS, min_size=1),
+        test=_records(("A", "B", "C"), _WORDS + _UNSEEN),
+        phrases=_phrases,
+        ngram_range=st.sampled_from([(1, 1), (1, 2), (1, 3)]),
+        max_features=st.sampled_from([2, 5, 5000]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_row_by_row_reference_and_mutates_nothing(self, train, test, phrases, ngram_range, max_features):
+        lexicon = KeywordLexicon(tuple(phrases))
+        builder = FeatureBuilder(lexicon, TfidfConfig(ngram_range, max_features)).fit(train)
+        before = (
+            copy.deepcopy(test),
+            lexicon.phrases,
+            lexicon.tokens,
+            dict(builder.tfidf_model.vocabulary),
+            builder.tfidf_model.idf.copy(),
+            builder.vendor_encoder.categories,
+            builder.columns,
+        )
+        X = builder.transform(test)
+        dense, names, groups = _reference_matrix(builder, test)
+        assert np.array_equal(X.to_dense(), dense)
+        assert (X.names, X.groups) == (names, groups)
+        assert X.data.indices.dtype == np.int32 and X.data.indptr.dtype == np.int32
+        assert X.data.has_sorted_indices and X.data.data.all()
+        assert test == before[0]
+        assert (lexicon.phrases, lexicon.tokens) == before[1:3]
+        assert builder.tfidf_model.vocabulary == before[3]
+        assert np.array_equal(builder.tfidf_model.idf, before[4])
+        assert (builder.vendor_encoder.categories, builder.columns) == before[5:]
+
+    def test_overlapping_and_repeated_phrases(self):
+        lexicon = KeywordLexicon(("aa bb", "bb cc", "aa bb cc dd", "cc"))
+        builder = FeatureBuilder(lexicon).fit([_rec(description="aa bb cc")])
+        X = builder.transform([_rec(description="aa bb cc dd aa bb"), _rec(description="bb aa cc")])
+        flags = X.select_groups(["indicator"]).to_dense()[:, 1:]
+        assert flags.tolist() == [[1, 1, 1, 1], [0, 0, 0, 1]]
+
+    def test_empty_batch(self):
+        builder = FeatureBuilder().fit([_rec(description="remote code execution")])
+        X = builder.transform([])
+        assert X.n_rows == 0 and X.names == builder.columns.names

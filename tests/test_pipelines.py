@@ -1,11 +1,13 @@
 """Record-to-probability pipelines and the saved scoring artifact."""
 
+import json
+
 import numpy as np
 import pytest
 
 from sevtriage import pipelines
 from sevtriage.config import load_config
-from sevtriage.errors import ConfigError
+from sevtriage.errors import ConfigError, ShapeError
 from sevtriage.seeds import substream
 
 
@@ -122,3 +124,18 @@ class TestScoringArtifact:
         probs_b, labels_b = loaded.predict(test_records)
         assert np.allclose(probs_a, probs_b, atol=1e-15)
         assert np.array_equal(labels_a, labels_b)
+
+    def test_load_rejects_model_narrower_than_featurizer(self, split, tmp_path):
+        from sevtriage.classical import train_logreg
+
+        train_records, train_labels, _, _ = split
+        fb = pipelines.FeatureBuilder().fit(train_records)
+        model = train_logreg(fb.transform(train_records), train_labels)
+        path = tmp_path / "artifact.json"
+        pipelines.ScoringArtifact(fb, model).save(path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["model"]["weights"] = payload["model"]["weights"][:-3]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        width = len(fb.columns.names)
+        with pytest.raises(ShapeError, match=f"makes {width} columns but its LogRegModel expects {width - 3}"):
+            pipelines.ScoringArtifact.load(path)
