@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import sys
 from pathlib import Path
 
@@ -27,18 +28,13 @@ from .pipelines import (
     TfidfConfig,
     feature_benchmark_pipelines,
     model_benchmark_pipelines,
+    net_tabular,
 )
 
 
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 1
-
-
-def _load_lexicon(cfg: RunConfig) -> KeywordLexicon:
-    if cfg["lexicon"]:
-        return KeywordLexicon.from_file(cfg["lexicon"])
-    return KeywordLexicon.default()
 
 
 def _read_records(cfg: RunConfig):
@@ -58,6 +54,17 @@ def _prepared_dataset(cfg: RunConfig) -> corpus.LabeledDataset:
     return corpus.stratified_split(records, labels, test_fraction=float(cfg["split"]), seed=cfg.seed)
 
 
+def _featurized_split(cfg: RunConfig, dataset: corpus.LabeledDataset):
+    """The split's one featurizer, fitted on the training records, and its train and test matrices.
+
+    Every pipeline and ensemble of a command shares these, so a featurizer
+    failure ends the command with its error.
+    """
+    lexicon = KeywordLexicon.from_file(cfg["lexicon"]) if cfg["lexicon"] else None
+    builder = FeatureBuilder(lexicon, TfidfConfig.from_config(cfg)).fit(dataset.train_records())
+    return builder, builder.transform(dataset.train_records()), builder.transform(dataset.test_records())
+
+
 def _out_dir(cfg: RunConfig) -> Path:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -68,17 +75,19 @@ def _write(path: Path, content: str) -> None:
     path.write_text(content, encoding="utf-8")
 
 
+def _csv_lines(header: list[str], rows) -> str:
+    """RFC 4180 CSV with ``\\n`` line ends; a cell holding a comma or a quote is quoted."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def _write_table(out: Path, stem: str, table: evaluation.BenchmarkTable) -> None:
     _write(out / f"{stem}.txt", table.render_text())
     _write(out / f"{stem}.csv", table.render_csv())
     _write(out / f"{stem}.md", table.render_markdown())
-
-
-def _csv_lines(header: list[str], rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(c) for c in row))
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -104,10 +113,10 @@ def cmd_ingest(cfg: RunConfig, fmt: str = "csv") -> int:
 
 def cmd_benchmark_features(cfg: RunConfig) -> int:
     dataset = _prepared_dataset(cfg)
-    lexicon = _load_lexicon(cfg)
+    builder, train_X, test_X = _featurized_split(cfg, dataset)
     out = _out_dir(cfg)
-    pipes = feature_benchmark_pipelines(config=cfg, lexicon=lexicon)
-    table = evaluation.benchmark(pipes, dataset)
+    pipes = feature_benchmark_pipelines(config=cfg)
+    table = evaluation.benchmark(pipes, dataset, train_X, test_X)
     # names may sharpen after fit (effective component counts)
     table = evaluation.BenchmarkTable(
         tuple(dataclasses.replace(row, name=p.describe()) for (_, p), row in zip(pipes, table.rows)),
@@ -121,7 +130,7 @@ def cmd_benchmark_features(cfg: RunConfig) -> int:
             _write(out / f"report_{pipe.mode}.txt", row.report.render() + "\n")
 
     train_records = dataset.train_records()
-    counts = keyword_frequencies([r.description for r in train_records], lexicon, top_k=10)
+    counts = keyword_frequencies([r.description for r in train_records], builder.lexicon, top_k=10)
     _write(out / "keyword_counts.csv", _csv_lines(["phrase", "count"], counts))
 
     # supporting artifacts, each skipped when its pipeline did not fit
@@ -134,7 +143,7 @@ def cmd_benchmark_features(cfg: RunConfig) -> int:
 
     svd_pipe = by_mode.get("svd")
     if getattr(svd_pipe, "svd", None) is not None:
-        vocab = svd_pipe.builder.tfidf_model.terms
+        vocab = builder.tfidf_model.terms
         term_rows = []
         for ci, terms in enumerate(reduction.top_terms_per_component(svd_pipe.svd, vocab, components=10, terms=10)):
             for rank, (term, loading) in enumerate(terms):
@@ -148,29 +157,27 @@ def cmd_benchmark_features(cfg: RunConfig) -> int:
 
     pca_pipe = by_mode.get("pca")
     if getattr(pca_pipe, "model", None) is not None:
-        scatter = _pca_scatter_points(pca_pipe, dataset)
+        scatter = _pca_scatter_points(pca_pipe, test_X, dataset.test_labels())
         _write(out / "pca_scatter.csv", _csv_lines(["pc1", "pc2", "label"], scatter))
 
     print(table.render_text())
     return 0
 
 
-def _pca_scatter_points(pca_pipe, dataset):
+def _pca_scatter_points(pca_pipe, test_X, ys):
     """First two principal coordinates of the test rows, with true labels."""
-    test_records = dataset.test_records()
-    X = pca_pipe._reduced_assembly(test_records, fit=False)
-    dense = X.to_dense()
+    dense = pca_pipe._reduced_assembly(test_X, fit=False).to_dense()
     proj = reduction.project_pca(pca_pipe.projector, dense)
-    ys = dataset.test_labels()
     second = proj[:, 1] if proj.shape[1] > 1 else np.zeros(len(proj))
     return [(f"{proj[i, 0]:.6f}", f"{second[i]:.6f}", int(ys[i])) for i in range(len(proj))]
 
 
 def cmd_benchmark_models(cfg: RunConfig) -> int:
     dataset = _prepared_dataset(cfg)
+    builder, train_X, test_X = _featurized_split(cfg, dataset)
     out = _out_dir(cfg)
-    pipes = model_benchmark_pipelines(config=cfg, lexicon=_load_lexicon(cfg))
-    table = evaluation.benchmark(pipes, dataset)
+    pipes = model_benchmark_pipelines(config=cfg)
+    table = evaluation.benchmark(pipes, dataset, train_X, test_X)
     all_failed = all(row.report is None for row in table.rows)
     rows = list(table.rows) + [evaluation.BenchmarkRow("lstm", None, note="out of scope")]
     table = evaluation.BenchmarkTable(tuple(rows), table.support)
@@ -195,17 +202,17 @@ def cmd_benchmark_models(cfg: RunConfig) -> int:
             _csv_lines(["fpr", "tpr"], [(f"{f:.6f}", f"{t:.6f}") for f, t in zip(roc.fpr, roc.tpr)]),
         )
 
-    _export_activations(out, trained, test_records)
+    _export_activations(out, trained, test_X, test_records)
 
     lr_pipe = trained["logistic_regression"]
     if lr_pipe.model is not None:
-        ScoringArtifact(lr_pipe.builder, lr_pipe.model).save(out / "model_baseline_lr.json")
+        ScoringArtifact(builder, lr_pipe.model).save(out / "model_baseline_lr.json")
 
     print(table.render_text())
     return 0
 
 
-def _export_activations(out: Path, trained: dict, test_records) -> None:
+def _export_activations(out: Path, trained: dict, test_X, test_records) -> None:
     """CSV heatmap grids from the first test record, when the nets trained."""
     if not test_records:
         return
@@ -214,7 +221,7 @@ def _export_activations(out: Path, trained: dict, test_records) -> None:
         if pipe is None or pipe.net is None:
             continue
         seqs = neural.apply_sequences(pipe.sequences, [test_records[0].description])
-        sample = (seqs.ids[0], pipe._tabular(test_records[:1])[0])
+        sample = (seqs.ids[0], net_tabular(test_X.select_rows([0]))[0])
         dense64 = neural.activations(pipe.net, "merge_0", sample)
         _write(
             out / f"activations_{name}_merge64.csv",
@@ -231,11 +238,8 @@ def _export_activations(out: Path, trained: dict, test_records) -> None:
 
 def cmd_ensembles(cfg: RunConfig) -> int:
     dataset = _prepared_dataset(cfg)
-    lexicon = _load_lexicon(cfg)
+    _, train_X, test_X = _featurized_split(cfg, dataset)
     out = _out_dir(cfg)
-    builder = FeatureBuilder(lexicon, TfidfConfig.from_config(cfg)).fit(dataset.train_records())
-    train_X = builder.transform(dataset.train_records())
-    test_X = builder.transform(dataset.test_records())
     y_train = dataset.train_labels()
     y_test = dataset.test_labels()
     ens_cfg = cfg["ensemble"]

@@ -12,9 +12,11 @@ import copy
 import json
 import os
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Mapping
 
-from .errors import ConfigError
+from .corpus import decode_utf8
+from .errors import ConfigError, RowError
 
 OUT_ENV_VAR = "SEVTRIAGE_OUT"
 
@@ -84,19 +86,17 @@ class RunConfig:
     def out_dir(self) -> str:
         return self.values["out"]
 
-    def with_overrides(self, overrides: Mapping[str, Any]) -> "RunConfig":
-        return RunConfig(_merge(self.values, overrides))
-
 
 def load_config(path: str | None = None, overrides: Mapping[str, Any] | None = None) -> RunConfig:
     """Build a RunConfig from defaults, an optional file, then overrides."""
     values = copy.deepcopy(DEFAULTS)
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                file_values = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+        try:
+            file_values = json.loads(decode_utf8(Path(path).read_bytes()))
+        except RowError as exc:
+            raise ConfigError(f"config file {path}: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file {path} is not valid JSON: {exc}")
         if not isinstance(file_values, dict):
             raise ConfigError(f"config file {path} must contain a JSON object")
         values = _merge(values, file_values)

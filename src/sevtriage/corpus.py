@@ -126,6 +126,19 @@ def _parse_date(raw: str) -> date | None:
         return None
 
 
+def decode_utf8(raw: bytes) -> str:
+    """``raw`` as UTF-8 text, skipping a leading byte-order mark.
+
+    A byte that is not UTF-8 raises RowError naming its line and value.
+    """
+    try:
+        return raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        body = exc.object  # the bytes after any byte-order mark, which exc.start indexes
+        line_no = body.count(b"\n", 0, exc.start) + 1
+        raise RowError(line_no, f"not valid UTF-8 (byte 0x{body[exc.start]:02x})") from None
+
+
 def parse_csv(
     stream: BinaryIO | bytes, schema: Mapping[str, str] | None = None, require_cvss: bool = True
 ) -> list[DisclosureRecord]:
@@ -147,12 +160,7 @@ def parse_csv(
         schema.setdefault(field, field)
 
     raw = stream if isinstance(stream, bytes) else stream.read()
-    try:
-        text = raw.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        line_no = raw.count(b"\n", 0, exc.start) + 1
-        raise RowError(line_no, f"not valid UTF-8 (byte 0x{raw[exc.start]:02x})") from exc
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(io.StringIO(decode_utf8(raw), newline=""))
     try:
         return _read_records(reader, schema, require_cvss)
     except csv.Error as exc:

@@ -7,6 +7,8 @@ as 0.
 
 from __future__ import annotations
 
+import os
+import traceback
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,10 +29,6 @@ class ConfusionMatrix:
     @property
     def total(self) -> int:
         return self.tn + self.fp + self.fn + self.tp
-
-    def as_rows(self) -> list[list[int]]:
-        """2x2 layout: rows = true class (0, 1), cols = predicted class (0, 1)."""
-        return [[self.tn, self.fp], [self.fn, self.tp]]
 
 
 @dataclass(frozen=True)
@@ -226,10 +224,17 @@ class BenchmarkTable:
         return "\n".join(lines) + "\n"
 
     def render_csv(self) -> str:
+        """One unquoted line per row, the status cell last.
+
+        An error's commas become semicolons and its line breaks spaces, so
+        the status is one cell both to ``csv.reader`` and to a reader that
+        splits each line on its first six commas.
+        """
         lines = [",".join(BENCHMARK_COLUMNS + ("status",))]
         for r in self.rows:
             if r.report is None:
-                lines.append(",".join([r.name, "", "", "", "", "", r.error or r.note or ""]))
+                status = " ".join((r.error or r.note or "").replace(",", ";").splitlines())
+                lines.append(",".join([r.name, "", "", "", "", "", status]))
             else:
                 cells = [r.name]
                 for col in BENCHMARK_COLUMNS[1:]:
@@ -258,13 +263,15 @@ class BenchmarkTable:
         return "\n".join(lines) + "\n"
 
 
-def benchmark(pipelines: Sequence[tuple[str, object]], dataset) -> BenchmarkTable:
+def benchmark(pipelines: Sequence[tuple[str, object]], dataset, train_X, test_X) -> BenchmarkTable:
     """Train each named pipeline on the shared split and score the test fold.
 
-    A pipeline exposes ``fit(records, labels)`` and ``predict_proba(records)``.
+    ``train_X`` and ``test_X`` are the split's featurized training and test
+    rows, made once by the caller and shared by every pipeline, which
+    exposes ``fit(X, records, labels)`` and ``predict_proba(X, records)``.
     Each scored row keeps its test probabilities, so callers never predict
-    twice. Per-pipeline failures become error rows instead of aborting the
-    table.
+    twice. Per-pipeline failures become error rows, naming the exception
+    type and the innermost frame, instead of aborting the table.
     """
     train_records = dataset.train_records()
     train_labels = dataset.train_labels()
@@ -273,10 +280,12 @@ def benchmark(pipelines: Sequence[tuple[str, object]], dataset) -> BenchmarkTabl
     rows = []
     for name, pipe in pipelines:
         try:
-            pipe.fit(train_records, train_labels)
-            probs = np.asarray(pipe.predict_proba(test_records), dtype=np.float64)
+            pipe.fit(train_X, train_records, train_labels)
+            probs = np.asarray(pipe.predict_proba(test_X, test_records), dtype=np.float64)
             preds = (probs >= 0.5).astype(np.int64)
             rows.append(BenchmarkRow(name, report(test_labels, preds, probs), probabilities=probs))
         except Exception as exc:  # noqa: BLE001 - error rows are part of the contract
-            rows.append(BenchmarkRow(name, None, error=f"error: {exc}"))
+            where = traceback.extract_tb(exc.__traceback__)[-1]  # the frame that raised
+            error = f"error: {type(exc).__name__}: {exc} ({os.path.basename(where.filename)}:{where.lineno} in {where.name})"
+            rows.append(BenchmarkRow(name, None, error=error))
     return BenchmarkTable(tuple(rows), support=len(test_records))

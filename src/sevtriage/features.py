@@ -19,16 +19,18 @@ groups and their order are not rebuilt per call.
 
 from __future__ import annotations
 
+import io
 import math
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import DisclosureRecord
-from .errors import ConfigError, FitError, ShapeError
+from .corpus import DisclosureRecord, decode_utf8
+from .errors import ConfigError, FitError, RowError, ShapeError
 
 GROUPS = ("vendor", "indicator", "text", "reduced")
 _GROUP_RANK = {g: i for i, g in enumerate(GROUPS)}
@@ -278,9 +280,13 @@ class KeywordLexicon:
 
     @classmethod
     def from_file(cls, path) -> "KeywordLexicon":
-        with open(path, "r", encoding="utf-8") as fh:
-            phrases = [line.strip().lower() for line in fh if line.strip()]
-        return cls(tuple(phrases))
+        """One phrase per line, decoded like the data CSV (see :func:`corpus.decode_utf8`)."""
+        try:
+            text = decode_utf8(Path(path).read_bytes())
+        except RowError as exc:
+            raise ConfigError(f"lexicon file {path}: {exc}") from None
+        lines = io.StringIO(text, newline=None)
+        return cls(tuple(line.strip().lower() for line in lines if line.strip()))
 
     def __len__(self) -> int:
         return len(self.phrases)
@@ -327,16 +333,8 @@ def indicator_names(lexicon: KeywordLexicon) -> tuple[str, ...]:
     return ("has_cve",) + lexicon.phrases
 
 
-def indicator_block(
-    records: Sequence[DisclosureRecord], lexicon: KeywordLexicon, tokens: Sequence[Sequence[str]] | None = None
-) -> Block:
-    """CVE-presence flag plus keyword flags for each record.
-
-    ``tokens`` are the records' description tokens when the caller has
-    them already.
-    """
-    if tokens is None:
-        tokens = [tokenize(r.description) for r in records]
+def indicator_block(records: Sequence[DisclosureRecord], lexicon: KeywordLexicon, tokens: Sequence[Sequence[str]]) -> Block:
+    """CVE-presence flag plus keyword flags for each record, given its description's :func:`tokenize` tokens."""
     indptr = [0]
     indices = []
     for r, toks in zip(records, tokens):

@@ -1,11 +1,12 @@
-"""End-to-end trainable pipelines over raw disclosure records.
+"""The featurizer and the model heads that share its output.
 
-Each pipeline owns its featurization (fit on the training fold only) and
-a classifier, and exposes the two-method surface the benchmark expects:
-``fit(records, labels)`` and ``predict_proba(records)``. The feature
-variants differ in what happens to the text block after TF-IDF; the
-model variants share the plain assembled features and differ in the
-classifier.
+One :class:`FeatureBuilder` is fitted on a split's training records and
+transforms the training and test records once each; every pipeline is a
+head over those matrices with the two-method surface the benchmark
+expects: ``fit(X, records, labels)`` and ``predict_proba(X, records)``.
+The feature variants differ in what happens to the text block after
+TF-IDF; the model variants take the assembled matrix as it is and differ
+in the classifier; the nets also read the records' descriptions.
 """
 
 from __future__ import annotations
@@ -132,8 +133,6 @@ class LrFeaturePipeline:
     def __init__(
         self,
         mode: str = "baseline",
-        lexicon: KeywordLexicon | None = None,
-        tfidf: TfidfConfig | None = None,
         svd_k: int = 100,
         select_k: int = 300,
         pca_k: int = 100,
@@ -143,7 +142,6 @@ class LrFeaturePipeline:
         if mode not in ("baseline", "svd", "chi2", "mi", "pca", "lda"):
             raise ConfigError(f"unknown feature pipeline mode {mode!r}")
         self.mode = mode
-        self.builder = FeatureBuilder(lexicon, tfidf)
         self.svd_k = svd_k
         self.select_k = select_k
         self.pca_k = pca_k
@@ -158,8 +156,7 @@ class LrFeaturePipeline:
 
     # -- feature-space plumbing ---------------------------------------------
 
-    def _reduced_assembly(self, records, fit: bool, labels=None) -> FeatureMatrix:
-        X = self.builder.transform(records)
+    def _reduced_assembly(self, X: FeatureMatrix, fit: bool, labels=None) -> FeatureMatrix:
         if self.mode == "baseline":
             return X
         text = X.select_groups(["text"])
@@ -197,15 +194,14 @@ class LrFeaturePipeline:
 
     # -- pipeline surface ----------------------------------------------------
 
-    def fit(self, records, labels):
-        self.builder.fit(records)
-        X = self._reduced_assembly(records, fit=True, labels=np.asarray(labels))
+    def fit(self, X: FeatureMatrix, records, labels):
+        X = self._reduced_assembly(X, fit=True, labels=np.asarray(labels))
         X = self._project(X, fit=True, labels=np.asarray(labels))
         self.model = classical.train_logreg(X, labels, **self.logreg)
         return self
 
-    def predict_proba(self, records):
-        X = self._project(self._reduced_assembly(records, fit=False), fit=False)
+    def predict_proba(self, X: FeatureMatrix, records):
+        X = self._project(self._reduced_assembly(X, fit=False), fit=False)
         return self.model.predict_proba(X)
 
     def describe(self) -> str:
@@ -224,18 +220,15 @@ class LrFeaturePipeline:
 class ClassicalModelPipeline:
     """One classical learner over the plain assembled feature matrix."""
 
-    def __init__(self, kind: str, lexicon=None, tfidf=None, seed: int = 0, **model_kwargs):
+    def __init__(self, kind: str, seed: int = 0, **model_kwargs):
         if kind not in ("logreg", "tree", "forest", "knn"):
             raise ConfigError(f"unknown classical model kind {kind!r}")
         self.kind = kind
-        self.builder = FeatureBuilder(lexicon, tfidf)
         self.seed = seed
         self.model_kwargs = model_kwargs
         self.model = None
 
-    def fit(self, records, labels):
-        self.builder.fit(records)
-        X = self.builder.transform(records)
+    def fit(self, X: FeatureMatrix, records, labels):
         if self.kind == "logreg":
             self.model = classical.train_logreg(X, labels, **self.model_kwargs)
         elif self.kind == "tree":
@@ -246,8 +239,13 @@ class ClassicalModelPipeline:
             self.model = classical.train_knn(X, labels, **self.model_kwargs)
         return self
 
-    def predict_proba(self, records):
-        return self.model.predict_proba(self.builder.transform(records))
+    def predict_proba(self, X: FeatureMatrix, records):
+        return self.model.predict_proba(X)
+
+
+def net_tabular(X: FeatureMatrix) -> np.ndarray:
+    """The nets' tabular input: the vendor and indicator columns of ``X``, densified."""
+    return X.select_groups(["vendor", "indicator"]).to_dense()
 
 
 class NeuralPipeline:
@@ -256,51 +254,38 @@ class NeuralPipeline:
     def __init__(
         self,
         variant: str,
-        lexicon=None,
         max_len: int = 64,
         vocab_cap: int = 3000,
         seed: int = 0,
         spec: neural.NetSpec | None = None,
         train_config: neural.TrainConfig | None = None,
     ):
-        self.variant = variant
-        self.lexicon = lexicon or KeywordLexicon.default()
         self.max_len = max_len
         self.vocab_cap = vocab_cap
-        self.seed = seed
         self.spec = spec or neural.NetSpec(variant=variant, seed=substream(seed, f"net-{variant}"))
         self.train_config = train_config or neural.TrainConfig(seed=substream(seed, f"net-{variant}"))
-        self.vendor_encoder = None
         self.sequences = None
         self.net = None
 
-    def _tabular(self, records) -> np.ndarray:
-        return assemble(
-            [vendor_block(self.vendor_encoder, records), indicator_block(records, self.lexicon)]
-        ).to_dense()
-
-    def fit(self, records, labels):
-        self.vendor_encoder = fit_vendor(records)
+    def fit(self, X: FeatureMatrix, records, labels):
         self.sequences = neural.build_sequences(
             [r.description for r in records], max_len=self.max_len, vocab_cap=self.vocab_cap
         )
-        self.net = neural.train(self.spec, self.sequences, self._tabular(records), labels, self.train_config)
+        self.net = neural.train(self.spec, self.sequences, net_tabular(X), labels, self.train_config)
         return self
 
-    def predict_proba(self, records):
+    def predict_proba(self, X: FeatureMatrix, records):
         seqs = neural.apply_sequences(self.sequences, [r.description for r in records])
-        return self.net.predict_proba(seqs.ids, self._tabular(records))
+        return self.net.predict_proba(seqs.ids, net_tabular(X))
 
 
-def feature_benchmark_pipelines(config: Mapping = DEFAULTS, lexicon=None) -> list[tuple[str, LrFeaturePipeline]]:
+def feature_benchmark_pipelines(config: Mapping = DEFAULTS) -> list[tuple[str, LrFeaturePipeline]]:
     """The six feature-engineering comparison rows, all with logistic regression.
 
     ``config`` is the run's config tree (a RunConfig or a dict shaped like
-    ``DEFAULTS``); every hyperparameter comes from it.
+    ``DEFAULTS``); every head hyperparameter comes from it.
     """
     shared = dict(
-        lexicon=lexicon,
-        tfidf=TfidfConfig.from_config(config),
         svd_k=config["svd"]["k"],
         select_k=config["select"]["k"],
         pca_k=config["pca"]["k"],
@@ -312,10 +297,9 @@ def feature_benchmark_pipelines(config: Mapping = DEFAULTS, lexicon=None) -> lis
     return [(p.describe(), p) for p in pipes]
 
 
-def model_benchmark_pipelines(config: Mapping = DEFAULTS, lexicon=None) -> list[tuple[str, object]]:
+def model_benchmark_pipelines(config: Mapping = DEFAULTS) -> list[tuple[str, object]]:
     """The classical-vs-neural comparison rows, configured from the config tree."""
     seed = int(config["seed"])
-    tfidf = TfidfConfig.from_config(config)
     net = config["net"]
 
     def neural_pipe(variant: str) -> NeuralPipeline:
@@ -332,14 +316,14 @@ def model_benchmark_pipelines(config: Mapping = DEFAULTS, lexicon=None) -> list[
         )
         train_config = neural.TrainConfig(epochs=net["epochs"], batch=net["batch"], lr=net["lr"], seed=net_seed)
         return NeuralPipeline(
-            variant, lexicon, max_len=net["max_len"], vocab_cap=net["vocab_cap"], seed=seed, spec=spec, train_config=train_config
+            variant, max_len=net["max_len"], vocab_cap=net["vocab_cap"], seed=seed, spec=spec, train_config=train_config
         )
 
     return [
-        ("logistic_regression", ClassicalModelPipeline("logreg", lexicon, tfidf, seed=seed, **config["logreg"])),
-        ("random_forest", ClassicalModelPipeline("forest", lexicon, tfidf, seed=seed, **config["forest"])),
-        ("decision_tree", ClassicalModelPipeline("tree", lexicon, tfidf, seed=seed, **config["tree"])),
-        ("knn", ClassicalModelPipeline("knn", lexicon, tfidf, seed=seed, **config["knn"])),
+        ("logistic_regression", ClassicalModelPipeline("logreg", seed=seed, **config["logreg"])),
+        ("random_forest", ClassicalModelPipeline("forest", seed=seed, **config["forest"])),
+        ("decision_tree", ClassicalModelPipeline("tree", seed=seed, **config["tree"])),
+        ("knn", ClassicalModelPipeline("knn", seed=seed, **config["knn"])),
         ("ffnn", neural_pipe("ffnn")),
         ("cnn", neural_pipe("cnn")),
     ]

@@ -62,8 +62,9 @@ def real_split(real_records_raw):
 
 def _fit_and_score(pipe, split):
     start = time.perf_counter()
-    pipe.fit(split.train_records(), split.train_labels())
-    probs = np.asarray(pipe.predict_proba(split.test_records()))
+    builder = FeatureBuilder().fit(split.train_records())
+    pipe.fit(builder.transform(split.train_records()), split.train_records(), split.train_labels())
+    probs = np.asarray(pipe.predict_proba(builder.transform(split.test_records()), split.test_records()))
     elapsed = time.perf_counter() - start
     rep = evaluation.report(split.test_labels(), (probs >= 0.5).astype(int), probs)
     return rep, elapsed

@@ -280,7 +280,7 @@ class TestFailurePolicy:
         class Exploding:
             mode = "baseline"
 
-            def fit(self, records, labels):
+            def fit(self, X, records, labels):
                 raise RuntimeError("boom")
 
             def describe(self):
@@ -291,7 +291,7 @@ class TestFailurePolicy:
         monkeypatch.setattr(cli_mod, "feature_benchmark_pipelines", lambda **kw: [("exploding", Exploding())])
         rc = main(["benchmark-features", "--data", str(synthetic_csv), "--out", str(tmp_path)])
         assert rc != 0
-        assert "boom" in (tmp_path / "features_table.txt").read_text()
+        assert "error: RuntimeError: boom (test_cli.py:" in (tmp_path / "features_table.txt").read_text()
 
     def test_partial_failure_still_exits_zero(self, tmp_path, synthetic_csv, monkeypatch):
         import sevtriage.cli as cli_mod
@@ -300,7 +300,7 @@ class TestFailurePolicy:
         class Exploding:
             mode = "chi2"
 
-            def fit(self, records, labels):
+            def fit(self, X, records, labels):
                 raise RuntimeError("boom")
 
             def describe(self):
@@ -315,7 +315,83 @@ class TestFailurePolicy:
         rc = main(["benchmark-features", "--data", str(synthetic_csv), "--out", str(tmp_path)])
         assert rc == 0
         table = (tmp_path / "features_table.txt").read_text()
-        assert "boom" in table and "tfidf_baseline" in table
+        assert "RuntimeError: boom" in table and "tfidf_baseline" in table
+
+
+class TestOneFeaturizationPerSplit:
+    @pytest.mark.parametrize("command", ["benchmark-features", "benchmark-models", "ensembles"])
+    def test_one_fit_and_two_transforms(self, command, tmp_path, synthetic_csv, monkeypatch):
+        from sevtriage.pipelines import FeatureBuilder
+
+        calls = []
+        for method in ("fit", "transform"):
+            real = getattr(FeatureBuilder, method)
+
+            def counted(self, records, _real=real, _method=method):
+                calls.append(_method)
+                return _real(self, records)
+
+            monkeypatch.setattr(FeatureBuilder, method, counted)
+        args = ["--data", str(synthetic_csv), "--out", str(tmp_path), "--n-trees", "5", "--epochs", "1"]
+        assert main([command, *args]) == 0
+        assert (calls.count("fit"), calls.count("transform")) == (1, 2)
+
+    def test_featurizer_failure_ends_the_command(self, tmp_path, synthetic_csv, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"tfidf": {"ngram_lo": 3, "ngram_hi": 1}}))
+        out = tmp_path / "o"
+        assert main(["benchmark-models", "--config", str(cfg), "--data", str(synthetic_csv), "--out", str(out)]) == 1
+        assert "bad ngram_range (3, 1)" in capsys.readouterr().err
+        assert not (out / "models_table.txt").exists()
+
+
+@pytest.fixture(scope="module")
+def lexicon_run(tmp_path_factory, synthetic_csv):
+    """benchmark-features with a lexicon file that starts with a BOM and holds a phrase with a comma."""
+    tmp = tmp_path_factory.mktemp("lexicon_run")
+    lexicon = tmp / "lexicon.txt"
+    lexicon.write_bytes("\ufeffbuffer overflow\nremote code, execution\nxss\n".encode("utf-8"))
+    out = tmp / "out"
+    assert main(["benchmark-features", "--data", str(synthetic_csv), "--out", str(out), "--lexicon", str(lexicon)]) == 0
+    return lexicon, out
+
+
+class TestInputFiles:
+    def test_lexicon_bom_is_skipped(self, lexicon_run):
+        from sevtriage.features import KeywordLexicon
+
+        lexicon, out = lexicon_run
+        assert KeywordLexicon.from_file(lexicon).phrases == ("buffer overflow", "remote code, execution", "xss")
+        text = (out / "keyword_counts.csv").read_text(encoding="utf-8")
+        assert "\ufeff" not in text
+        assert "buffer overflow" in {row[0] for row in csv.reader(text.splitlines())}
+
+    def test_lexicon_phrase_with_comma_is_one_cell(self, lexicon_run):
+        _, out = lexicon_run
+        rows = list(csv.reader((out / "keyword_counts.csv").open(encoding="utf-8")))
+        assert {len(row) for row in rows} == {len(rows[0])} == {2}
+        assert "remote code, execution" in {row[0] for row in rows}
+        assert main(["plot", "--which", "keywords", "--out", str(out)]) == 0
+
+    def test_lexicon_undecodable_byte_names_file_and_line(self, tmp_path, synthetic_csv, capsys):
+        lexicon = tmp_path / "lexicon.txt"
+        lexicon.write_bytes(b"buffer overflow\nx\xffss\n")
+        args = ["--data", str(synthetic_csv), "--out", str(tmp_path / "o"), "--lexicon", str(lexicon)]
+        assert main(["benchmark-features", *args]) == 1
+        err = capsys.readouterr().err
+        assert f"lexicon file {lexicon}: line 2: not valid UTF-8 (byte 0xff)" in err
+
+    def test_config_bom_is_skipped(self, tmp_path, synthetic_csv):
+        cfg = tmp_path / "run.json"
+        cfg.write_bytes(b"\xef\xbb\xbf" + json.dumps({"data": str(synthetic_csv)}).encode("utf-8"))
+        assert main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / "clean.csv").exists()
+
+    def test_config_undecodable_byte_names_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_bytes(b'{"seed": 1,\n "split": "\xff"}')
+        assert main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert f"config file {cfg}: line 2: not valid UTF-8 (byte 0xff)" in capsys.readouterr().err
 
 
 class TestConfigFile:

@@ -94,6 +94,13 @@ class TestParseCsv:
         assert exc.value.line_no == 3
         assert "0xff" in str(exc.value)
 
+    def test_invalid_utf8_after_a_bom_names_its_line_and_byte(self):
+        data = b"\xef\xbb\xbf" + (HEADER + "Z-1,,5.0,2024-01-01,V,d\n").encode() + b"\xff-2,,5.0,2024-01-01,V,d\n"
+        with pytest.raises(RowError) as exc:
+            corpus.parse_csv(data)
+        assert exc.value.line_no == 3
+        assert "0xff" in str(exc.value)
+
     @settings(max_examples=200, deadline=None)
     @given(st.binary(max_size=300))
     def test_arbitrary_bytes_give_records_or_triage_error(self, blob):

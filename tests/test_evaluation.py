@@ -1,5 +1,7 @@
 """Metrics against exhaustive-definition oracles, plus benchmark rendering."""
 
+import csv
+import io
 import itertools
 
 import numpy as np
@@ -199,12 +201,12 @@ class _StubPipeline:
         self._probs = probs
         self._fail = fail
 
-    def fit(self, records, labels):
+    def fit(self, X, records, labels):
         if self._fail:
             raise RuntimeError("training exploded")
         return self
 
-    def predict_proba(self, records):
+    def predict_proba(self, X, records):
         return np.asarray(self._probs[: len(records)])
 
 
@@ -222,7 +224,7 @@ class TestBenchmark:
     def test_rows_and_columns(self):
         ds = self._dataset()
         good = _StubPipeline(probs=[0.9 if v else 0.1 for v in ds.test_labels()])
-        table = evaluation.benchmark([("good", good)], ds)
+        table = evaluation.benchmark([("good", good)], ds, None, None)
         assert table.rows[0].name == "good"
         assert table.rows[0].report.accuracy == 1.0
         csv_head = table.render_csv().splitlines()[0]
@@ -231,21 +233,30 @@ class TestBenchmark:
     def test_error_rows_do_not_abort(self):
         ds = self._dataset()
         table = evaluation.benchmark(
-            [("bad", _StubPipeline(fail=True)), ("good", _StubPipeline(probs=[0.9] * 5))], ds
+            [("bad", _StubPipeline(fail=True)), ("good", _StubPipeline(probs=[0.9] * 5))], ds, None, None
         )
         assert table.rows[0].error is not None
         assert table.rows[1].report is not None
-        assert "training exploded" in table.render_text()
+        assert "error: RuntimeError: training exploded (test_evaluation.py:" in table.render_text()
+        assert table.rows[0].error.endswith(" in fit)")
+
+    def test_csv_error_row_with_commas_keeps_the_header_width(self):
+        error = 'error: ValueError: shapes (3,4) and (5,) not aligned, see "x"\nsecond line (x.py:1 in f)'
+        text = evaluation.BenchmarkTable((evaluation.BenchmarkRow("m", None, error=error),), support=1).render_csv()
+        rows = list(csv.reader(io.StringIO(text)))
+        assert [len(r) for r in rows] == [7, 7]
+        assert rows[1][-1] == 'error: ValueError: shapes (3;4) and (5;) not aligned; see "x" second line (x.py:1 in f)'
+        assert [line.split(",", 6)[-1] for line in text.splitlines()] == ["status", rows[1][-1]]
 
     def test_best_values_flagged(self):
         ds = self._dataset()
         strong = _StubPipeline(probs=[0.9 if v else 0.1 for v in ds.test_labels()])
         weak = _StubPipeline(probs=[0.6 if v else 0.45 for v in ds.test_labels()])
-        table = evaluation.benchmark([("strong", strong), ("weak", weak)], ds)
+        table = evaluation.benchmark([("strong", strong), ("weak", weak)], ds, None, None)
         md = table.render_markdown()
         assert "**1.0000**" in md
 
     def test_support_reported(self):
         ds = self._dataset()
-        table = evaluation.benchmark([], ds)
+        table = evaluation.benchmark([], ds, None, None)
         assert f"support: {len(ds.test_idx)}" in table.render_text()

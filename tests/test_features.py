@@ -280,7 +280,7 @@ class TestIndicatorBlock:
             _rec(cve_id="CVE-2024-12345", description="a buffer overflow bug"),
             _rec(cve_id=None, description="stored xss"),
         ]
-        block = features.indicator_block(records, lex)
+        block = features.indicator_block(records, lex, [features.tokenize(r.description) for r in records])
         assert block.names == ("has_cve", "buffer overflow", "xss")
         assert block.to_dense().tolist() == [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 

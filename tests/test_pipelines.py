@@ -1,11 +1,12 @@
 """Record-to-probability pipelines and the saved scoring artifact."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from sevtriage import pipelines
+from sevtriage import ensembles, pipelines
 from sevtriage.config import load_config
 from sevtriage.errors import ConfigError, ShapeError
 from sevtriage.seeds import substream
@@ -19,6 +20,14 @@ def split(synthetic_dataset):
         synthetic_dataset.test_records(),
         synthetic_dataset.test_labels(),
     )
+
+
+@pytest.fixture(scope="module")
+def featurized(split):
+    """The split's one featurizer's training and test matrices."""
+    train_records, _, test_records, _ = split
+    fb = pipelines.FeatureBuilder().fit(train_records)
+    return fb.transform(train_records), fb.transform(test_records)
 
 
 class TestFeatureBuilder:
@@ -50,24 +59,26 @@ class TestFeatureBuilder:
 
 class TestLrFeaturePipeline:
     @pytest.mark.parametrize("mode", ["baseline", "svd", "chi2", "mi", "pca", "lda"])
-    def test_each_mode_fits_and_scores(self, split, mode):
+    def test_each_mode_fits_and_scores(self, split, featurized, mode):
         train_records, train_labels, test_records, test_labels = split
+        train_X, test_X = featurized
         pipe = pipelines.LrFeaturePipeline(mode=mode, seed=0)
-        pipe.fit(train_records, train_labels)
-        probs = pipe.predict_proba(test_records)
+        pipe.fit(train_X, train_records, train_labels)
+        probs = pipe.predict_proba(test_X, test_records)
         assert probs.shape == (len(test_records),)
         assert np.all((probs >= 0) & (probs <= 1))
 
-    def test_baseline_beats_majority_on_synthetic(self, split):
+    def test_baseline_beats_majority_on_synthetic(self, split, featurized):
         train_records, train_labels, test_records, test_labels = split
-        pipe = pipelines.LrFeaturePipeline(mode="baseline").fit(train_records, train_labels)
-        acc = np.mean((pipe.predict_proba(test_records) >= 0.5).astype(int) == test_labels)
+        train_X, test_X = featurized
+        pipe = pipelines.LrFeaturePipeline(mode="baseline").fit(train_X, train_records, train_labels)
+        acc = np.mean((pipe.predict_proba(test_X, test_records) >= 0.5).astype(int) == test_labels)
         majority = max(np.mean(test_labels), 1 - np.mean(test_labels))
         assert acc > majority
 
-    def test_component_counts_clamped_to_data(self, split):
+    def test_component_counts_clamped_to_data(self, split, featurized):
         train_records, train_labels, _, _ = split
-        pipe = pipelines.LrFeaturePipeline(mode="svd", svd_k=10_000).fit(train_records, train_labels)
+        pipe = pipelines.LrFeaturePipeline(mode="svd", svd_k=10_000).fit(featurized[0], train_records, train_labels)
         assert pipe.effective_k <= len(train_records)
 
     def test_describe_names_parameters(self):
@@ -100,13 +111,44 @@ class TestModelPipelines:
             assert pipe.spec.seed == pipe.train_config.seed == substream(3, f"net-{variant}")
             assert (pipe.train_config.epochs, pipe.train_config.lr, pipe.max_len) == (2, 0.01, 20)
 
-    def test_classical_kinds_fit_and_score(self, split):
+    def test_classical_kinds_fit_and_score(self, split, featurized):
         train_records, train_labels, test_records, _ = split
+        train_X, test_X = featurized
         for kind in ("tree", "knn"):
             pipe = pipelines.ClassicalModelPipeline(kind, seed=0)
-            pipe.fit(train_records, train_labels)
-            probs = pipe.predict_proba(test_records)
+            pipe.fit(train_X, train_records, train_labels)
+            probs = pipe.predict_proba(test_X, test_records)
             assert np.all((probs >= 0) & (probs <= 1))
+
+
+def _digests(X) -> dict[str, str]:
+    parts = {
+        "data": X.data.data.tobytes(),
+        "indices": X.data.indices.tobytes(),
+        "indptr": X.data.indptr.tobytes(),
+        "names": "\n".join(X.names).encode(),
+        "groups": "\n".join(X.groups).encode(),
+    }
+    return {k: hashlib.sha256(v).hexdigest() for k, v in parts.items()}
+
+
+class TestSharedMatrices:
+    """One featurized split feeds every head and every ensemble; none may write to it."""
+
+    def test_no_pipeline_or_ensemble_mutates_the_shared_matrices(self, split, featurized):
+        train_records, train_labels, test_records, _ = split
+        train_X, test_X = featurized
+        before = (_digests(train_X), _digests(test_X))
+        cfg = load_config(overrides={"forest": {"n_trees": 5}, "net": {"epochs": 1}})
+        heads = pipelines.feature_benchmark_pipelines(cfg) + pipelines.model_benchmark_pipelines(cfg)
+        for name, pipe in heads:
+            pipe.fit(train_X, train_records, train_labels)
+            assert (_digests(train_X), _digests(test_X)) == before, f"{name} fit"
+            pipe.predict_proba(test_X, test_records)
+            assert (_digests(train_X), _digests(test_X)) == before, f"{name} predict_proba"
+        for strategy in ensembles.STRATEGIES:
+            ensembles.EnsembleSpec(strategy, seed=0, n_trees=5).run(train_X, train_labels, test_X)
+            assert (_digests(train_X), _digests(test_X)) == before, strategy
 
 
 class TestScoringArtifact:

@@ -25,9 +25,15 @@ def planted_split(tmp_path_factory):
     return corpus.stratified_split(records, labels, test_fraction=0.2, seed=42)
 
 
+def _featurized(split):
+    builder = FeatureBuilder().fit(split.train_records())
+    return builder.transform(split.train_records()), builder.transform(split.test_records())
+
+
 def _score(pipe, split):
-    pipe.fit(split.train_records(), split.train_labels())
-    probs = np.asarray(pipe.predict_proba(split.test_records()))
+    train_X, test_X = _featurized(split)
+    pipe.fit(train_X, split.train_records(), split.train_labels())
+    probs = np.asarray(pipe.predict_proba(test_X, split.test_records()))
     return evaluation.report(split.test_labels(), (probs >= 0.5).astype(int), probs)
 
 
@@ -81,7 +87,8 @@ def test_mi_ranking_surfaces_exploit_phrases(planted_split):
     from sevtriage import selection
 
     pipe = LrFeaturePipeline(mode="mi", seed=42)
-    pipe.fit(planted_split.train_records(), planted_split.train_labels())
+    train_X, _ = _featurized(planted_split)
+    pipe.fit(train_X, planted_split.train_records(), planted_split.train_labels())
     top = [term for term, _ in selection.top_scored_terms(pipe.scores, n=20)]
     assert any(any(phrase in term for phrase in EXPLOIT_PHRASES) for term in top), top[:5]
 
@@ -90,8 +97,9 @@ def test_top_positive_coefficients_include_exploit_phrasing(planted_split):
     from sevtriage.classical import top_coefficients
 
     pipe = LrFeaturePipeline(mode="baseline", seed=42)
-    pipe.fit(planted_split.train_records(), planted_split.train_labels())
-    X = pipe._reduced_assembly(planted_split.train_records(), fit=False)
+    train_X, _ = _featurized(planted_split)
+    pipe.fit(train_X, planted_split.train_records(), planted_split.train_labels())
+    X = pipe._reduced_assembly(train_X, fit=False)
     positives, _ = top_coefficients(pipe.model, list(X.names), n=10)
     joined = " ".join(name for name, _ in positives)
     assert any(phrase in joined for phrase in EXPLOIT_PHRASES), positives
