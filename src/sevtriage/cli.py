@@ -243,31 +243,14 @@ def cmd_ensembles(cfg: RunConfig) -> int:
     y_train = dataset.train_labels()
     y_test = dataset.test_labels()
     ens_cfg = cfg["ensemble"]
-    specs = [
-        ensembles.EnsembleSpec(
-            strategy,
-            seed=cfg.seed,
-            members=ens_cfg["members"],
-            sample_fraction=ens_cfg["sample_fraction"],
-            with_replacement=ens_cfg["with_replacement"],
-            c_values=tuple(ens_cfg["instance_c"]),
-            folds=ens_cfg["folds"],
-            knn_k=cfg["knn"]["k"],
-            n_trees=cfg["forest"]["n_trees"],
-        )
-        for strategy in ensembles.STRATEGIES
-    ]
-
     sections = []
-    for spec in specs:
-        strategy = spec.strategy
-        result = spec.run(train_X, y_train, test_X)
+    for strategy, result in ensembles.run(train_X, y_train, test_X, cfg).items():
         rep = evaluation.report(y_test, result.labels, result.probabilities)
         lines = [f"== {strategy} =="]
         if strategy == "bootstrap":
-            lines.append(f"members: {spec.members} logistic regressions, each on {spec.sample_fraction:.0%} resamples")
+            lines.append(f"members: {ens_cfg['members']} logistic regressions, each on {ens_cfg['sample_fraction']:.0%} resamples")
         if strategy == "instance":
-            lines.append("C values: " + ", ".join(f"{c:g}" for c in spec.c_values))
+            lines.append("C values: " + ", ".join(f"{c:g}" for c in ens_cfg["instance_c"]))
         lines.append(rep.render())
         sections.append("\n".join(lines))
 

@@ -1,29 +1,28 @@
 """Five probability-combination ensembles over the classical models.
 
-Every strategy produces per-row member probabilities, combines them
-(arithmetic mean, or a meta-model for stacking), and thresholds at 0.5;
-a combined probability of exactly 0.5 resolves to the positive class.
-Raw probabilities are always exposed next to the labels so downstream
-AUC computation never needs to re-run members.
+``run`` plans every strategy's members as ``Member`` content keys, fits
+each distinct member once and keeps only its probabilities. Each
+strategy's combiner then takes their mean, or stacking's meta-model, and
+thresholds at 0.5; exactly 0.5 resolves to the positive class. Member
+probabilities are exposed next to the labels, so AUC never re-runs them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
-from .classical import train_forest, train_knn, train_logreg
+from .classical import train_forest, train_knn, train_logreg  # noqa: F401  (looked up by name in run)
+from .config import DEFAULTS
 from .errors import ConfigError, FitError, StratificationError
 from .features import FeatureMatrix
 from .seeds import substream
 
 THRESHOLD = 0.5
-
-INSTANCE_C_VALUES = (0.5, 1.0, 2.0)
-BOOTSTRAP_MEMBERS = 5
-BOOTSTRAP_FRACTION = 0.8
+STRATEGIES = ("feature_split", "bootstrap", "heterogeneous", "instance", "stacking")
+BASES = ("logreg", "forest", "knn")  # the heterogeneous members and the stacking bases
 
 
 @dataclass(frozen=True)
@@ -32,104 +31,88 @@ class EnsembleResult:
     probabilities: np.ndarray
     labels: np.ndarray
     member_probabilities: dict[str, np.ndarray]
-    detail: dict = field(default_factory=dict)
 
 
-def _finish(strategy: str, members: dict[str, np.ndarray], combined: np.ndarray, detail: dict | None = None) -> EnsembleResult:
-    return EnsembleResult(
-        strategy=strategy,
-        probabilities=combined,
-        labels=(combined >= THRESHOLD).astype(np.int64),
-        member_probabilities=members,
-        detail=detail or {},
-    )
+@dataclass(frozen=True)
+class Member:
+    """One member model as a content key; equal members are fit once per run."""
+
+    learner: str  # "logreg", "forest" or "knn"
+    params: tuple  # the trainer's keyword arguments as sorted pairs, seed included
+    rows: tuple[int, ...] | None = None  # training rows in order; None for all
+    groups: tuple[str, ...] | None = None  # column groups; None for all
+    scores: tuple[int, ...] | None = None  # training rows of the held-out fold it predicts; None for the test rows
 
 
-def _rows(X, idx):
-    return X.select_rows(idx) if isinstance(X, FeatureMatrix) else np.asarray(X)[idx]
+def _member(learner: str, params: Mapping, **where) -> Member:
+    return Member(learner, tuple(sorted(params.items())), **where)
 
 
-def feature_split_ensemble(train_X: FeatureMatrix, y_train, test_X: FeatureMatrix) -> EnsembleResult:
-    """Average a full-feature model with a structured-features-only model.
+def _bases(cfg: Mapping, seed: int, k: int, **where) -> dict[str, Member]:
+    """Logistic regression, forest and KNN on the same rows and columns."""
+    return {
+        "logreg": _member("logreg", cfg["logreg"], **where),
+        "forest": _member("forest", {**cfg["forest"], "seed": substream(seed, "forest")}, **where),
+        "knn": _member("knn", {"k": k}, **where),
+    }
 
-    Member A sees every block (text, indicators, vendor one-hot); member
-    B sees only the structured vendor + indicator blocks. Both matrices
-    must carry group tags for the split to be well defined.
-    """
+
+def _finish(strategy: str, members: dict[str, np.ndarray], combined: np.ndarray) -> EnsembleResult:
+    return EnsembleResult(strategy, combined, (combined >= THRESHOLD).astype(np.int64), members)
+
+
+def _mean(strategy: str, members: dict[str, np.ndarray]) -> EnsembleResult:
+    return _finish(strategy, members, np.mean(np.stack(list(members.values())), axis=0))
+
+
+def _feature_split_members(train_X: FeatureMatrix, cfg: Mapping) -> dict[str, Member]:
+    """A full-feature logistic regression and one on the structured vendor + indicator blocks only."""
     for required in ("vendor", "indicator"):
         if required not in train_X.groups:
             raise ConfigError(f"feature split needs a {required!r} block")
-    structured_train = train_X.select_groups(["vendor", "indicator"])
-    structured_test = test_X.select_groups(["vendor", "indicator"])
-    model_a = train_logreg(train_X, y_train)
-    model_b = train_logreg(structured_train, y_train)
-    members = {
-        "all_features": model_a.predict_proba(test_X),
-        "structured_only": model_b.predict_proba(structured_test),
+    return {
+        "all_features": _member("logreg", cfg["logreg"]),
+        "structured_only": _member("logreg", cfg["logreg"], groups=("vendor", "indicator")),
     }
-    combined = (members["all_features"] + members["structured_only"]) / 2.0
-    return _finish("feature_split", members, combined)
 
 
-def bootstrap_ensemble(
-    train_X,
-    y_train,
-    test_X,
-    members: int = BOOTSTRAP_MEMBERS,
-    sample_fraction: float = BOOTSTRAP_FRACTION,
-    seed: int = 0,
-    with_replacement: bool = True,
-) -> EnsembleResult:
-    """Average logistic regressions fit on seeded resamples of the train set.
+def _bootstrap_members(y: np.ndarray, cfg: Mapping) -> dict[str, Member]:
+    """Logistic regressions fit on seeded resamples of the train set.
 
     Each member trains on ceil(sample_fraction * n) rows drawn with
-    replacement (or a subsample without replacement when requested). A
+    replacement (or a subsample without replacement when configured). A
     single-class draw is redrawn up to 10 times before giving up.
     """
-    y_train = np.asarray(y_train, dtype=np.int64)
-    n = len(y_train)
-    size = int(np.ceil(sample_fraction * n))
-    if not with_replacement and size > n:
+    ens = cfg["ensemble"]
+    if ens["members"] < 2:
+        raise ConfigError("bootstrap needs at least 2 members")
+    n = len(y)
+    size = int(np.ceil(ens["sample_fraction"] * n))
+    if not ens["with_replacement"] and size > n:
         raise ConfigError("subsample size exceeds the training set")
-    member_probs = {}
-    for i in range(members):
-        rng = np.random.default_rng(substream(seed, f"bootstrap-{i}"))
-        for attempt in range(10):
-            idx = rng.integers(0, n, size=size) if with_replacement else rng.permutation(n)[:size]
-            if len(np.unique(y_train[idx])) == 2:
+    members = {}
+    for i in range(ens["members"]):
+        rng = np.random.default_rng(substream(int(cfg["seed"]), f"bootstrap-{i}"))
+        for _ in range(10):
+            idx = rng.integers(0, n, size=size) if ens["with_replacement"] else rng.permutation(n)[:size]
+            if len(np.unique(y[idx])) == 2:
                 break
         else:
             raise FitError(f"member {i}: resample kept a single class after 10 draws")
-        model = train_logreg(_rows(train_X, idx), y_train[idx])
-        member_probs[f"member_{i}"] = model.predict_proba(test_X)
-    combined = np.mean(np.stack(list(member_probs.values())), axis=0)
-    detail = {"members": members, "sample_fraction": sample_fraction, "with_replacement": with_replacement}
-    return _finish("bootstrap", member_probs, combined, detail)
+        members[f"member_{i}"] = _member("logreg", cfg["logreg"], rows=tuple(idx.tolist()))
+    return members
 
 
-def heterogeneous_ensemble(train_X, y_train, test_X, seed: int = 0, knn_k: int = 5, n_trees: int = 100) -> EnsembleResult:
-    """Average three different learners trained on the identical matrix."""
-    members = {
-        "logreg": train_logreg(train_X, y_train).predict_proba(test_X),
-        "forest": train_forest(train_X, y_train, n_trees=n_trees, seed=substream(seed, "forest")).predict_proba(test_X),
-        "knn": train_knn(train_X, y_train, k=knn_k).predict_proba(test_X),
-    }
-    combined = np.mean(np.stack(list(members.values())), axis=0)
-    return _finish("heterogeneous", members, combined)
-
-
-def instance_ensemble(train_X, y_train, test_X, c_values: Sequence[float] = INSTANCE_C_VALUES) -> EnsembleResult:
-    """Average logistic regressions that differ only in regularization strength."""
-    members = {}
-    for c in c_values:
-        members[f"C={c:g}"] = train_logreg(train_X, y_train, C=c).predict_proba(test_X)
-    combined = np.mean(np.stack(list(members.values())), axis=0)
-    return _finish("instance", members, combined, {"c_values": list(c_values)})
+def _instance_members(cfg: Mapping) -> dict[str, Member]:
+    """Logistic regressions that differ only in regularization strength."""
+    c_values = cfg["ensemble"]["instance_c"]
+    if len(c_values) < 2:
+        raise ConfigError("instance ensemble needs at least 2 regularization strengths")
+    return {f"C={c:g}": _member("logreg", {**cfg["logreg"], "C": c}) for c in c_values}
 
 
 def _stratified_folds(y: np.ndarray, folds: int, seed: int) -> np.ndarray:
     """Deterministic stratified fold ids; every fold's complement keeps both classes."""
-    y = np.asarray(y, dtype=np.int64)
     if folds < 2:
         raise ConfigError(f"need at least 2 folds, got {folds}")
     counts = np.bincount(y, minlength=2)
@@ -145,93 +128,94 @@ def _stratified_folds(y: np.ndarray, folds: int, seed: int) -> np.ndarray:
     return fold_of
 
 
-def stacking_ensemble(
-    train_X,
-    y_train,
-    test_X,
-    folds: int = 5,
-    seed: int = 0,
-    knn_k: int = 5,
-    n_trees: int = 100,
-) -> EnsembleResult:
-    """Blend base-model probabilities with a logistic-regression meta-model.
-
-    Meta-features for training rows come from out-of-fold base
-    predictions, so no base model scores a row it has seen. Test-time
-    meta-features come from full-train refits.
-    """
-    y_train = np.asarray(y_train, dtype=np.int64)
-    n = len(y_train)
-
-    def fit_bases(X, y, base_seed):
-        return {
-            "logreg": train_logreg(X, y),
-            "forest": train_forest(X, y, n_trees=n_trees, seed=substream(base_seed, "forest")),
-            "knn": train_knn(X, y, k=min(knn_k, len(y))),
-        }
-
-    base_names = ("logreg", "forest", "knn")
-    meta_train = np.zeros((n, len(base_names)))
-    fold_of = _stratified_folds(y_train, folds, seed)
+def _stacking_members(y: np.ndarray, cfg: Mapping) -> dict[str, Member]:
+    """Full-train bases that score the test rows, and per fold bases that score their held-out fold."""
+    seed, folds, k = int(cfg["seed"]), cfg["ensemble"]["folds"], cfg["knn"]["k"]
+    members = _bases(cfg, substream(seed, "full"), min(k, len(y)))
+    fold_of = _stratified_folds(y, folds, seed)
     for f in range(folds):
-        hold = np.flatnonzero(fold_of == f)
-        rest = np.flatnonzero(fold_of != f)
-        if len(hold) == 0:
-            continue
-        hold_X = _rows(train_X, hold)
-        bases = fit_bases(_rows(train_X, rest), y_train[rest], substream(seed, f"fold-{f}"))
-        for j, name in enumerate(base_names):
-            meta_train[hold, j] = bases[name].predict_proba(hold_X)
-    full_bases = fit_bases(train_X, y_train, substream(seed, "full"))
-
-    meta_model = train_logreg(meta_train, y_train)
-    member_probs = {name: full_bases[name].predict_proba(test_X) for name in base_names}
-    meta_test = np.stack([member_probs[name] for name in base_names], axis=1)
-    combined = meta_model.predict_proba(meta_test)
-    return _finish("stacking", member_probs, combined, {"folds": folds})
+        hold, rest = np.flatnonzero(fold_of == f), np.flatnonzero(fold_of != f)
+        if len(hold):
+            where = {"rows": tuple(rest.tolist()), "scores": tuple(hold.tolist())}
+            fold = _bases(cfg, substream(seed, f"fold-{f}"), min(k, len(rest)), **where)
+            members.update((f"{name}@fold-{f}", m) for name, m in fold.items())
+    return members
 
 
-STRATEGIES = ("feature_split", "bootstrap", "heterogeneous", "instance", "stacking")
+def feature_split_ensemble(members: dict[str, np.ndarray]) -> EnsembleResult:
+    """The mean of the full-feature and the structured-only member."""
+    return _mean("feature_split", members)
 
 
-@dataclass(frozen=True)
-class EnsembleSpec:
-    """Declarative description of one strategy, built from the config tree.
+def bootstrap_ensemble(members: dict[str, np.ndarray]) -> EnsembleResult:
+    """The mean of the resampled members."""
+    return _mean("bootstrap", members)
 
-    Bootstrap runs ``members`` resampled members (5 by default), instance
-    one member per C value (3 by default), and the heterogeneous/stacking
-    bases are always LR + forest + KNN.
+
+def heterogeneous_ensemble(members: dict[str, np.ndarray]) -> EnsembleResult:
+    """The mean of three different learners trained on the identical matrix."""
+    return _mean("heterogeneous", members)
+
+
+def instance_ensemble(members: dict[str, np.ndarray]) -> EnsembleResult:
+    """The mean of the members at each regularization strength."""
+    return _mean("instance", members)
+
+
+def stacking_ensemble(members: dict[str, np.ndarray], plan: dict[str, Member], y_train, logreg: Mapping) -> EnsembleResult:
+    """Blend the full-train bases' probabilities with a logistic-regression meta-model.
+
+    The meta-model trains on out-of-fold probabilities: each fold member
+    fills its held-out rows in its base's column, so no base scores a
+    row it has seen.
     """
+    meta_train = np.zeros((len(y_train), len(BASES)))
+    for name, m in plan.items():
+        if m.scores is not None:
+            meta_train[np.asarray(m.scores), BASES.index(m.learner)] = members[name]
+    bases = {name: members[name] for name in BASES}
+    meta_model = train_logreg(meta_train, y_train, **logreg)
+    return _finish("stacking", bases, meta_model.predict_proba(np.stack(list(bases.values()), axis=1)))
 
-    strategy: str
-    seed: int = 0
-    members: int = BOOTSTRAP_MEMBERS
-    sample_fraction: float = BOOTSTRAP_FRACTION
-    with_replacement: bool = True
-    c_values: tuple[float, ...] = INSTANCE_C_VALUES
-    folds: int = 5
-    knn_k: int = 5
-    n_trees: int = 100
 
-    def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(f"unknown ensemble strategy {self.strategy!r}")
-        if self.strategy == "bootstrap" and self.members < 2:
-            raise ConfigError("bootstrap needs at least 2 members")
-        if self.strategy == "instance" and len(self.c_values) < 2:
-            raise ConfigError("instance ensemble needs at least 2 regularization strengths")
+def run(train_X: FeatureMatrix, y_train, test_X: FeatureMatrix, config: Mapping = DEFAULTS) -> dict[str, EnsembleResult]:
+    """Every strategy's result by name, in ``STRATEGIES`` order.
 
-    def run(self, train_X: FeatureMatrix, y_train, test_X: FeatureMatrix) -> EnsembleResult:
-        if self.strategy == "feature_split":
-            return feature_split_ensemble(train_X, y_train, test_X)
-        if self.strategy == "bootstrap":
-            return bootstrap_ensemble(
-                train_X, y_train, test_X,
-                members=self.members, sample_fraction=self.sample_fraction,
-                seed=self.seed, with_replacement=self.with_replacement,
-            )
-        if self.strategy == "heterogeneous":
-            return heterogeneous_ensemble(train_X, y_train, test_X, seed=self.seed, knn_k=self.knn_k, n_trees=self.n_trees)
-        if self.strategy == "instance":
-            return instance_ensemble(train_X, y_train, test_X, c_values=self.c_values)
-        return stacking_ensemble(train_X, y_train, test_X, folds=self.folds, seed=self.seed, knn_k=self.knn_k, n_trees=self.n_trees)
+    ``config`` is the run's config tree (a RunConfig or a dict shaped like
+    ``config.DEFAULTS``). Members read its ``seed``, ``ensemble``,
+    ``logreg``, ``forest`` and ``knn`` sections. Every member is planned
+    before any is trained; each distinct one is then fit once, on a row
+    or column selection made once per run, and only its probabilities
+    are kept.
+    """
+    y = np.asarray(y_train, dtype=np.int64)
+    plans = {
+        "feature_split": _feature_split_members(train_X, config),
+        "bootstrap": _bootstrap_members(y, config),
+        "heterogeneous": _bases(config, int(config["seed"]), config["knn"]["k"]),
+        "instance": _instance_members(config),
+        "stacking": _stacking_members(y, config),
+    }
+
+    selections: dict[tuple, FeatureMatrix] = {}
+
+    def select(on_test: bool, rows, groups) -> FeatureMatrix:
+        key = (on_test, rows, groups)
+        if key not in selections:
+            X = test_X if on_test else train_X
+            X = X if rows is None else X.select_rows(np.asarray(rows))
+            selections[key] = X if groups is None else X.select_groups(groups)
+        return selections[key]
+
+    probs: dict[Member, np.ndarray] = {}
+    for m in dict.fromkeys(m for plan in plans.values() for m in plan.values()):
+        train = globals()[f"train_{m.learner}"]  # looked up per call, so a wrapped trainer sees it
+        model = train(select(False, m.rows, m.groups), y if m.rows is None else y[list(m.rows)], **dict(m.params))
+        probs[m] = model.predict_proba(select(m.scores is None, m.scores, m.groups))
+
+    results = {}
+    for strategy, plan in plans.items():
+        members = {name: probs[m] for name, m in plan.items()}
+        combine = globals()[f"{strategy}_ensemble"]  # looked up per call, like the trainers
+        results[strategy] = combine(members, plan, y, config["logreg"]) if strategy == "stacking" else combine(members)
+    return results

@@ -47,24 +47,26 @@ def build_sequences(texts: Sequence[str], max_len: int = 64, vocab_cap: int = 30
     ties alphabetical) and capped at ``vocab_cap``. Out-of-vocabulary
     tokens are dropped; rows are truncated or right-padded to max_len.
     """
+    tokens = [tokenize(text) for text in texts]
     freq: dict[str, int] = {}
-    for text in texts:
-        for tok in tokenize(text):
+    for toks in tokens:
+        for tok in toks:
             freq[tok] = freq.get(tok, 0) + 1
     ranked = sorted(freq, key=lambda t: (-freq[t], t))[:vocab_cap]
     vocabulary = {tok: i + 1 for i, tok in enumerate(ranked)}
-    return PaddedSequences(_encode(texts, vocabulary, max_len), vocabulary, max_len)
+    return PaddedSequences(_encode(tokens, vocabulary, max_len), vocabulary, max_len)
 
 
 def apply_sequences(model: PaddedSequences, texts: Sequence[str]) -> PaddedSequences:
     """Encode new texts with an existing vocabulary (no refit)."""
-    return PaddedSequences(_encode(texts, model.vocabulary, model.max_len), model.vocabulary, model.max_len)
+    ids = _encode([tokenize(t) for t in texts], model.vocabulary, model.max_len)
+    return PaddedSequences(ids, model.vocabulary, model.max_len)
 
 
-def _encode(texts: Sequence[str], vocabulary: dict[str, int], max_len: int) -> np.ndarray:
-    rows = np.zeros((len(texts), max_len), dtype=np.int64)
-    for i, text in enumerate(texts):
-        ids = [vocabulary[t] for t in tokenize(text) if t in vocabulary][:max_len]
+def _encode(tokens: Sequence[list[str]], vocabulary: dict[str, int], max_len: int) -> np.ndarray:
+    rows = np.zeros((len(tokens), max_len), dtype=np.int64)
+    for i, toks in enumerate(tokens):
+        ids = [vocabulary[t] for t in toks if t in vocabulary][:max_len]
         rows[i, : len(ids)] = ids
     return rows
 

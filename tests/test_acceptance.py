@@ -19,6 +19,7 @@ import pytest
 from sevtriage import classical, corpus, ensembles, evaluation, neural, reduction, selection
 from sevtriage import features as feats
 from sevtriage.cli import main as cli_main
+from sevtriage.config import load_config
 from sevtriage.pipelines import FeatureBuilder, LrFeaturePipeline, model_benchmark_pipelines
 
 from tests.test_classical import oracle_tree, to_nested
@@ -131,8 +132,8 @@ class TestDatasetCriteria:
         test_X = builder.transform(real_split.test_records())
         y_train, y_test = real_split.train_labels(), real_split.test_labels()
         majority = max(float(np.mean(y_test)), 1.0 - float(np.mean(y_test)))
-        for strategy in ensembles.STRATEGIES:
-            result = ensembles.EnsembleSpec(strategy, seed=42).run(train_X, y_train, test_X)
+        cfg = load_config(overrides={"seed": 42})
+        for strategy, result in ensembles.run(train_X, y_train, test_X, cfg).items():
             acc = float(np.mean(result.labels == y_test))
             assert acc >= majority, strategy
         print(f"\n[PASS] ensemble criterion: all 5 strategies >= majority rate {majority:.4f}")
@@ -256,10 +257,10 @@ class TestCriterion5PropertySuite:
 
     def test_ensemble_mean_bound_and_determinism(self):
         Xtr, ytr, Xte, _ = make_grouped_data(seed=6)
+        cfg = load_config(overrides={"seed": 11, "forest": {"n_trees": 10}})
+        a_run, b_run = ensembles.run(Xtr, ytr, Xte, cfg), ensembles.run(Xtr, ytr, Xte, cfg)
         for strategy in ensembles.STRATEGIES:
-            spec = ensembles.EnsembleSpec(strategy, seed=11, n_trees=10)
-            a = spec.run(Xtr, ytr, Xte)
-            b = spec.run(Xtr, ytr, Xte)
+            a, b = a_run[strategy], b_run[strategy]
             assert np.array_equal(a.probabilities, b.probabilities), strategy
             if strategy != "stacking":  # the meta-model may leave the members' band
                 stack = np.stack(list(a.member_probabilities.values()))

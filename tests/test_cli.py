@@ -176,6 +176,21 @@ class TestEnsemblesCommand:
         assert len(next(csv.reader((out / "ensemble_bootstrap_probs.csv").open()))) == 4  # combined + 3 members
         assert next(csv.reader((out / "ensemble_instance_probs.csv").open()))[1:] == ["C=0.25", "C=4"]
 
+    @pytest.mark.parametrize(
+        "section,changed",
+        [
+            ({"logreg": {"max_iter": 2}}, "ensemble_feature_split_probs.csv"),
+            ({"forest": {"features_per_split": 0.5}}, "ensemble_heterogeneous_probs.csv"),
+        ],
+    )
+    def test_members_read_the_model_config_sections(self, ens_out, tmp_path, synthetic_csv, section, changed):
+        cfg = tmp_path / "models.json"
+        cfg.write_text(json.dumps(section))
+        out = tmp_path / "o"
+        args = ["--config", str(cfg), "--data", str(synthetic_csv), "--out", str(out), "--seed", "42", "--n-trees", "20"]
+        assert main(["ensembles", *args]) == 0
+        assert (out / changed).read_bytes() != (ens_out / changed).read_bytes()
+
 
 class TestPredict:
     def test_scores_and_thresholds(self, workdir, tmp_path):
@@ -264,11 +279,12 @@ class TestPlot:
 
 
 class TestDeterminism:
-    def test_rerun_byte_identical_outputs(self, tmp_path, synthetic_csv):
+    @pytest.mark.parametrize("command", ["benchmark-models", "ensembles"])
+    def test_rerun_byte_identical_outputs(self, tmp_path, synthetic_csv, command):
         args = ["--data", str(synthetic_csv), "--seed", "7", "--n-trees", "10", "--epochs", "2"]
         out_a, out_b = tmp_path / "a", tmp_path / "b"
-        assert main(["benchmark-models", *args, "--out", str(out_a)]) == 0
-        assert main(["benchmark-models", *args, "--out", str(out_b)]) == 0
+        assert main([command, *args, "--out", str(out_a)]) == 0
+        assert main([command, *args, "--out", str(out_b)]) == 0
         files_a = sorted(p.name for p in out_a.iterdir())
         assert files_a == sorted(p.name for p in out_b.iterdir())
         for name in files_a:

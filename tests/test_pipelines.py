@@ -146,9 +146,8 @@ class TestSharedMatrices:
             assert (_digests(train_X), _digests(test_X)) == before, f"{name} fit"
             pipe.predict_proba(test_X, test_records)
             assert (_digests(train_X), _digests(test_X)) == before, f"{name} predict_proba"
-        for strategy in ensembles.STRATEGIES:
-            ensembles.EnsembleSpec(strategy, seed=0, n_trees=5).run(train_X, train_labels, test_X)
-            assert (_digests(train_X), _digests(test_X)) == before, strategy
+        ensembles.run(train_X, train_labels, test_X, load_config(overrides={"seed": 0, "forest": {"n_trees": 5}}))
+        assert (_digests(train_X), _digests(test_X)) == before, "ensembles"
 
 
 class TestScoringArtifact:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from sevtriage import corpus, ensembles, evaluation
+from sevtriage.config import load_config
 from sevtriage.pipelines import ClassicalModelPipeline, FeatureBuilder, LrFeaturePipeline, NeuralPipeline
 from tests.conftest import write_synthetic_csv
 
@@ -74,9 +75,8 @@ def test_every_ensemble_beats_majority(planted_split):
     test_X = builder.transform(planted_split.test_records())
     y_train, y_test = planted_split.train_labels(), planted_split.test_labels()
     majority = max(float(np.mean(y_test)), 1.0 - float(np.mean(y_test)))
-    for strategy in ensembles.STRATEGIES:
-        spec = ensembles.EnsembleSpec(strategy=strategy, seed=42, n_trees=40)
-        result = spec.run(train_X, y_train, test_X)
+    cfg = load_config(overrides={"seed": 42, "forest": {"n_trees": 40}})
+    for strategy, result in ensembles.run(train_X, y_train, test_X, cfg).items():
         assert float(np.mean(result.labels == y_test)) >= majority, strategy
 
 
