@@ -3,16 +3,20 @@
 All four models share the same surface: a train_* function returning an
 immutable model whose ``predict_proba`` gives P(class 1) per row. The
 logistic regression trains by full-batch gradient descent with a
-backtracking line search, so its loss never increases; trees search
-midpoint splits exactly; the forest averages bootstrap trees; KNN
-memorizes and votes.
+backtracking line search, so its loss never increases; each accepted
+point's logits are reused by the next gradient. Trees search midpoint
+splits exactly; the forest averages bootstrap trees; KNN memorizes and
+votes.
 
-A tree grows depth-first on arrays of row indices into one dense matrix,
-never copying a node's rows. At each node one pass scores every
-candidate feature: the node's (rows x features) block is stably sorted
-down each column, and label prefix sums give the class counts of every
-cut. The lower feature index, then the lower threshold, wins a tie.
-Prediction routes all rows through a tree together, one level per step.
+A tree grows depth-first on arrays of row indices into one dense
+(features x rows) matrix, never copying a node's rows. The forest
+densifies its input once in column-major order, so every tree's
+(features x rows) matrix is a view of it, not a copy. At each node one
+pass scores every candidate feature: the node's (features x rows) block
+is stably sorted along each contiguous row, and label prefix sums give
+the class counts of every cut. The lower feature index, then the lower
+threshold, wins a tie. Prediction routes all rows through a tree
+together, one level per step.
 """
 
 from __future__ import annotations
@@ -29,9 +33,10 @@ from .features import as_matrix
 from .seeds import substream
 
 
-def _as_dense(X) -> np.ndarray:
+def _as_dense(X, order: str | None = None) -> np.ndarray:
+    """``X`` as a dense array, copied only to densify it or to give it ``order``."""
     mat = as_matrix(X)
-    return mat.toarray() if sp.issparse(mat) else mat
+    return mat.toarray(order=order) if sp.issparse(mat) else np.asarray(mat, order=order)
 
 
 def _check_width(X, expected: int):
@@ -76,21 +81,34 @@ class LogRegModel:
         return cls(np.asarray(d["weights"], dtype=np.float64), d["bias"], d["C"], d.get("n_iter", 0))
 
 
-def logreg_loss(weights: np.ndarray, bias: float, X, y: np.ndarray, C: float) -> float:
-    """Mean binary cross-entropy plus ||w||^2 / (2 C n); bias unpenalized."""
-    n = X.shape[0]
-    z = np.asarray(X @ weights).ravel() + bias
-    # log(1 + exp(-|z|)) form is stable for both signs
-    bce = np.mean(np.logaddexp(0.0, z) - y * z)
+def _logits(weights: np.ndarray, bias: float, X) -> np.ndarray:
+    return np.asarray(X @ weights).ravel() + bias
+
+
+def _loss(z: np.ndarray, weights: np.ndarray, y: np.ndarray, C: float) -> float:
+    """``logreg_loss`` from the logits ``z = X @ weights + bias``."""
+    n = len(z)
+    # log(1 + exp(-|z|)) form is stable for both signs; sum / n is np.mean's
+    # arithmetic without its per-call overhead
+    bce = (np.logaddexp(0.0, z) - y * z).sum() / n
     return float(bce + weights @ weights / (2.0 * C * n))
 
 
+def _gradient(z: np.ndarray, weights: np.ndarray, XT, y: np.ndarray, C: float) -> tuple[np.ndarray, float]:
+    """``logreg_gradient`` from the logits ``z = X @ weights + bias`` and ``XT = X.T``."""
+    n = len(z)
+    residual = _sigmoid(z) - y
+    grad_w = np.asarray(XT @ residual).ravel() / n + weights / (C * n)
+    return grad_w, float(residual.sum() / n)
+
+
+def logreg_loss(weights: np.ndarray, bias: float, X, y: np.ndarray, C: float) -> float:
+    """Mean binary cross-entropy plus ||w||^2 / (2 C n); bias unpenalized."""
+    return _loss(_logits(weights, bias, X), weights, y, C)
+
+
 def logreg_gradient(weights: np.ndarray, bias: float, X, y: np.ndarray, C: float) -> tuple[np.ndarray, float]:
-    n = X.shape[0]
-    p = _sigmoid(np.asarray(X @ weights).ravel() + bias)
-    grad_w = np.asarray((X.T @ (p - y))).ravel() / n + weights / (C * n)
-    grad_b = float(np.mean(p - y))
-    return grad_w, grad_b
+    return _gradient(_logits(weights, bias, X), weights, X.T, y, C)
 
 
 def train_logreg(X, y, C: float = 1.0, max_iter: int = 1000, tol: float = 1e-6) -> LogRegModel:
@@ -98,7 +116,9 @@ def train_logreg(X, y, C: float = 1.0, max_iter: int = 1000, tol: float = 1e-6) 
 
     Each step backtracks (halving) until the Armijo condition holds, so
     the regularized loss is non-increasing. Stops when the gradient
-    infinity-norm drops below ``tol`` or after ``max_iter`` steps.
+    infinity-norm drops below ``tol`` or after ``max_iter`` steps. The
+    transpose is made once, and the logits of each accepted point are
+    kept for the next step's gradient.
     """
     if C <= 0:
         raise ConfigError(f"C must be positive, got {C}")
@@ -110,14 +130,16 @@ def train_logreg(X, y, C: float = 1.0, max_iter: int = 1000, tol: float = 1e-6) 
         raise FitError("logistic regression needs both classes present")
 
     d = mat.shape[1]
+    mat_t = mat.T
     w = np.zeros(d)
     b = 0.0
-    loss = logreg_loss(w, b, mat, y, C)
+    z = _logits(w, b, mat)
+    loss = _loss(z, w, y, C)
     step = 1.0
     it = 0
     for it in range(1, max_iter + 1):
-        gw, gb = logreg_gradient(w, b, mat, y, C)
-        gnorm_inf = max(float(np.max(np.abs(gw))) if d else 0.0, abs(gb))
+        gw, gb = _gradient(z, w, mat_t, y, C)
+        gnorm_inf = max(float(np.abs(gw).max()) if d else 0.0, abs(gb))
         if gnorm_inf < tol:
             it -= 1
             break
@@ -126,13 +148,14 @@ def train_logreg(X, y, C: float = 1.0, max_iter: int = 1000, tol: float = 1e-6) 
         while True:
             w_new = w - step * gw
             b_new = b - step * gb
-            loss_new = logreg_loss(w_new, b_new, mat, y, C)
+            z_new = _logits(w_new, b_new, mat)
+            loss_new = _loss(z_new, w_new, y, C)
             if loss_new <= loss - 1e-4 * step * gsq or step < 1e-12:
                 break
             step *= 0.5
         if loss_new > loss:
             break  # no descent direction progress left at float precision
-        w, b, loss = w_new, b_new, loss_new
+        w, b, z, loss = w_new, b_new, z_new, loss_new
     return LogRegModel(w, b, C, n_iter=it)
 
 
@@ -201,44 +224,48 @@ def _gini(counts1: np.ndarray, size: np.ndarray) -> np.ndarray:
     return 1.0 - p1 * p1 - p0 * p0
 
 
-def _best_split(X: np.ndarray, rows: np.ndarray, y: np.ndarray, feature_ids: np.ndarray, min_leaf: int):
+def _best_split(XT: np.ndarray, rows: np.ndarray, y: np.ndarray, positives: int, feature_ids: np.ndarray, min_leaf: int):
     """Best (feature, threshold, weighted impurity) over midpoint candidates.
 
-    ``rows`` index the node's rows of ``X`` and ``y`` holds their labels.
+    ``XT`` is the C-contiguous (features x rows) matrix, ``rows`` index
+    the node's rows of it, ``y`` holds their labels and ``positives`` is
+    their sum. The node must keep at least ``2 * min_leaf`` rows.
     Candidates are midpoints between consecutive distinct sorted values;
     rows with value <= threshold go left. All candidate features are
-    scored in one pass: the node's (rows x features) block is stably
-    sorted down each column, and label prefix sums give every cut's class
-    counts. Cuts between equal values, or leaving fewer than ``min_leaf``
-    rows on a side, are dropped. The rest are listed in feature-major
-    order (thresholds ascending within a feature), so the first minimum
-    of one argmin is the lower feature index, then the lower threshold,
-    among tied scores. Counts are integers, so every score is the same
-    float however the cuts are batched.
+    scored in one pass: the node's (features x rows) block is stably
+    sorted along each feature's contiguous row, and label prefix sums
+    give every cut's class counts. Cuts between equal values, or leaving
+    fewer than ``min_leaf`` rows on a side, are dropped. The rest are
+    listed in feature-major order (thresholds ascending within a
+    feature), so the first minimum of one argmin is the lower feature
+    index, then the lower threshold, among tied scores. Counts are
+    integers, so every score is the same float however the cuts are
+    batched.
     """
     m = len(rows)
-    block = X[np.ix_(rows, feature_ids)]
-    order = np.argsort(block, axis=0, kind="stable")
-    sv = np.take_along_axis(block, order, axis=0)
-    sizes = np.arange(1, m)[:, None]  # left size when splitting after position i
-    ok = (sv[:-1] < sv[1:]) & (sizes >= min_leaf) & (m - sizes >= min_leaf)
-    f, cut = np.nonzero(ok.T)  # feature-major, thresholds ascending within a feature
+    block = XT[feature_ids[:, None], rows]
+    order = block.argsort(axis=1, kind="stable")
+    sv = block.take(order + np.arange(0, block.size, m)[:, None])  # each row's offset into the flat block
+    ok = sv[:, :-1] < sv[:, 1:]  # column i: the cut after sorted position i, i + 1 rows on the left
+    ok[:, : max(min_leaf - 1, 0)] = False
+    ok[:, m - min_leaf :] = False
+    f, cut = ok.nonzero()  # feature-major, thresholds ascending within a feature
     if f.size == 0:
         return None
-    left_pos = np.cumsum(y[order], axis=0)[cut, f]
-    right_pos = int(np.sum(y)) - left_pos
+    left_pos = y.take(order).cumsum(axis=1)[f, cut]
+    right_pos = positives - left_pos
     left_size = cut + 1
     right_size = m - left_size
     score = (left_size * _gini(left_pos, left_size) + right_size * _gini(right_pos, right_size)) / m
-    at = int(np.argmin(score))
-    threshold = (sv[cut[at], f[at]] + sv[cut[at] + 1, f[at]]) / 2.0
+    at = int(score.argmin())
+    threshold = (sv[f[at], cut[at]] + sv[f[at], cut[at] + 1]) / 2.0
     return int(feature_ids[f[at]]), float(threshold), float(score[at])
 
 
-def _grow(X, y, rows, depth, nodes, max_depth, min_leaf, rng, mtry):
+def _grow(XT, y, rows, depth, nodes, max_depth, min_leaf, rng, mtry):
     m = len(rows)
     node_y = y[rows]
-    c1 = int(np.sum(node_y))
+    c1 = int(node_y.sum())
     counts = [m - c1, c1]
     index = len(nodes)
     nodes.append(None)
@@ -246,19 +273,20 @@ def _grow(X, y, rows, depth, nodes, max_depth, min_leaf, rng, mtry):
     if c1 == 0 or c1 == m or not depth_ok or m < 2 * min_leaf:
         nodes[index] = {"counts": counts}
         return index
-    d = X.shape[1]
+    d = XT.shape[0]
     if rng is not None and mtry is not None and mtry < d:
-        feature_ids = np.sort(rng.choice(d, size=mtry, replace=False))
+        feature_ids = rng.choice(d, size=mtry, replace=False)
+        feature_ids.sort()
     else:
         feature_ids = np.arange(d)
-    best = _best_split(X, rows, node_y, feature_ids, min_leaf)
+    best = _best_split(XT, rows, node_y, c1, feature_ids, min_leaf)
     if best is None or best[2] >= _gini(c1, m):
         nodes[index] = {"counts": counts}
         return index
     j, threshold, _ = best
-    mask = X[rows, j] <= threshold
-    left = _grow(X, y, rows[mask], depth + 1, nodes, max_depth, min_leaf, rng, mtry)
-    right = _grow(X, y, rows[~mask], depth + 1, nodes, max_depth, min_leaf, rng, mtry)
+    mask = XT[j, rows] <= threshold
+    left = _grow(XT, y, rows[mask], depth + 1, nodes, max_depth, min_leaf, rng, mtry)
+    right = _grow(XT, y, rows[~mask], depth + 1, nodes, max_depth, min_leaf, rng, mtry)
     nodes[index] = {"feature": j, "threshold": threshold, "left": left, "right": right}
     return index
 
@@ -278,7 +306,8 @@ def train_tree(
     The underscored arguments are the forest's hooks: per-split feature
     subsampling, and the root's row indices into ``X`` and ``y`` (its
     bootstrap sample, repeats allowed; all rows in order by default).
-    Plain trees ignore them.
+    Plain trees ignore them. Growth reads the transposed (features x rows)
+    matrix, which is a view without a copy when ``X`` is column-major.
     """
     mat = _as_dense(X)
     y = np.asarray(y, dtype=np.int64).ravel()
@@ -288,7 +317,8 @@ def train_tree(
     if len(rows) < 1:
         raise FitError("cannot fit a tree on an empty dataset")
     nodes: list[dict | None] = []
-    _grow(mat, y, rows, 0, nodes, max_depth, min_samples_leaf, _rng, _max_features)
+    XT = np.ascontiguousarray(mat.T)
+    _grow(XT, y, rows, 0, nodes, max_depth, min_samples_leaf, _rng, _max_features)
     return TreeModel(tuple(nodes), mat.shape[1], max_depth, min_samples_leaf)
 
 
@@ -353,13 +383,14 @@ def train_forest(
     Every tree draws its own seeded bootstrap sample (n rows with
     replacement) and its own feature-subset stream, so the whole forest
     is reproducible from one seed. Every tree grows on the forest's one
-    dense matrix, with its bootstrap indices as the root's rows, so no
-    tree copies its sample. ``bootstrap=False`` trains every tree on the
-    full sample (test mode).
+    dense matrix, made once in column-major order so each tree reads its
+    transpose without a copy, with its bootstrap indices as the root's
+    rows, so no tree copies its sample. ``bootstrap=False`` trains every
+    tree on the full sample (test mode).
     """
     if n_trees < 1:
         raise ConfigError(f"n_trees must be >= 1, got {n_trees}")
-    mat = _as_dense(X)
+    mat = _as_dense(X, order="F")
     y = np.asarray(y, dtype=np.int64).ravel()
     n, d = mat.shape
     mtry = _mtry(features_per_split, d)

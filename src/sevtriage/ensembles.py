@@ -183,7 +183,8 @@ def run(train_X: FeatureMatrix, y_train, test_X: FeatureMatrix, config: Mapping 
 
     ``config`` is the run's config tree (a RunConfig or a dict shaped like
     ``config.DEFAULTS``). Members read its ``seed``, ``ensemble``,
-    ``logreg``, ``forest`` and ``knn`` sections. Every member is planned
+    ``logreg``, ``forest`` and ``knn`` sections; a KNN member's ``k`` is
+    clamped to the rows it trains on. Every member is planned
     before any is trained; each distinct one is then fit once, on a row
     or column selection made once per run, and only its probabilities
     are kept.
@@ -192,7 +193,7 @@ def run(train_X: FeatureMatrix, y_train, test_X: FeatureMatrix, config: Mapping 
     plans = {
         "feature_split": _feature_split_members(train_X, config),
         "bootstrap": _bootstrap_members(y, config),
-        "heterogeneous": _bases(config, int(config["seed"]), config["knn"]["k"]),
+        "heterogeneous": _bases(config, int(config["seed"]), min(config["knn"]["k"], len(y))),
         "instance": _instance_members(config),
         "stacking": _stacking_members(y, config),
     }

@@ -8,6 +8,10 @@ maximum. Branches are concatenated into a dense stack with dropout and a
 single sigmoid output. Training is mini-batch adaptive-moment descent on
 mean binary cross-entropy; every random draw (init, shuffling, dropout)
 comes from named substreams of one seed, so runs are bit-reproducible.
+Backpropagation takes the convolution weights' gradient from each
+filter's max-pool winners alone and the embeddings' gradient from one
+``bincount``; both add in the order the dense einsum and ``np.add.at``
+would, so their bits are the same.
 """
 
 from __future__ import annotations
@@ -188,7 +192,7 @@ def loss_and_grads(params, spec: NetSpec, ids, tab, y, train: bool = False, drop
     probs, cache = _forward(params, spec, ids, tab, train=train, drop_rng=drop_rng)
     n = len(y)
     loss = bce_loss(cache["logit"], y)
-    grads = {k: np.zeros_like(v) for k, v in params.items()}
+    grads = dict.fromkeys(params)  # every entry is assigned below, in this key order
 
     dlogit = (probs - y)[:, None] / n  # (B, 1)
     grads["out_w"] = cache["out_x"].T @ dlogit
@@ -210,8 +214,6 @@ def loss_and_grads(params, spec: NetSpec, ids, tab, y, train: bool = False, drop
     grads["tab_w"] = cache["tab"].T @ dtab_z
     grads["tab_b"] = dtab_z.sum(axis=0)
 
-    ids_arr = cache["ids"]
-    demb = np.zeros_like(cache["emb"])
     if spec.variant == "ffnn":
         scale = (cache["mask"] / cache["safe"][:, None])[:, :, None]
         demb = dtext[:, None, :] * scale
@@ -219,15 +221,41 @@ def loss_and_grads(params, spec: NetSpec, ids, tab, y, train: bool = False, drop
         dconv_a = np.zeros_like(cache["conv_a"])
         np.put_along_axis(dconv_a, cache["argmax"][:, None, :], dtext[:, None, :], axis=1)
         dconv_z = dconv_a * (cache["conv_z"] > 0.0)
-        grads["conv_w"] = np.einsum("bpf,bpk->fk", dconv_z, cache["windows"])
+        grads["conv_w"] = _conv_weight_grad(dconv_z, cache["argmax"], cache["windows"])
         grads["conv_b"] = dconv_z.sum(axis=(0, 1))
         dwindows = dconv_z @ params["conv_w"]  # (B, P, w*e)
+        demb = np.zeros_like(cache["emb"])
         p = dwindows.shape[1]
         e = spec.embedding_dim
         for i in range(spec.kernel_width):
             demb[:, i : i + p, :] += dwindows[:, :, i * e : (i + 1) * e]
-    np.add.at(grads["embed"], ids_arr.ravel(), demb.reshape(-1, spec.embedding_dim))
+    grads["embed"] = _embedding_grad(cache["ids"], demb, len(params["embed"]))
     return loss, grads
+
+
+def _conv_weight_grad(dconv_z: np.ndarray, argmax: np.ndarray, windows: np.ndarray) -> np.ndarray:
+    """``einsum("bpf,bpk->fk", dconv_z, windows)`` from the max-pool winners alone.
+
+    ``dconv_z`` (B, P, F) is zero except at each (row, filter)'s winning
+    position ``argmax`` (B, F), so only the winning windows contribute.
+    Summing their products over axis 0 adds row after row from 0.0, the
+    order the einsum adds them in, so the bits are the einsum's.
+    """
+    rows, filters = np.arange(len(argmax))[:, None], np.arange(argmax.shape[1])
+    g = dconv_z[rows, argmax, filters]  # (B, F)
+    return (g[:, :, None] * windows[rows, argmax]).sum(axis=0)
+
+
+def _embedding_grad(ids: np.ndarray, demb: np.ndarray, vocab_size: int) -> np.ndarray:
+    """Sum each token position's gradient ``demb`` (..., e) into the row of its id.
+
+    One ``bincount`` over the flat index ``id * e + column`` adds the
+    weights in input order from 0.0, as ``np.add.at`` into zeros does,
+    so the bits are the same.
+    """
+    e = demb.shape[-1]
+    flat = (ids[..., None] * e + np.arange(e)).ravel()
+    return np.bincount(flat, weights=demb.ravel(), minlength=vocab_size * e).reshape(vocab_size, e)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,14 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sevtriage import classical
 from sevtriage.errors import ConfigError, FitError, ShapeError
+from sevtriage.features import FeatureMatrix, as_matrix
 from sevtriage.seeds import substream
 
 
@@ -99,6 +102,109 @@ class TestLogReg:
         back = classical.LogRegModel.from_dict(model.to_dict())
         assert np.array_equal(back.weights, model.weights)
         assert back.bias == model.bias
+
+
+# Bit-identity oracle: logistic regression that recomputes the logits for
+# every gradient, which the reuse of each accepted point's logits must
+# reproduce bit for bit.
+
+
+def oracle_logreg_loss(weights: np.ndarray, bias: float, X, y: np.ndarray, C: float) -> float:
+    """Mean binary cross-entropy plus ||w||^2 / (2 C n); bias unpenalized."""
+    n = X.shape[0]
+    z = np.asarray(X @ weights).ravel() + bias
+    # log(1 + exp(-|z|)) form is stable for both signs
+    bce = np.mean(np.logaddexp(0.0, z) - y * z)
+    return float(bce + weights @ weights / (2.0 * C * n))
+
+
+def oracle_logreg_gradient(weights: np.ndarray, bias: float, X, y: np.ndarray, C: float) -> tuple[np.ndarray, float]:
+    n = X.shape[0]
+    p = classical._sigmoid(np.asarray(X @ weights).ravel() + bias)
+    grad_w = np.asarray((X.T @ (p - y))).ravel() / n + weights / (C * n)
+    grad_b = float(np.mean(p - y))
+    return grad_w, grad_b
+
+
+def oracle_train_logreg(X, y, C: float = 1.0, max_iter: int = 1000, tol: float = 1e-6) -> classical.LogRegModel:
+    """Deterministic full-batch gradient descent from zero initialization.
+
+    Each step backtracks (halving) until the Armijo condition holds, so
+    the regularized loss is non-increasing. Stops when the gradient
+    infinity-norm drops below ``tol`` or after ``max_iter`` steps.
+    """
+    if C <= 0:
+        raise ConfigError(f"C must be positive, got {C}")
+    mat = as_matrix(X)
+    y = np.asarray(y, dtype=np.float64).ravel()
+    if mat.shape[0] != len(y):
+        raise ShapeError(f"{mat.shape[0]} rows but {len(y)} labels")
+    if len(np.unique(y)) < 2:
+        raise FitError("logistic regression needs both classes present")
+
+    d = mat.shape[1]
+    w = np.zeros(d)
+    b = 0.0
+    loss = oracle_logreg_loss(w, b, mat, y, C)
+    step = 1.0
+    it = 0
+    for it in range(1, max_iter + 1):
+        gw, gb = oracle_logreg_gradient(w, b, mat, y, C)
+        gnorm_inf = max(float(np.max(np.abs(gw))) if d else 0.0, abs(gb))
+        if gnorm_inf < tol:
+            it -= 1
+            break
+        gsq = float(gw @ gw) + gb * gb
+        step = min(step * 2.0, 1e4)
+        while True:
+            w_new = w - step * gw
+            b_new = b - step * gb
+            loss_new = oracle_logreg_loss(w_new, b_new, mat, y, C)
+            if loss_new <= loss - 1e-4 * step * gsq or step < 1e-12:
+                break
+            step *= 0.5
+        if loss_new > loss:
+            break  # no descent direction progress left at float precision
+        w, b, loss = w_new, b_new, loss_new
+    return classical.LogRegModel(w, b, C, n_iter=it)
+
+
+def logreg_case(name):
+    """A (X, y, kwargs) problem for the logistic-regression oracle."""
+    rng = np.random.default_rng(31)
+    dense = rng.normal(size=(40, 6))
+    y = (dense[:, 0] - dense[:, 1] + 0.8 * rng.normal(size=40) > 0).astype(int)
+    sparse = np.where(rng.random((40, 12)) < 0.25, rng.random((40, 12)), 0.0)
+    y_sparse = (sparse[:, :3].sum(axis=1) + 0.2 * rng.normal(size=40) > 0.25).astype(int)
+    cases = {
+        "dense": (dense, y, {}),
+        "fortran": (np.asfortranarray(dense), y, {"C": 0.25}),
+        "csr": (sp.csr_matrix(sparse), y_sparse, {}),
+        "feature_matrix": (FeatureMatrix.from_dense(sparse, [f"k{j}" for j in range(12)], "indicator"), y_sparse, {"C": 4.0}),
+        "max_iter_hit": (sp.csr_matrix(sparse), y_sparse, {"max_iter": 4}),
+        "meta_probabilities": (rng.random((40, 3)), y, {"tol": 1e-9}),
+    }
+    return cases[name]
+
+
+class TestLogRegOracleBits:
+    @pytest.mark.parametrize("case", ["dense", "fortran", "csr", "feature_matrix", "max_iter_hit", "meta_probabilities"])
+    def test_train_logreg_equals_oracle(self, case):
+        X, y, kwargs = logreg_case(case)
+        got = classical.train_logreg(X, y, **kwargs)
+        want = oracle_train_logreg(X, y, **kwargs)
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert np.float64(got.bias).tobytes() == np.float64(want.bias).tobytes()
+        assert got.n_iter == want.n_iter > 0
+
+    @pytest.mark.parametrize("case", ["dense", "csr"])
+    def test_loss_and_gradient_equal_oracle(self, case):
+        X, y, _ = logreg_case(case)
+        w = np.random.default_rng(2).normal(size=X.shape[1])
+        y = y.astype(float)
+        assert classical.logreg_loss(w, 0.3, X, y, 2.0) == oracle_logreg_loss(w, 0.3, X, y, 2.0)
+        (gw, gb), (want_w, want_b) = classical.logreg_gradient(w, 0.3, X, y, 2.0), oracle_logreg_gradient(w, 0.3, X, y, 2.0)
+        assert gw.tobytes() == want_w.tobytes() and gb == want_b
 
 
 class TestTopCoefficients:
@@ -362,3 +468,47 @@ class TestKnn:
         back = classical.KnnModel.from_dict(model.to_dict())
         assert np.array_equal(back.X_train, X)
         assert np.array_equal(back.predict_proba(X), model.predict_proba(X))
+
+
+# ---------------------------------------------------------------------------
+# No trainer changes its inputs
+
+
+TRAINERS = {
+    "logreg": lambda X, y: classical.train_logreg(X, y, max_iter=30),
+    "tree": lambda X, y: classical.train_tree(X, y, max_depth=3),
+    "forest": lambda X, y: classical.train_forest(X, y, n_trees=3, seed=1),
+    "knn": lambda X, y: classical.train_knn(X, y, k=1),
+}
+LAYOUTS = {
+    "dense": np.ascontiguousarray,
+    "fortran": np.asfortranarray,
+    "csr": sp.csr_matrix,
+    "csc": sp.csc_matrix,
+}
+
+
+def input_bytes(X):
+    if sp.issparse(X):
+        return X.format, X.shape, X.data.tobytes(), X.indices.tobytes(), X.indptr.tobytes()
+    return X.shape, X.dtype.str, X.flags.f_contiguous, X.tobytes(order="A")
+
+
+@st.composite
+def labelled_matrices(draw):
+    n, d = draw(st.integers(2, 10)), draw(st.integers(1, 4))
+    X = draw(arrays(np.float64, (n, d), elements=st.sampled_from([0.0, -0.0, 0.5, 1.0, -2.0, 3.25])))
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    y[:2] = [0, 1]
+    return X, y
+
+
+class TestNoMutation:
+    @settings(max_examples=60, deadline=None)
+    @given(labelled_matrices(), st.sampled_from(sorted(TRAINERS)), st.sampled_from(sorted(LAYOUTS)))
+    def test_trainers_leave_inputs_unchanged(self, data, trainer, layout):
+        X, y = data
+        X = LAYOUTS[layout](X)
+        before = input_bytes(X), y.tobytes()
+        TRAINERS[trainer](X, y)
+        assert (input_bytes(X), y.tobytes()) == before

@@ -36,12 +36,20 @@ def make_grouped_data(seed=0, n=80, noise=0.6):
     return X.select_rows(np.arange(split)), y[:split], X.select_rows(np.arange(split, n)), y[split:]
 
 
-def config(seed=0, n_trees=10, knn=None, **ensemble):
+def config(seed=0, n_trees=10, **ensemble):
     """The run config with a seed, a forest size and ensemble overrides."""
-    overrides = {"seed": seed, "forest": {"n_trees": n_trees}, "ensemble": ensemble}
-    if knn is not None:
-        overrides["knn"] = {"k": knn}
-    return load_config(overrides=overrides)
+    return load_config(overrides={"seed": seed, "forest": {"n_trees": n_trees}, "ensemble": ensemble})
+
+
+def separable_four_rows():
+    """A 4-row matrix with a constant vendor column and a separable indicator pair."""
+    X = assemble(
+        [
+            FeatureMatrix.from_dense(np.ones((4, 1)), ["v0"], "vendor"),
+            FeatureMatrix.from_dense(np.array([[0.0, 1.0], [0.0, 0.9], [1.0, 0.1], [1.0, 0.0]]), ["a", "b"], "indicator"),
+        ]
+    )
+    return X, np.array([0, 0, 1, 1])
 
 
 def run_strategy(strategy, Xtr, ytr, Xte, **cfg):
@@ -309,20 +317,19 @@ class TestHeterogeneous:
         assert np.all(res.labels[all_high] == 1)
         assert np.all(res.labels[all_low] == 0)
 
+    def test_knn_k_above_training_rows_is_clamped(self):
+        X, y = separable_four_rows()
+        res = ensembles.run(X, y, X, config())["heterogeneous"]  # the default k=5 exceeds the 4 rows
+        assert np.array_equal(res.member_probabilities["knn"], train_knn(X, y, k=4).predict_proba(X))
+
 
 class TestInstance:
     def test_default_c_values(self, results):
         assert list(results["instance"].member_probabilities) == ["C=0.5", "C=1", "C=2"]
 
     def test_separable_case_all_members_agree(self):
-        X = assemble(
-            [
-                FeatureMatrix.from_dense(np.ones((4, 1)), ["v0"], "vendor"),
-                FeatureMatrix.from_dense(np.array([[0.0, 1.0], [0.0, 0.9], [1.0, 0.1], [1.0, 0.0]]), ["a", "b"], "indicator"),
-            ]
-        )
-        y = np.array([0, 0, 1, 1])
-        res = run_strategy("instance", X, y, X, knn=3)  # every strategy runs; KNN needs k <= 4 rows
+        X, y = separable_four_rows()
+        res = run_strategy("instance", X, y, X)  # every strategy runs, KNN with the default k=5 on 4 rows
         member_labels = [(p >= 0.5).astype(int) for p in res.member_probabilities.values()]
         for lab in member_labels:
             assert np.array_equal(lab, y)

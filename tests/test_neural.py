@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sevtriage import neural
 from sevtriage.errors import ConfigError, ShapeError
@@ -220,3 +223,160 @@ class TestActivations:
             neural.activations(nets["ffnn"], "nope", (seqs.ids[0], tabular[0]))
         with pytest.raises(KeyError):
             neural.activations(nets["ffnn"], "conv_maps", (seqs.ids[0], tabular[0]))
+
+
+# ---------------------------------------------------------------------------
+# Bit-identity oracle: backpropagation with the dense einsum and np.add.at,
+# which the winner gather and the bincount must reproduce bit for bit. Bits are
+# compared, not values, so signed zeros count too. No digest of a trained net
+# is recorded: its matmuls make the bits depend on the BLAS.
+
+
+def oracle_loss_and_grads(params, spec, ids, tab, y, train=False, drop_rng=None):
+    """Loss plus analytic gradients for every parameter (backpropagation)."""
+    y = np.asarray(y, dtype=np.float64).ravel()
+    probs, cache = neural._forward(params, spec, ids, tab, train=train, drop_rng=drop_rng)
+    n = len(y)
+    loss = neural.bce_loss(cache["logit"], y)
+    grads = {k: np.zeros_like(v) for k, v in params.items()}
+
+    dlogit = (probs - y)[:, None] / n  # (B, 1)
+    grads["out_w"] = cache["out_x"].T @ dlogit
+    grads["out_b"] = dlogit.sum(axis=0)
+    dx = dlogit @ params["out_w"].T
+
+    for li in reversed(range(len(spec.merge))):
+        if f"merge{li}_keep" in cache:
+            dx = dx * cache[f"merge{li}_keep"]
+        dz = dx * (cache[f"merge{li}_z"] > 0.0)
+        grads[f"merge{li}_w"] = cache[f"merge{li}_x"].T @ dz
+        grads[f"merge{li}_b"] = dz.sum(axis=0)
+        dx = dz @ params[f"merge{li}_w"].T
+
+    dtext = dx[:, : spec.text_out]
+    dtab_a = dx[:, spec.text_out :]
+
+    dtab_z = dtab_a * (cache["tab_z"] > 0.0)
+    grads["tab_w"] = cache["tab"].T @ dtab_z
+    grads["tab_b"] = dtab_z.sum(axis=0)
+
+    ids_arr = cache["ids"]
+    demb = np.zeros_like(cache["emb"])
+    if spec.variant == "ffnn":
+        scale = (cache["mask"] / cache["safe"][:, None])[:, :, None]
+        demb = dtext[:, None, :] * scale
+    else:
+        dconv_a = np.zeros_like(cache["conv_a"])
+        np.put_along_axis(dconv_a, cache["argmax"][:, None, :], dtext[:, None, :], axis=1)
+        dconv_z = dconv_a * (cache["conv_z"] > 0.0)
+        grads["conv_w"] = np.einsum("bpf,bpk->fk", dconv_z, cache["windows"])
+        grads["conv_b"] = dconv_z.sum(axis=(0, 1))
+        dwindows = dconv_z @ params["conv_w"]  # (B, P, w*e)
+        p = dwindows.shape[1]
+        e = spec.embedding_dim
+        for i in range(spec.kernel_width):
+            demb[:, i : i + p, :] += dwindows[:, :, i * e : (i + 1) * e]
+    np.add.at(grads["embed"], ids_arr.ravel(), demb.reshape(-1, spec.embedding_dim))
+    return loss, grads
+
+
+def default_shape_spec(variant, dropout=0.3):
+    """The default layer widths (embedding 64, 32 filters of width 3, merge 64 and 32)."""
+    return neural.NetSpec(variant=variant, dropout=dropout, seed=13)
+
+
+def assert_same_bits(got: dict, want: dict):
+    assert list(got) == list(want)
+    for key in want:
+        assert got[key].dtype == want[key].dtype and got[key].shape == want[key].shape, key
+        assert got[key].tobytes() == want[key].tobytes(), key
+
+
+class TestOracleBits:
+    @pytest.mark.parametrize("variant", ["ffnn", "cnn"])
+    @pytest.mark.parametrize("train", [False, True], ids=["inference", "dropout"])
+    @pytest.mark.parametrize("dead", [False, True], ids=["live", "dead_filters"])
+    def test_gradients_equal_oracle(self, variant, train, dead, seqs, tabular):
+        spec = default_shape_spec(variant)
+        params = neural.init_params(spec, seqs.vocab_size, tabular.shape[1], seed=13)
+        if dead:
+            # units that never fire: their gradients are zeros of either sign
+            params["tab_b"][:2] = -100.0
+            if variant == "cnn":
+                params["conv_b"][:5] = -100.0
+        y = LABELS.astype(float)
+        rngs = [np.random.default_rng(3), np.random.default_rng(3)] if train else [None, None]
+        loss, grads = neural.loss_and_grads(params, spec, seqs.ids, tabular, y, train=train, drop_rng=rngs[0])
+        want_loss, want = oracle_loss_and_grads(params, spec, seqs.ids, tabular, y, train=train, drop_rng=rngs[1])
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert_same_bits(grads, want)
+        if dead and variant == "cnn":
+            assert not grads["conv_w"][:5].any()
+
+    @pytest.mark.parametrize("variant", ["ffnn", "cnn"])
+    def test_training_equals_oracle(self, variant, seqs, tabular, monkeypatch):
+        spec = default_shape_spec(variant)
+        cfg = neural.TrainConfig(epochs=3, batch=3, seed=13)
+        net = neural.train(spec, seqs, tabular, LABELS, cfg)
+        monkeypatch.setattr(neural, "loss_and_grads", oracle_loss_and_grads)
+        want = neural.train(spec, seqs, tabular, LABELS, cfg)
+        assert_same_bits(net.params, want.params)
+        assert np.array(net.loss_history).tobytes() == np.array(want.loss_history).tobytes()
+
+
+def finite(max_abs=1e3):
+    """Finite doubles, zeros of both signs included."""
+    return st.floats(-max_abs, max_abs, allow_nan=False) | st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def embedding_cases(draw):
+    vocab, e = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    shape = (draw(st.integers(1, 5)), draw(st.integers(1, 7)))
+    ids = draw(arrays(np.int64, shape, elements=st.integers(0, vocab - 1)))
+    demb = draw(arrays(np.float64, (*shape, e), elements=finite()))
+    return ids, demb, vocab
+
+
+@st.composite
+def conv_cases(draw):
+    """A conv gradient that is zero off each (row, filter)'s max-pool winner, as backprop makes it."""
+    b, p, f, k = (draw(st.integers(1, n)) for n in (6, 8, 5, 9))
+    windows = draw(arrays(np.float64, (b, p, k), elements=finite()))
+    conv_z = draw(arrays(np.float64, (b, p, f), elements=finite(2.0)))
+    dtext = draw(arrays(np.float64, (b, f), elements=finite()))
+    conv_a = np.maximum(conv_z, 0.0)
+    argmax = conv_a.argmax(axis=1)
+    dconv_a = np.zeros_like(conv_a)
+    np.put_along_axis(dconv_a, argmax[:, None, :], dtext[:, None, :], axis=1)
+    return dconv_a * (conv_z > 0.0), argmax, windows
+
+
+class TestGradientRewrites:
+    @settings(max_examples=200, deadline=None)
+    @given(embedding_cases())
+    def test_embedding_bincount_equals_add_at(self, case):
+        ids, demb, vocab = case
+        want = np.zeros((vocab, demb.shape[-1]))
+        np.add.at(want, ids.ravel(), demb.reshape(-1, demb.shape[-1]))
+        got = neural._embedding_grad(ids, demb, vocab)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @settings(max_examples=300, deadline=None)
+    @given(conv_cases())
+    def test_winner_gather_equals_einsum(self, case):
+        dconv_z, argmax, windows = case
+        want = np.einsum("bpf,bpk->fk", dconv_z, windows)
+        got = neural._conv_weight_grad(dconv_z, argmax, windows)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestNoMutation:
+    @pytest.mark.parametrize("variant", ["ffnn", "cnn"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_train_leaves_inputs_unchanged(self, variant, order, seqs):
+        tab = np.asarray(np.random.default_rng(5).random((len(TEXTS), 3)), order=order)
+        y = LABELS.copy()
+        before = [(a.tobytes(order="A"), a.flags.f_contiguous) for a in (seqs.ids, tab, y)]
+        neural.train(small_spec(variant, dropout=0.3), seqs, tab, y, neural.TrainConfig(epochs=2, batch=3, seed=1))
+        assert [(a.tobytes(order="A"), a.flags.f_contiguous) for a in (seqs.ids, tab, y)] == before
