@@ -22,7 +22,7 @@ together, one level per step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -187,16 +187,22 @@ class TreeModel:
     n_features: int
     max_depth: int | None
     min_samples_leaf: int
+    # per node: split feature, threshold, left, right, leaf flag, leaf probability; built once from ``nodes``
+    routing: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
-    def predict_proba(self, X) -> np.ndarray:
-        """Route all rows together, one tree level per step."""
-        mat = _as_dense(X)
-        _check_width(mat, self.n_features)
+    def __post_init__(self):
         feature, threshold, left, right = (
             np.array([node.get(key, 0) for node in self.nodes]) for key in ("feature", "threshold", "left", "right")
         )
         leaf = np.array(["counts" in node for node in self.nodes])
         prob = np.array([node["counts"][1] / sum(node["counts"]) if "counts" in node else np.nan for node in self.nodes])
+        object.__setattr__(self, "routing", (feature, threshold, left, right, leaf, prob))
+
+    def predict_proba(self, X) -> np.ndarray:
+        """Route all rows together, one tree level per step."""
+        mat = _as_dense(X)
+        _check_width(mat, self.n_features)
+        feature, threshold, left, right, leaf, prob = self.routing
         at = np.zeros(mat.shape[0], dtype=np.intp)
         active = np.flatnonzero(~leaf[at])
         while active.size:

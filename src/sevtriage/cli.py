@@ -25,7 +25,6 @@ from .features import KeywordLexicon, keyword_frequencies
 from .pipelines import (
     FeatureBuilder,
     ScoringArtifact,
-    TfidfConfig,
     feature_benchmark_pipelines,
     model_benchmark_pipelines,
     net_tabular,
@@ -61,7 +60,7 @@ def _featurized_split(cfg: RunConfig, dataset: corpus.LabeledDataset):
     failure ends the command with its error.
     """
     lexicon = KeywordLexicon.from_file(cfg["lexicon"]) if cfg["lexicon"] else None
-    builder = FeatureBuilder(lexicon, TfidfConfig.from_config(cfg)).fit(dataset.train_records())
+    builder = FeatureBuilder(lexicon, cfg["tfidf"]).fit(dataset.train_records())
     return builder, builder.transform(dataset.train_records()), builder.transform(dataset.test_records())
 
 

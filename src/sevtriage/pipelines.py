@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import classical, features, neural, reduction, selection
 from .config import DEFAULTS
-from .corpus import DisclosureRecord
-from .errors import ConfigError, ShapeError
+from .corpus import DisclosureRecord, decode_utf8
+from .errors import ConfigError, RowError, ShapeError
 from .features import (
     Columns,
     FeatureMatrix,
@@ -39,28 +40,18 @@ from .features import (
 from .seeds import substream
 
 
-@dataclass(frozen=True)
-class TfidfConfig:
-    ngram_range: tuple[int, int] = (1, 2)
-    max_features: int = 5000
-
-    @classmethod
-    def from_config(cls, config: Mapping) -> "TfidfConfig":
-        t = config["tfidf"]
-        return cls((t["ngram_lo"], t["ngram_hi"]), t["max_features"])
-
-
 class FeatureBuilder:
     """Vendor one-hot + indicator + TF-IDF blocks, fit on training records.
 
-    ``columns`` (the assembled names, groups and order) is fixed when the
-    builder is fitted or loaded; ``transform`` tokenizes each description
-    once and shares the tokens between the indicator and text blocks.
+    ``tfidf`` is the config tree's ``tfidf`` section. ``columns`` (the
+    assembled names, groups and order) is fixed when the builder is fitted
+    or loaded; ``transform`` tokenizes each description once and shares
+    the tokens between the indicator and text blocks.
     """
 
-    def __init__(self, lexicon: KeywordLexicon | None = None, tfidf: TfidfConfig | None = None):
+    def __init__(self, lexicon: KeywordLexicon | None = None, tfidf: Mapping = DEFAULTS["tfidf"]):
         self.lexicon = lexicon or KeywordLexicon.default()
-        self.tfidf_config = tfidf or TfidfConfig()
+        self.tfidf = tfidf
         self.tfidf_model: TfidfModel | None = None
         self.vendor_encoder: VendorEncoder | None = None
         self.columns: Columns | None = None
@@ -68,8 +59,8 @@ class FeatureBuilder:
     def fit(self, records: Sequence[DisclosureRecord]) -> "FeatureBuilder":
         self.tfidf_model = fit_tfidf(
             [r.description for r in records],
-            ngram_range=self.tfidf_config.ngram_range,
-            max_features=self.tfidf_config.max_features,
+            ngram_range=(self.tfidf["ngram_lo"], self.tfidf["ngram_hi"]),
+            max_features=self.tfidf["max_features"],
         )
         self.vendor_encoder = fit_vendor(records)
         self._fix_columns()
@@ -99,15 +90,18 @@ class FeatureBuilder:
     def to_dict(self) -> dict:
         return {
             "lexicon": list(self.lexicon.phrases),
-            "tfidf_config": {"ngram_range": list(self.tfidf_config.ngram_range), "max_features": self.tfidf_config.max_features},
+            "tfidf_config": {
+                "ngram_range": [self.tfidf["ngram_lo"], self.tfidf["ngram_hi"]],
+                "max_features": self.tfidf["max_features"],
+            },
             "tfidf_model": self.tfidf_model.to_dict() if self.tfidf_model else None,
             "vendor_encoder": self.vendor_encoder.to_dict() if self.vendor_encoder else None,
         }
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "FeatureBuilder":
-        cfg = d["tfidf_config"]
-        fb = cls(KeywordLexicon(tuple(d["lexicon"])), TfidfConfig(tuple(cfg["ngram_range"]), cfg["max_features"]))
+        (lo, hi), max_features = d["tfidf_config"]["ngram_range"], d["tfidf_config"]["max_features"]
+        fb = cls(KeywordLexicon(tuple(d["lexicon"])), {"ngram_lo": lo, "ngram_hi": hi, "max_features": max_features})
         if d.get("tfidf_model"):
             fb.tfidf_model = TfidfModel.from_dict(d["tfidf_model"])
         if d.get("vendor_encoder"):
@@ -127,26 +121,18 @@ class LrFeaturePipeline:
     mode: "baseline" keeps the assembled matrix as is; "svd" replaces the
     text block with its rank-k projection; "chi2"/"mi" keep only the top-k
     scored text columns; "pca"/"lda" run on the densified svd-reduced
-    assembly and classify in the projected space.
+    assembly and classify in the projected space. ``config`` is the run's
+    config tree; the head reads its ``svd``, ``select``, ``pca``,
+    ``logreg`` and ``seed`` sections.
     """
 
-    def __init__(
-        self,
-        mode: str = "baseline",
-        svd_k: int = 100,
-        select_k: int = 300,
-        pca_k: int = 100,
-        logreg: Mapping | None = None,
-        seed: int = 0,
-    ):
+    def __init__(self, mode: str, config: Mapping = DEFAULTS):
         if mode not in ("baseline", "svd", "chi2", "mi", "pca", "lda"):
             raise ConfigError(f"unknown feature pipeline mode {mode!r}")
         self.mode = mode
-        self.svd_k = svd_k
-        self.select_k = select_k
-        self.pca_k = pca_k
-        self.logreg = dict(logreg or {})
-        self.seed = seed
+        self.svd_k, self.select_k, self.pca_k = config["svd"]["k"], config["select"]["k"], config["pca"]["k"]
+        self.logreg = config["logreg"]
+        self.seed = int(config["seed"])
         self.svd = None
         self.selected: list[int] | None = None
         self.scores = None
@@ -218,25 +204,20 @@ class LrFeaturePipeline:
 
 
 class ClassicalModelPipeline:
-    """One classical learner over the plain assembled feature matrix."""
+    """One classical learner over the plain assembled feature matrix, set by the config tree's ``kind`` section."""
 
-    def __init__(self, kind: str, seed: int = 0, **model_kwargs):
+    def __init__(self, kind: str, config: Mapping = DEFAULTS):
         if kind not in ("logreg", "tree", "forest", "knn"):
             raise ConfigError(f"unknown classical model kind {kind!r}")
         self.kind = kind
-        self.seed = seed
-        self.model_kwargs = model_kwargs
+        self.params = dict(config[kind])
+        if kind == "forest":
+            self.params["seed"] = substream(int(config["seed"]), "forest")
         self.model = None
 
     def fit(self, X: FeatureMatrix, records, labels):
-        if self.kind == "logreg":
-            self.model = classical.train_logreg(X, labels, **self.model_kwargs)
-        elif self.kind == "tree":
-            self.model = classical.train_tree(X, labels, **self.model_kwargs)
-        elif self.kind == "forest":
-            self.model = classical.train_forest(X, labels, seed=substream(self.seed, "forest"), **self.model_kwargs)
-        else:
-            self.model = classical.train_knn(X, labels, **self.model_kwargs)
+        train = getattr(classical, f"train_{self.kind}")  # looked up per call, so a wrapped trainer sees it
+        self.model = train(X, labels, **self.params)
         return self
 
     def predict_proba(self, X: FeatureMatrix, records):
@@ -249,21 +230,19 @@ def net_tabular(X: FeatureMatrix) -> np.ndarray:
 
 
 class NeuralPipeline:
-    """Dual-input net: token sequences plus densified structured features."""
+    """Dual-input net: token sequences plus densified structured features.
 
-    def __init__(
-        self,
-        variant: str,
-        max_len: int = 64,
-        vocab_cap: int = 3000,
-        seed: int = 0,
-        spec: neural.NetSpec | None = None,
-        train_config: neural.TrainConfig | None = None,
-    ):
-        self.max_len = max_len
-        self.vocab_cap = vocab_cap
-        self.spec = spec or neural.NetSpec(variant=variant, seed=substream(seed, f"net-{variant}"))
-        self.train_config = train_config or neural.TrainConfig(seed=substream(seed, f"net-{variant}"))
+    Its layers, training and sequence shape come from the config tree's
+    ``net`` section, its random draws from the ``net-<variant>`` substream.
+    """
+
+    def __init__(self, variant: str, config: Mapping = DEFAULTS):
+        net = config["net"]
+        seed = substream(int(config["seed"]), f"net-{variant}")
+        self.max_len, self.vocab_cap = net["max_len"], net["vocab_cap"]
+        layers = {key: net[key] for key in ("embedding_dim", "conv_filters", "kernel_width", "tabular_hidden", "dropout")}
+        self.spec = neural.NetSpec(variant=variant, merge=tuple(net["merge"]), seed=seed, **layers)
+        self.train_config = neural.TrainConfig(epochs=net["epochs"], batch=net["batch"], lr=net["lr"], seed=seed)
         self.sequences = None
         self.net = None
 
@@ -283,49 +262,21 @@ def feature_benchmark_pipelines(config: Mapping = DEFAULTS) -> list[tuple[str, L
     """The six feature-engineering comparison rows, all with logistic regression.
 
     ``config`` is the run's config tree (a RunConfig or a dict shaped like
-    ``DEFAULTS``); every head hyperparameter comes from it.
+    ``DEFAULTS``); every head reads its hyperparameters from it.
     """
-    shared = dict(
-        svd_k=config["svd"]["k"],
-        select_k=config["select"]["k"],
-        pca_k=config["pca"]["k"],
-        logreg=config["logreg"],
-        seed=int(config["seed"]),
-    )
-    modes = ("baseline", "svd", "chi2", "mi", "pca", "lda")
-    pipes = [LrFeaturePipeline(mode=m, **shared) for m in modes]
+    pipes = [LrFeaturePipeline(mode, config) for mode in ("baseline", "svd", "chi2", "mi", "pca", "lda")]
     return [(p.describe(), p) for p in pipes]
 
 
 def model_benchmark_pipelines(config: Mapping = DEFAULTS) -> list[tuple[str, object]]:
     """The classical-vs-neural comparison rows, configured from the config tree."""
-    seed = int(config["seed"])
-    net = config["net"]
-
-    def neural_pipe(variant: str) -> NeuralPipeline:
-        net_seed = substream(seed, f"net-{variant}")
-        spec = neural.NetSpec(
-            variant=variant,
-            embedding_dim=net["embedding_dim"],
-            conv_filters=net["conv_filters"],
-            kernel_width=net["kernel_width"],
-            tabular_hidden=net["tabular_hidden"],
-            merge=tuple(net["merge"]),
-            dropout=net["dropout"],
-            seed=net_seed,
-        )
-        train_config = neural.TrainConfig(epochs=net["epochs"], batch=net["batch"], lr=net["lr"], seed=net_seed)
-        return NeuralPipeline(
-            variant, max_len=net["max_len"], vocab_cap=net["vocab_cap"], seed=seed, spec=spec, train_config=train_config
-        )
-
     return [
-        ("logistic_regression", ClassicalModelPipeline("logreg", seed=seed, **config["logreg"])),
-        ("random_forest", ClassicalModelPipeline("forest", seed=seed, **config["forest"])),
-        ("decision_tree", ClassicalModelPipeline("tree", seed=seed, **config["tree"])),
-        ("knn", ClassicalModelPipeline("knn", seed=seed, **config["knn"])),
-        ("ffnn", neural_pipe("ffnn")),
-        ("cnn", neural_pipe("cnn")),
+        ("logistic_regression", ClassicalModelPipeline("logreg", config)),
+        ("random_forest", ClassicalModelPipeline("forest", config)),
+        ("decision_tree", ClassicalModelPipeline("tree", config)),
+        ("knn", ClassicalModelPipeline("knn", config)),
+        ("ffnn", NeuralPipeline("ffnn", config)),
+        ("cnn", NeuralPipeline("cnn", config)),
     ]
 
 
@@ -378,12 +329,16 @@ class ScoringArtifact:
 
     @classmethod
     def load(cls, path) -> "ScoringArtifact":
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        kind = payload["model_kind"]
-        if kind not in _MODEL_CODECS:
-            raise ConfigError(f"unsupported model kind {kind!r} in artifact")
-        return cls(
-            builder=FeatureBuilder.from_dict(payload["builder"]),
-            model=_MODEL_CODECS[kind].from_dict(payload["model"]),
-        )
+        """The artifact saved at ``path``; a file that is not one raises ConfigError naming it."""
+        try:
+            payload = json.loads(decode_utf8(Path(path).read_bytes()))
+            kind, builder, model = payload["model_kind"], payload["builder"], payload["model"]
+            if kind not in _MODEL_CODECS:
+                raise ConfigError(f"model artifact {path}: unsupported model kind {kind!r}")
+            return cls(FeatureBuilder.from_dict(builder), _MODEL_CODECS[kind].from_dict(model))
+        except RowError as exc:
+            raise ConfigError(f"model artifact {path}: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"model artifact {path}: not valid JSON: {exc}") from None
+        except (KeyError, TypeError) as exc:
+            raise ConfigError(f"model artifact {path}: missing or malformed entry {exc}") from None

@@ -107,16 +107,9 @@ def project_svd(svd: SvdModel, X) -> np.ndarray:
     return np.asarray(mat @ svd.components.T)
 
 
-def explained_variance_curve(svd: SvdModel, X=None) -> np.ndarray:
-    """Cumulative explained-variance ratios; non-decreasing, capped near 1.
-
-    With ``X`` given, ratios are recomputed against that matrix (it should
-    be the block the model was fitted on); otherwise the ratios stored at
-    fit time are used.
-    """
-    if X is None:
-        return np.cumsum(svd.explained_variance_ratio)
-    return np.cumsum(_variance_ratios(as_matrix(X), svd.components))
+def explained_variance_curve(svd: SvdModel) -> np.ndarray:
+    """Cumulative explained-variance ratios, from those stored at fit time; non-decreasing, capped near 1."""
+    return np.cumsum(svd.explained_variance_ratio)
 
 
 def top_terms_per_component(

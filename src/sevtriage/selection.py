@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -115,11 +114,8 @@ def select_top_k(scores: FeatureScores, k: int = 300) -> list[int]:
     return sorted(int(j) for j in order[:k])
 
 
-def top_scored_terms(scores: FeatureScores, vocabulary: Sequence[str] | None = None, n: int = 20) -> list[tuple[str, float]]:
+def top_scored_terms(scores: FeatureScores, n: int = 20) -> list[tuple[str, float]]:
     """The n highest-scoring terms with their scores, descending."""
-    names = tuple(vocabulary) if vocabulary is not None else scores.names
-    if len(names) != len(scores.scores):
-        raise ShapeError(f"{len(names)} terms for {len(scores.scores)} scores")
-    d = len(names)
+    d = len(scores.names)
     order = np.lexsort((np.arange(d), -scores.scores))
-    return [(names[j], float(scores.scores[j])) for j in order[: min(n, d)]]
+    return [(scores.names[j], float(scores.scores[j])) for j in order[: min(n, d)]]

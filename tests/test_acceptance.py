@@ -45,6 +45,8 @@ needs_dataset = pytest.mark.skipif(
     reason="benchmark dataset not provided (set SEVTRIAGE_DATA to the 415-row disclosure CSV)",
 )
 
+CFG = load_config(overrides={"seed": 42})
+
 
 @pytest.fixture(scope="module")
 def real_records_raw():
@@ -73,7 +75,7 @@ def _fit_and_score(pipe, split):
 
 @pytest.fixture(scope="module")
 def baseline_result(real_split):
-    return _fit_and_score(LrFeaturePipeline(mode="baseline", seed=42), real_split)
+    return _fit_and_score(LrFeaturePipeline("baseline", CFG), real_split)
 
 
 class TestDatasetCriteria:
@@ -95,7 +97,7 @@ class TestDatasetCriteria:
     @needs_dataset
     def test_criterion_2_svd_stability(self, real_split, baseline_result):
         base_rep, _ = baseline_result
-        svd_rep, elapsed = _fit_and_score(LrFeaturePipeline(mode="svd", svd_k=100, seed=42), real_split)
+        svd_rep, elapsed = _fit_and_score(LrFeaturePipeline("svd", CFG), real_split)
         assert abs(svd_rep.accuracy - base_rep.accuracy) <= 0.02
         assert elapsed < 90.0
         print(f"\n[PASS] criterion 2: svd acc={svd_rep.accuracy:.4f} vs baseline {base_rep.accuracy:.4f} ({elapsed:.1f}s)")
@@ -105,7 +107,7 @@ class TestDatasetCriteria:
         from sevtriage.pipelines import ClassicalModelPipeline
 
         lr_rep, _ = baseline_result
-        dt_rep, elapsed = _fit_and_score(ClassicalModelPipeline("tree", seed=42), real_split)
+        dt_rep, elapsed = _fit_and_score(ClassicalModelPipeline("tree", CFG), real_split)
         assert dt_rep.accuracy >= 0.90
         assert lr_rep.auc > dt_rep.auc
         assert elapsed < 120.0
@@ -116,8 +118,8 @@ class TestDatasetCriteria:
         from sevtriage.pipelines import NeuralPipeline
 
         start = time.perf_counter()
-        ffnn_rep, t1 = _fit_and_score(NeuralPipeline("ffnn", seed=42), real_split)
-        cnn_rep, t2 = _fit_and_score(NeuralPipeline("cnn", seed=42), real_split)
+        ffnn_rep, t1 = _fit_and_score(NeuralPipeline("ffnn", CFG), real_split)
+        cnn_rep, t2 = _fit_and_score(NeuralPipeline("cnn", CFG), real_split)
         total = time.perf_counter() - start
         assert ffnn_rep.accuracy >= 0.85
         assert cnn_rep.accuracy >= 0.85

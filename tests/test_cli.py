@@ -248,6 +248,19 @@ class TestPredict:
         rc = main(["predict", "--model", str(tmp_path / "none.json"), "--input", str(tmp_path / "x.csv"), "--out", str(tmp_path)])
         assert rc != 0
 
+    @pytest.mark.parametrize(
+        "content", [b"not json at all\n", b'{"builder": {}}', b'{"model_kind": "\xff"}'], ids=["not_json", "missing_keys", "not_utf8"]
+    )
+    def test_malformed_artifact_is_a_named_error(self, workdir, tmp_path, capsys, content):
+        _, data, _ = workdir
+        model = tmp_path / "model.json"
+        model.write_bytes(content)
+        rc = main(["predict", "--model", str(model), "--input", str(data), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: model artifact {model}: ")
+        assert "Traceback" not in err
+
 
 class TestPlot:
     @pytest.mark.parametrize("which", ["keywords", "variance", "pca_scatter", "chi2_terms", "mi_terms", "roc", "activations"])
@@ -311,6 +324,7 @@ class TestFailurePolicy:
 
     def test_partial_failure_still_exits_zero(self, tmp_path, synthetic_csv, monkeypatch):
         import sevtriage.cli as cli_mod
+        from sevtriage.config import load_config
         from sevtriage.pipelines import LrFeaturePipeline
 
         class Exploding:
@@ -322,7 +336,7 @@ class TestFailurePolicy:
             def describe(self):
                 return "exploding"
 
-        real = LrFeaturePipeline(mode="baseline", seed=0)
+        real = LrFeaturePipeline("baseline", load_config(overrides={"seed": 0}))
         monkeypatch.setattr(
             cli_mod,
             "feature_benchmark_pipelines",

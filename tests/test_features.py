@@ -14,7 +14,7 @@ from sevtriage import features
 from sevtriage.corpus import DisclosureRecord
 from sevtriage.errors import ConfigError, FitError, ShapeError
 from sevtriage.features import FeatureMatrix, KeywordLexicon
-from sevtriage.pipelines import FeatureBuilder, TfidfConfig
+from sevtriage.pipelines import FeatureBuilder
 
 
 def _rec(cve_id=None, vendor="V", description=""):
@@ -378,7 +378,7 @@ class TestOnePassTransform:
         builder = FeatureBuilder().fit(synthetic_dataset.train_records())
         X = builder.transform(synthetic_dataset.test_records())
         assert _matrix_digest(X) == "2077651842331fb662210bb9ae33716eb8226582b4f2d446567072b4add7d3ad"
-        trigram = FeatureBuilder(tfidf=TfidfConfig((1, 3), 40)).fit(synthetic_dataset.train_records())
+        trigram = FeatureBuilder(tfidf={"ngram_lo": 1, "ngram_hi": 3, "max_features": 40}).fit(synthetic_dataset.train_records())
         X3 = trigram.transform(synthetic_dataset.test_records())
         assert _matrix_digest(X3) == "f64000c987cf940c0a6842272dbe1c28024ff9fb754b30baa6a3172ff388f575"
 
@@ -392,7 +392,8 @@ class TestOnePassTransform:
     @settings(max_examples=200, deadline=None)
     def test_equals_row_by_row_reference_and_mutates_nothing(self, train, test, phrases, ngram_range, max_features):
         lexicon = KeywordLexicon(tuple(phrases))
-        builder = FeatureBuilder(lexicon, TfidfConfig(ngram_range, max_features)).fit(train)
+        tfidf = {"ngram_lo": ngram_range[0], "ngram_hi": ngram_range[1], "max_features": max_features}
+        builder = FeatureBuilder(lexicon, tfidf).fit(train)
         before = (
             copy.deepcopy(test),
             lexicon.phrases,

@@ -1,15 +1,19 @@
 """Record-to-probability pipelines and the saved scoring artifact."""
 
 import hashlib
+import inspect
 import json
 
 import numpy as np
 import pytest
 
 from sevtriage import ensembles, pipelines
-from sevtriage.config import load_config
+from sevtriage.config import DEFAULTS, load_config
 from sevtriage.errors import ConfigError, ShapeError
 from sevtriage.seeds import substream
+
+
+SEED_0 = load_config(overrides={"seed": 0})
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +66,7 @@ class TestLrFeaturePipeline:
     def test_each_mode_fits_and_scores(self, split, featurized, mode):
         train_records, train_labels, test_records, test_labels = split
         train_X, test_X = featurized
-        pipe = pipelines.LrFeaturePipeline(mode=mode, seed=0)
+        pipe = pipelines.LrFeaturePipeline(mode, SEED_0)
         pipe.fit(train_X, train_records, train_labels)
         probs = pipe.predict_proba(test_X, test_records)
         assert probs.shape == (len(test_records),)
@@ -71,23 +75,89 @@ class TestLrFeaturePipeline:
     def test_baseline_beats_majority_on_synthetic(self, split, featurized):
         train_records, train_labels, test_records, test_labels = split
         train_X, test_X = featurized
-        pipe = pipelines.LrFeaturePipeline(mode="baseline").fit(train_X, train_records, train_labels)
+        pipe = pipelines.LrFeaturePipeline("baseline", SEED_0).fit(train_X, train_records, train_labels)
         acc = np.mean((pipe.predict_proba(test_X, test_records) >= 0.5).astype(int) == test_labels)
         majority = max(np.mean(test_labels), 1 - np.mean(test_labels))
         assert acc > majority
 
     def test_component_counts_clamped_to_data(self, split, featurized):
         train_records, train_labels, _, _ = split
-        pipe = pipelines.LrFeaturePipeline(mode="svd", svd_k=10_000).fit(featurized[0], train_records, train_labels)
+        cfg = load_config(overrides={"seed": 0, "svd": {"k": 10_000}})
+        pipe = pipelines.LrFeaturePipeline("svd", cfg).fit(featurized[0], train_records, train_labels)
         assert pipe.effective_k <= len(train_records)
 
     def test_describe_names_parameters(self):
-        assert pipelines.LrFeaturePipeline(mode="svd", svd_k=100).describe() == "tfidf_svd(k=100)"
-        assert pipelines.LrFeaturePipeline(mode="mi", select_k=300).describe() == "tfidf_mi(k=300)"
+        assert pipelines.LrFeaturePipeline("svd").describe() == "tfidf_svd(k=100)"
+        assert pipelines.LrFeaturePipeline("mi").describe() == "tfidf_mi(k=300)"
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError):
-            pipelines.LrFeaturePipeline(mode="umap")
+            pipelines.LrFeaturePipeline("umap")
+
+
+def _fit_head(head, split, featurized):
+    train_records, train_labels, _, _ = split
+    return head.fit(featurized[0], train_records, train_labels)
+
+
+class TestHeadsReadTheConfigTree:
+    """Every head is built from its sections of the config tree and from nothing else."""
+
+    @pytest.mark.parametrize(
+        "overrides, build, holds",
+        [
+            (
+                {"svd": {"k": 7}},
+                lambda cfg, s, f: _fit_head(pipelines.LrFeaturePipeline("svd", cfg), s, f),
+                lambda head: head.describe() == "tfidf_svd(k=7)",
+            ),
+            (
+                {"select": {"k": 9}},
+                lambda cfg, s, f: _fit_head(pipelines.LrFeaturePipeline("chi2", cfg), s, f),
+                lambda head: head.describe() == "tfidf_chi2(k=9)",
+            ),
+            (
+                {"tree": {"max_depth": 1}},
+                lambda cfg, s, f: _fit_head(pipelines.ClassicalModelPipeline("tree", cfg), s, f),
+                lambda head: len(head.model.nodes) <= 3,  # depth <= 1: a root and at most two leaves
+            ),
+            (
+                {"knn": {"k": 3}},
+                lambda cfg, s, f: _fit_head(pipelines.ClassicalModelPipeline("knn", cfg), s, f),
+                lambda head: head.model.k == 3,
+            ),
+            (
+                {"forest": {"n_trees": 4}},
+                lambda cfg, s, f: _fit_head(pipelines.ClassicalModelPipeline("forest", cfg), s, f),
+                lambda head: len(head.model.trees) == 4,
+            ),
+            (
+                {"tfidf": {"max_features": 40}},
+                lambda cfg, s, f: pipelines.FeatureBuilder(tfidf=cfg["tfidf"]).fit(s[0]),
+                lambda builder: builder.columns.groups.count("text") <= 40,
+            ),
+        ],
+        ids=["svd.k", "select.k", "tree.max_depth", "knn.k", "forest.n_trees", "tfidf.max_features"],
+    )
+    def test_section_reaches_its_head(self, split, featurized, overrides, build, holds):
+        assert holds(build(load_config(overrides=overrides), split, featurized))
+        assert not holds(build(load_config(), split, featurized)), "the defaults already satisfy the check"
+
+    @pytest.mark.parametrize(
+        "head, first",
+        [(pipelines.LrFeaturePipeline, "mode"), (pipelines.ClassicalModelPipeline, "kind"), (pipelines.NeuralPipeline, "variant")],
+    )
+    def test_constructor_takes_kind_and_config_only(self, head, first):
+        params = inspect.signature(head).parameters
+        assert list(params) == [first, "config"]
+        assert params["config"].default is DEFAULTS
+
+    def test_builder_artifact_keeps_its_tfidf_config_format(self, split):
+        fb = pipelines.FeatureBuilder().fit(split[0])
+        assert fb.to_dict()["tfidf_config"] == {"ngram_range": [1, 2], "max_features": 5000}
+        cfg = load_config(overrides={"tfidf": {"ngram_hi": 3, "max_features": 40}})
+        back = pipelines.FeatureBuilder.from_dict(pipelines.FeatureBuilder(tfidf=cfg["tfidf"]).fit(split[0]).to_dict())
+        assert back.tfidf == cfg["tfidf"]
 
 
 class TestModelPipelines:
@@ -115,7 +185,7 @@ class TestModelPipelines:
         train_records, train_labels, test_records, _ = split
         train_X, test_X = featurized
         for kind in ("tree", "knn"):
-            pipe = pipelines.ClassicalModelPipeline(kind, seed=0)
+            pipe = pipelines.ClassicalModelPipeline(kind, SEED_0)
             pipe.fit(train_X, train_records, train_labels)
             probs = pipe.predict_proba(test_X, test_records)
             assert np.all((probs >= 0) & (probs <= 1))

@@ -87,7 +87,7 @@ class TestTruncatedSvd:
         assert np.all(svd.singular_values <= exact + 1e-8)
         assert np.all(svd.singular_values >= exact - 0.05 * exact[0])
         assert np.allclose(svd.components @ svd.components.T, np.eye(5), atol=1e-8)
-        curve = reduction.explained_variance_curve(svd, A)
+        curve = reduction.explained_variance_curve(svd)
         assert np.all(np.diff(curve) >= -1e-12)
         assert curve[-1] <= 1.0 + 1e-8
 

@@ -15,6 +15,8 @@ from sevtriage.config import load_config
 from sevtriage.pipelines import ClassicalModelPipeline, FeatureBuilder, LrFeaturePipeline, NeuralPipeline
 from tests.conftest import write_synthetic_csv
 
+CFG = load_config(overrides={"seed": 42})
+
 
 @pytest.fixture(scope="module")
 def planted_split(tmp_path_factory):
@@ -43,27 +45,27 @@ def test_split_support_is_83(planted_split):
 
 
 def test_baseline_lr_band(planted_split):
-    rep = _score(LrFeaturePipeline(mode="baseline", seed=42), planted_split)
+    rep = _score(LrFeaturePipeline("baseline", CFG), planted_split)
     assert rep.accuracy >= 0.91
     assert rep.auc >= 0.96
 
 
 def test_svd_tracks_baseline(planted_split):
-    base = _score(LrFeaturePipeline(mode="baseline", seed=42), planted_split)
-    svd = _score(LrFeaturePipeline(mode="svd", svd_k=100, seed=42), planted_split)
+    base = _score(LrFeaturePipeline("baseline", CFG), planted_split)
+    svd = _score(LrFeaturePipeline("svd", CFG), planted_split)
     assert abs(svd.accuracy - base.accuracy) <= 0.02
 
 
 def test_tree_strong_and_lr_leads_on_auc(planted_split):
-    lr = _score(LrFeaturePipeline(mode="baseline", seed=42), planted_split)
-    dt = _score(ClassicalModelPipeline("tree", seed=42), planted_split)
+    lr = _score(LrFeaturePipeline("baseline", CFG), planted_split)
+    dt = _score(ClassicalModelPipeline("tree", CFG), planted_split)
     assert dt.accuracy >= 0.90
     assert lr.auc > dt.auc
 
 
 def test_neural_band_with_default_specs(planted_split):
-    ffnn = _score(NeuralPipeline("ffnn", seed=42), planted_split)
-    cnn = _score(NeuralPipeline("cnn", seed=42), planted_split)
+    ffnn = _score(NeuralPipeline("ffnn", CFG), planted_split)
+    cnn = _score(NeuralPipeline("cnn", CFG), planted_split)
     assert ffnn.accuracy >= 0.85
     assert cnn.accuracy >= 0.85
     assert cnn.auc >= 0.93
@@ -86,7 +88,7 @@ EXPLOIT_PHRASES = ("code execution", "remote code", "buffer overflow", "privileg
 def test_mi_ranking_surfaces_exploit_phrases(planted_split):
     from sevtriage import selection
 
-    pipe = LrFeaturePipeline(mode="mi", seed=42)
+    pipe = LrFeaturePipeline("mi", CFG)
     train_X, _ = _featurized(planted_split)
     pipe.fit(train_X, planted_split.train_records(), planted_split.train_labels())
     top = [term for term, _ in selection.top_scored_terms(pipe.scores, n=20)]
@@ -96,7 +98,7 @@ def test_mi_ranking_surfaces_exploit_phrases(planted_split):
 def test_top_positive_coefficients_include_exploit_phrasing(planted_split):
     from sevtriage.classical import top_coefficients
 
-    pipe = LrFeaturePipeline(mode="baseline", seed=42)
+    pipe = LrFeaturePipeline("baseline", CFG)
     train_X, _ = _featurized(planted_split)
     pipe.fit(train_X, planted_split.train_records(), planted_split.train_labels())
     X = pipe._reduced_assembly(train_X, fit=False)
