@@ -194,7 +194,7 @@ class LrFeaturePipeline:
         if self.mode == "svd":
             return f"tfidf_svd(k={self.effective_k if self.effective_k is not None else self.svd_k})"
         if self.mode in ("chi2", "mi"):
-            return f"tfidf_{self.mode}(k={self.select_k})"
+            return f"tfidf_{self.mode}(k={len(self.selected) if self.selected is not None else self.select_k})"
         if self.mode == "pca":
             k = self.projector.k if self.projector is not None else self.pca_k
             return f"pca(k={k})"

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -430,6 +432,84 @@ class TestRandomForest:
         forest = classical.train_forest(X, y, n_trees=3, seed=2)
         back = classical.ForestModel.from_dict(forest.to_dict())
         assert np.array_equal(back.predict_proba(X), forest.predict_proba(X))
+
+
+def _cpus_and_trees_in_worker(X, y):
+    return classical._usable_cpus(), len(classical.train_forest(X, y, n_trees=4, seed=1).trees)
+
+
+class TestForestWorkers:
+    """Forests grown by 1, 2 or 3 processes, whatever the CPUs of the machine running the tests."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_outlives_the_call(self):
+        yield
+        assert multiprocessing.active_children() == []
+
+    def _forest(self, monkeypatch, workers, n_trees=7, **kwargs):
+        monkeypatch.setattr(classical, "_usable_cpus", lambda: workers)
+        X, y = TestRandomForest()._noisy_instance(seed=11, n=50)
+        return classical.train_forest(X, y, n_trees=n_trees, seed=3, **kwargs)
+
+    def _fail_in(self, monkeypatch, where, fail):
+        # a train_tree that fails in the parent only or in its children only
+        parent = os.getpid()
+        train_tree = classical.train_tree
+
+        def failing(*args, **kwargs):
+            if (os.getpid() == parent) == (where == "parent"):
+                fail()
+            return train_tree(*args, **kwargs)
+
+        monkeypatch.setattr(classical, "train_tree", failing)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{}, {"bootstrap": False}, {"max_depth": 3, "min_samples_leaf": 2}, {"n_trees": 2}],
+        ids=["bootstrap", "no-bootstrap", "depth-and-leaf", "fewer-trees-than-workers"],
+    )
+    def test_same_trees_for_any_worker_count(self, monkeypatch, kwargs):
+        forests = [self._forest(monkeypatch, workers, **kwargs) for workers in (1, 2, 3)]
+        # repr keeps every threshold's bits
+        nodes = {repr([t.nodes for t in f.trees]) for f in forests}
+        assert len(nodes) == 1
+        assert len({f.tree_seeds for f in forests}) == 1
+        assert {(t.n_features, t.max_depth, t.min_samples_leaf) for f in forests for t in f.trees} == {
+            (4, kwargs.get("max_depth"), kwargs.get("min_samples_leaf", 1))
+        }
+
+    @pytest.mark.parametrize("where", ["child", "parent"])
+    @pytest.mark.parametrize("error", [ShapeError, ConfigError])
+    def test_error_while_growing_reaches_the_caller(self, monkeypatch, where, error):
+        def fail():
+            raise error("bad tree")
+
+        self._fail_in(monkeypatch, where, fail)
+        with pytest.raises(error, match="bad tree"):
+            self._forest(monkeypatch, 3)
+
+    def test_child_exiting_unsent_raises_fit_error(self, monkeypatch):
+        self._fail_in(monkeypatch, "child", lambda: os._exit(3))
+        with pytest.raises(FitError, match=r"trees 2-3 exited"):
+            self._forest(monkeypatch, 3)
+
+    def test_daemonic_process_grows_alone(self, monkeypatch):
+        # a pool worker may not have children, so its forest grows serially on any number of CPUs
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        X, y = TestRandomForest()._noisy_instance()
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            assert pool.apply(_cpus_and_trees_in_worker, (X, y)) == (1, 4)
+        pool.join()
+
+    def test_set_up_errors_raise_before_any_fork(self, monkeypatch):
+        monkeypatch.setattr(classical, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: pytest.fail("forked"))
+        with pytest.raises(ShapeError):
+            classical.train_forest(np.ones((4, 2)), np.array([0, 1, 0]), n_trees=4)
+        with pytest.raises(FitError):
+            classical.train_forest(np.ones((0, 2)), np.array([], dtype=int), n_trees=4)
+        with pytest.raises(ConfigError):
+            classical.train_forest(np.ones((4, 2)), np.array([0, 1, 0, 1]), n_trees=0)
 
 
 class TestKnn:

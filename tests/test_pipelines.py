@@ -90,6 +90,16 @@ class TestLrFeaturePipeline:
         assert pipelines.LrFeaturePipeline("svd").describe() == "tfidf_svd(k=100)"
         assert pipelines.LrFeaturePipeline("mi").describe() == "tfidf_mi(k=300)"
 
+    @pytest.mark.parametrize("mode", ["chi2", "mi"])
+    def test_describe_names_the_columns_kept(self, split, mode):
+        # 40 text columns against select.k 300: the fitted head names the 40 it keeps
+        train_records, train_labels, _, _ = split
+        cfg = load_config(overrides={"seed": 0, "tfidf": {"max_features": 40}})
+        X = pipelines.FeatureBuilder(tfidf=cfg["tfidf"]).fit(train_records).transform(train_records)
+        pipe = pipelines.LrFeaturePipeline(mode, cfg).fit(X, train_records, train_labels)
+        assert len(pipe.selected) == 40
+        assert pipe.describe() == f"tfidf_{mode}(k=40)"
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError):
             pipelines.LrFeaturePipeline("umap")
