@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import corpus, ensembles, evaluation, neural, plots, reduction, selection
-from .config import OUT_ENV_VAR, RunConfig, load_config
+from .config import OUT_ENV_VAR, load_config
 from .errors import TriageError
 from .features import KeywordLexicon, keyword_frequencies
 from .pipelines import (
@@ -36,7 +36,7 @@ def _fail(message: str) -> int:
     return 1
 
 
-def _read_records(cfg: RunConfig):
+def _read_records(cfg: dict):
     data = cfg["data"]
     if not data:
         raise TriageError("no dataset configured; pass --data or set 'data' in the config")
@@ -47,13 +47,13 @@ def _read_records(cfg: RunConfig):
         return corpus.parse_csv(fh, cfg["schema"])
 
 
-def _prepared_dataset(cfg: RunConfig) -> corpus.LabeledDataset:
+def _prepared_dataset(cfg: dict) -> corpus.LabeledDataset:
     records = corpus.clean(_read_records(cfg))
     labels = corpus.label(records)
-    return corpus.stratified_split(records, labels, test_fraction=float(cfg["split"]), seed=cfg.seed)
+    return corpus.stratified_split(records, labels, test_fraction=float(cfg["split"]), seed=int(cfg["seed"]))
 
 
-def _featurized_split(cfg: RunConfig, dataset: corpus.LabeledDataset):
+def _featurized_split(cfg: dict, dataset: corpus.LabeledDataset):
     """The split's one featurizer, fitted on the training records, and its train and test matrices.
 
     Every pipeline and ensemble of a command shares these, so a featurizer
@@ -64,8 +64,8 @@ def _featurized_split(cfg: RunConfig, dataset: corpus.LabeledDataset):
     return builder, builder.transform(dataset.train_records()), builder.transform(dataset.test_records())
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    out = Path(cfg.out_dir)
+def _out_dir(cfg: dict) -> Path:
+    out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -93,7 +93,7 @@ def _write_table(out: Path, stem: str, table: evaluation.BenchmarkTable) -> None
 # Commands
 
 
-def cmd_ingest(cfg: RunConfig, fmt: str = "csv") -> int:
+def cmd_ingest(cfg: dict, fmt: str = "csv") -> int:
     raw = _read_records(cfg)
     cleaned = corpus.clean(raw)
     out = _out_dir(cfg)
@@ -110,7 +110,7 @@ def cmd_ingest(cfg: RunConfig, fmt: str = "csv") -> int:
     return 0
 
 
-def cmd_benchmark_features(cfg: RunConfig) -> int:
+def cmd_benchmark_features(cfg: dict) -> int:
     dataset = _prepared_dataset(cfg)
     builder, train_X, test_X = _featurized_split(cfg, dataset)
     out = _out_dir(cfg)
@@ -124,39 +124,37 @@ def cmd_benchmark_features(cfg: RunConfig) -> int:
     _write_table(out, "features_table", table)
     if all(row.report is None for row in table.rows):
         return _fail("every feature pipeline failed; see features_table.txt")
+    fitted = {}  # mode -> pipeline, for the pipelines that fitted and scored
     for (_, pipe), row in zip(pipes, table.rows):
         if row.report is not None:
+            fitted[pipe.mode] = pipe
             _write(out / f"report_{pipe.mode}.txt", row.report.render() + "\n")
 
-    train_records = dataset.train_records()
-    counts = keyword_frequencies([r.description for r in train_records], builder.lexicon, top_k=10)
+    counts = keyword_frequencies(train_X, builder.lexicon, top_k=10)
     _write(out / "keyword_counts.csv", _csv_lines(["phrase", "count"], counts))
 
-    # supporting artifacts, each skipped when its pipeline did not fit
-    by_mode = {getattr(p, "mode", None): p for _, p in pipes}
+    # supporting artifacts, each skipped when its pipeline did not fit and score
     for mode, stem in (("chi2", "top_terms_chi2"), ("mi", "top_terms_mi")):
-        scores = getattr(by_mode.get(mode), "scores", None)
-        if scores is not None:
-            top = selection.top_scored_terms(scores, n=20)
+        if mode in fitted:
+            top = selection.top_scored_terms(fitted[mode].scores, n=20)
             _write(out / f"{stem}.csv", _csv_lines(["term", "score"], [(t, f"{s:.6f}") for t, s in top]))
 
-    svd_pipe = by_mode.get("svd")
-    if getattr(svd_pipe, "svd", None) is not None:
+    if "svd" in fitted:
+        svd = fitted["svd"].svd
         vocab = builder.tfidf_model.terms
         term_rows = []
-        for ci, terms in enumerate(reduction.top_terms_per_component(svd_pipe.svd, vocab, components=10, terms=10)):
+        for ci, terms in enumerate(reduction.top_terms_per_component(svd, vocab, components=10, terms=10)):
             for rank, (term, loading) in enumerate(terms):
                 term_rows.append((ci, rank, term, f"{loading:.6f}"))
         _write(out / "svd_top_terms.csv", _csv_lines(["component", "rank", "term", "loading"], term_rows))
-        curve = reduction.explained_variance_curve(svd_pipe.svd)
+        curve = reduction.explained_variance_curve(svd)
         _write(
             out / "explained_variance.csv",
             _csv_lines(["components", "cumulative_ratio"], [(i + 1, f"{v:.8f}") for i, v in enumerate(curve)]),
         )
 
-    pca_pipe = by_mode.get("pca")
-    if getattr(pca_pipe, "model", None) is not None:
-        scatter = _pca_scatter_points(pca_pipe, test_X, dataset.test_labels())
+    if "pca" in fitted:
+        scatter = _pca_scatter_points(fitted["pca"], test_X, dataset.test_labels())
         _write(out / "pca_scatter.csv", _csv_lines(["pc1", "pc2", "label"], scatter))
 
     print(table.render_text())
@@ -165,13 +163,12 @@ def cmd_benchmark_features(cfg: RunConfig) -> int:
 
 def _pca_scatter_points(pca_pipe, test_X, ys):
     """First two principal coordinates of the test rows, with true labels."""
-    dense = pca_pipe._reduced_assembly(test_X, fit=False).to_dense()
-    proj = reduction.project_pca(pca_pipe.projector, dense)
+    proj = pca_pipe.transform(test_X).to_dense()
     second = proj[:, 1] if proj.shape[1] > 1 else np.zeros(len(proj))
     return [(f"{proj[i, 0]:.6f}", f"{second[i]:.6f}", int(ys[i])) for i in range(len(proj))]
 
 
-def cmd_benchmark_models(cfg: RunConfig) -> int:
+def cmd_benchmark_models(cfg: dict) -> int:
     dataset = _prepared_dataset(cfg)
     builder, train_X, test_X = _featurized_split(cfg, dataset)
     out = _out_dir(cfg)
@@ -235,7 +232,7 @@ def _export_activations(out: Path, trained: dict, test_X, test_records) -> None:
             _write(out / "activations_cnn_filters.csv", _csv_lines(["filter", "position", "activation"], rows))
 
 
-def cmd_ensembles(cfg: RunConfig) -> int:
+def cmd_ensembles(cfg: dict) -> int:
     dataset = _prepared_dataset(cfg)
     _, train_X, test_X = _featurized_split(cfg, dataset)
     out = _out_dir(cfg)
@@ -267,7 +264,7 @@ def cmd_ensembles(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_predict(cfg: RunConfig, model_path: str, input_path: str) -> int:
+def cmd_predict(cfg: dict, model_path: str, input_path: str) -> int:
     artifact = ScoringArtifact.load(model_path)
     with open(input_path, "rb") as fh:
         records = corpus.parse_csv(fh, cfg["schema"], require_cvss=False)
@@ -285,64 +282,65 @@ def cmd_predict(cfg: RunConfig, model_path: str, input_path: str) -> int:
     return 0
 
 
-_PLOT_KINDS = ("keywords", "variance", "pca_scatter", "chi2_terms", "mi_terms", "roc", "activations")
+def _activations_chart(rows, net: str) -> str:
+    if net == "ffnn":
+        return plots.heatmap_chart([[float(r[1]) for r in rows]], "merge-layer activations (64 units)", "sample", "unit")
+    grid: dict[int, dict[int, float]] = {}
+    for r in rows:
+        grid.setdefault(int(r[0]), {})[int(r[1])] = float(r[2])
+    matrix = [[grid[f][p] for p in sorted(grid[f])] for f in sorted(grid)]
+    return plots.heatmap_chart(matrix, "convolution feature maps (first 8 filters)", "filter", "position")
 
 
-def cmd_plot(cfg: RunConfig, which: str, model_name: str = "logistic_regression", net: str = "cnn") -> int:
-    out = _out_dir(cfg)
-    sources = {
-        "keywords": out / "keyword_counts.csv",
-        "variance": out / "explained_variance.csv",
-        "pca_scatter": out / "pca_scatter.csv",
-        "chi2_terms": out / "top_terms_chi2.csv",
-        "mi_terms": out / "top_terms_mi.csv",
-        "roc": out / f"roc_{model_name}.csv",
-        "activations": out / ("activations_cnn_filters.csv" if net == "cnn" else "activations_ffnn_merge64.csv"),
+def _plot_kinds(model_name: str, net: str) -> dict:
+    """Each plot kind's source CSV, the SVG it writes, and its chart of the CSV's data rows."""
+
+    def xy(rows):
+        return [float(r[0]) for r in rows], [float(r[1]) for r in rows]
+
+    def bars(title: str, top: int | None = None):
+        return lambda rows: plots.bar_chart([r[0] for r in rows[:top]], [float(r[1]) for r in rows[:top]], title)
+
+    def line(title: str, xlabel: str, ylabel: str):
+        return lambda rows: plots.line_chart(*xy(rows), title, xlabel, ylabel)
+
+    def scatter(rows):
+        title = "test rows in the first two principal coordinates"
+        return plots.scatter_chart(*xy(rows), [int(r[2]) for r in rows], title, "pc1", "pc2")
+
+    activations_csv = "activations_cnn_filters.csv" if net == "cnn" else "activations_ffnn_merge64.csv"
+    return {
+        "keywords": ("keyword_counts.csv", "plot_keywords.svg", bars("most frequent keywords", 10)),
+        "variance": (
+            "explained_variance.csv",
+            "plot_variance.svg",
+            line("cumulative explained variance", "components", "cumulative ratio"),
+        ),
+        "pca_scatter": ("pca_scatter.csv", "plot_pca_scatter.svg", scatter),
+        "chi2_terms": ("top_terms_chi2.csv", "plot_chi2_terms.svg", bars("top terms by chi2 score")),
+        "mi_terms": ("top_terms_mi.csv", "plot_mi_terms.svg", bars("top terms by mi score")),
+        "roc": (
+            f"roc_{model_name}.csv",
+            f"plot_roc_{model_name}.svg",
+            line(f"ROC: {model_name}", "false positive rate", "true positive rate"),
+        ),
+        "activations": (activations_csv, f"plot_activations_{net}.svg", lambda rows: _activations_chart(rows, net)),
     }
-    source = sources[which]
+
+
+_PLOT_KINDS = tuple(_plot_kinds(model_name="", net="cnn"))
+
+
+def cmd_plot(cfg: dict, which: str, model_name: str = "logistic_regression", net: str = "cnn") -> int:
+    out = _out_dir(cfg)
+    source_name, target_name, chart = _plot_kinds(model_name, net)[which]
+    source = out / source_name
     if not source.exists():
         raise TriageError(f"missing prerequisite artifact: {source} (run the producing command first)")
     with open(source, "r", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))[1:]
-
-    if which == "keywords":
-        svg = plots.bar_chart([r[0] for r in rows][:10], [float(r[1]) for r in rows][:10], "most frequent keywords")
-    elif which in ("chi2_terms", "mi_terms"):
-        svg = plots.bar_chart([r[0] for r in rows], [float(r[1]) for r in rows], f"top terms by {which.split('_')[0]} score")
-    elif which == "variance":
-        svg = plots.line_chart(
-            [float(r[0]) for r in rows],
-            [float(r[1]) for r in rows],
-            "cumulative explained variance",
-            "components",
-            "cumulative ratio",
-        )
-    elif which == "roc":
-        svg = plots.line_chart(
-            [float(r[0]) for r in rows], [float(r[1]) for r in rows], f"ROC: {model_name}", "false positive rate", "true positive rate"
-        )
-    elif which == "pca_scatter":
-        svg = plots.scatter_chart(
-            [float(r[0]) for r in rows],
-            [float(r[1]) for r in rows],
-            [int(r[2]) for r in rows],
-            "test rows in the first two principal coordinates",
-            "pc1",
-            "pc2",
-        )
-    else:  # activations
-        if net == "cnn":
-            grid: dict[int, dict[int, float]] = {}
-            for r in rows:
-                grid.setdefault(int(r[0]), {})[int(r[1])] = float(r[2])
-            matrix = [[grid[f][p] for p in sorted(grid[f])] for f in sorted(grid)]
-            svg = plots.heatmap_chart(matrix, "convolution feature maps (first 8 filters)", "filter", "position")
-        else:
-            matrix = [[float(r[1]) for r in rows]]
-            svg = plots.heatmap_chart(matrix, "merge-layer activations (64 units)", "sample", "unit")
-
-    target = out / f"plot_{which}.svg"
-    _write(target, svg)
+    target = out / target_name
+    _write(target, chart(rows))
     print(f"wrote {target}")
     return 0
 
@@ -351,40 +349,36 @@ def cmd_plot(cfg: RunConfig, which: str, model_name: str = "logistic_regression"
 # Argument parsing
 
 
+# Each override flag: its type, the config key it sets, and its help.
+_OVERRIDE_FLAGS = (
+    ("--data", str, "data", "dataset CSV path (overrides config)"),
+    ("--out", str, "out", f"output directory (overrides config and ${OUT_ENV_VAR})"),
+    ("--seed", int, "seed", "master seed (overrides config)"),
+    ("--split", float, "split", "test fraction (overrides config)"),
+    ("--lexicon", str, "lexicon", "keyword lexicon file, one phrase per line"),
+    ("--tfidf-max-features", int, "tfidf.max_features", None),
+    ("--svd-k", int, "svd.k", None),
+    ("--select-k", int, "select.k", None),
+    ("--pca-k", int, "pca.k", None),
+    ("--epochs", int, "net.epochs", None),
+    ("--n-trees", int, "forest.n_trees", None),
+)
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="path to a JSON config file")
-    p.add_argument("--data", help="dataset CSV path (overrides config)")
-    p.add_argument("--out", help=f"output directory (overrides config and ${OUT_ENV_VAR})")
-    p.add_argument("--seed", type=int, help="master seed (overrides config)")
-    p.add_argument("--split", type=float, help="test fraction (overrides config)")
-    p.add_argument("--lexicon", help="keyword lexicon file, one phrase per line")
-    p.add_argument("--tfidf-max-features", type=int, dest="tfidf_max_features")
-    p.add_argument("--svd-k", type=int, dest="svd_k")
-    p.add_argument("--select-k", type=int, dest="select_k")
-    p.add_argument("--pca-k", type=int, dest="pca_k")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--n-trees", type=int, dest="n_trees")
+    for flag, kind, _, help_text in _OVERRIDE_FLAGS:
+        p.add_argument(flag, type=kind, help=help_text)
 
 
-def _config_from_args(args) -> RunConfig:
+def _config_from_args(args) -> dict:
     overrides: dict = {}
-    for key in ("data", "out", "seed", "split", "lexicon"):
-        value = getattr(args, key, None)
+    for flag, _, key, _ in _OVERRIDE_FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None:
-            overrides[key] = value
-    if getattr(args, "tfidf_max_features", None) is not None:
-        overrides["tfidf"] = {"max_features": args.tfidf_max_features}
-    if getattr(args, "svd_k", None) is not None:
-        overrides["svd"] = {"k": args.svd_k}
-    if getattr(args, "select_k", None) is not None:
-        overrides["select"] = {"k": args.select_k}
-    if getattr(args, "pca_k", None) is not None:
-        overrides["pca"] = {"k": args.pca_k}
-    if getattr(args, "epochs", None) is not None:
-        overrides["net"] = {"epochs": args.epochs}
-    if getattr(args, "n_trees", None) is not None:
-        overrides["forest"] = {"n_trees": args.n_trees}
-    return load_config(getattr(args, "config", None), overrides)
+            section, _, name = key.rpartition(".")
+            (overrides.setdefault(section, {}) if section else overrides)[name] = value
+    return load_config(args.config, overrides)
 
 
 def build_parser() -> argparse.ArgumentParser:

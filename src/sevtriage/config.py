@@ -11,7 +11,6 @@ from __future__ import annotations
 import copy
 import json
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -71,24 +70,8 @@ def _merge(base: dict, override: Mapping, path: str = "") -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    values: dict[str, Any] = field(default_factory=lambda: copy.deepcopy(DEFAULTS))
-
-    def __getitem__(self, key: str):
-        return self.values[key]
-
-    @property
-    def seed(self) -> int:
-        return int(self.values["seed"])
-
-    @property
-    def out_dir(self) -> str:
-        return self.values["out"]
-
-
-def load_config(path: str | None = None, overrides: Mapping[str, Any] | None = None) -> RunConfig:
-    """Build a RunConfig from defaults, an optional file, then overrides."""
+def load_config(path: str | None = None, overrides: Mapping[str, Any] | None = None) -> dict[str, Any]:
+    """The config tree: defaults, merged with an optional file, then overrides."""
     values = copy.deepcopy(DEFAULTS)
     if path is not None:
         try:
@@ -109,4 +92,4 @@ def load_config(path: str | None = None, overrides: Mapping[str, Any] | None = N
         raise ConfigError("seed must be a non-negative integer")
     if not 0.0 < float(values["split"]) < 1.0:
         raise ConfigError("split must be in (0, 1)")
-    return RunConfig(values)
+    return values

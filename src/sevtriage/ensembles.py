@@ -181,8 +181,8 @@ def stacking_ensemble(members: dict[str, np.ndarray], plan: dict[str, Member], y
 def run(train_X: FeatureMatrix, y_train, test_X: FeatureMatrix, config: Mapping = DEFAULTS) -> dict[str, EnsembleResult]:
     """Every strategy's result by name, in ``STRATEGIES`` order.
 
-    ``config`` is the run's config tree (a RunConfig or a dict shaped like
-    ``config.DEFAULTS``). Members read its ``seed``, ``ensemble``,
+    ``config`` is the run's config tree, shaped like ``config.DEFAULTS``.
+    Members read its ``seed``, ``ensemble``,
     ``logreg``, ``forest`` and ``knn`` sections; a KNN member's ``k`` is
     clamped to the rows it trains on. Every member is planned
     before any is trained; each distinct one is then fit once, on a row

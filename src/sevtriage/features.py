@@ -314,17 +314,15 @@ def keyword_flags(description: str, lexicon: KeywordLexicon) -> np.ndarray:
     return flags
 
 
-def keyword_frequencies(
-    descriptions: Iterable[str], lexicon: KeywordLexicon, top_k: int = 10
-) -> list[tuple[str, int]]:
-    """Phrases ranked by how many descriptions mention them.
+def keyword_frequencies(X: FeatureMatrix, lexicon: KeywordLexicon, top_k: int = 10) -> list[tuple[str, int]]:
+    """Phrases ranked by how many rows of ``X`` flag them.
 
-    Descending by count, ties alphabetical; at most ``top_k`` entries.
+    ``X`` holds ``lexicon``'s indicator block, whose 0/1 phrase flags
+    follow ``has_cve``. Descending by count, ties alphabetical; at most
+    ``top_k`` entries.
     """
-    counts = [0] * len(lexicon)
-    for text in descriptions:
-        for i in keyword_hits(tokenize(text), lexicon):
-            counts[i] += 1
+    flags = X.select_groups(["indicator"]).data[:, 1:]
+    counts = np.asarray(flags.sum(axis=0), dtype=np.int64).ravel().tolist()
     ranked = sorted(zip(lexicon.phrases, counts), key=lambda kv: (-kv[1], kv[0]))
     return ranked[: max(0, top_k)]
 

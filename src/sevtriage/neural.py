@@ -16,8 +16,8 @@ would, so their bits are the same.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -109,9 +109,9 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.nd
     return rng.uniform(-limit, limit, size=shape)
 
 
-def init_params(spec: NetSpec, vocab_size: int, tab_dim: int, seed: int | None = None) -> dict[str, np.ndarray]:
-    """Seeded parameter dict; key order is fixed so updates are reproducible."""
-    rng = np.random.default_rng(substream(spec.seed if seed is None else seed, "net-init"))
+def init_params(spec: NetSpec, vocab_size: int, tab_dim: int) -> dict[str, np.ndarray]:
+    """Parameters drawn from ``spec.seed``; key order is fixed so updates are reproducible."""
+    rng = np.random.default_rng(substream(spec.seed, "net-init"))
     params: dict[str, np.ndarray] = {}
     params["embed"] = rng.uniform(-0.05, 0.05, size=(vocab_size, spec.embedding_dim))
     if spec.variant == "cnn":
@@ -262,15 +262,17 @@ def _embedding_grad(ids: np.ndarray, demb: np.ndarray, vocab_size: int) -> np.nd
 # Training
 
 
+# Adam's moment decay rates and denominator guard
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 10
     batch: int = 32
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -278,7 +280,6 @@ class TrainedNet:
     spec: NetSpec
     params: dict[str, np.ndarray]
     loss_history: tuple[float, ...]
-    config: TrainConfig
     vocab_size: int
     tab_dim: int
     max_len: int
@@ -295,51 +296,23 @@ class TrainedNet:
         probs, _ = _forward(self.params, self.spec, ids, tab, train=False)
         return probs
 
-    def to_dict(self) -> dict:
-        spec = asdict(self.spec)
-        spec["merge"] = list(self.spec.merge)
-        return {
-            "spec": spec,
-            "params": {k: v.tolist() for k, v in self.params.items()},
-            "loss_history": list(self.loss_history),
-            "config": asdict(self.config),
-            "vocab_size": self.vocab_size,
-            "tab_dim": self.tab_dim,
-            "max_len": self.max_len,
-        }
 
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "TrainedNet":
-        s = dict(d["spec"])
-        s["merge"] = tuple(s["merge"])
-        return cls(
-            spec=NetSpec(**s),
-            params={k: np.asarray(v, dtype=np.float64) for k, v in d["params"].items()},
-            loss_history=tuple(d["loss_history"]),
-            config=TrainConfig(**d["config"]),
-            vocab_size=d["vocab_size"],
-            tab_dim=d["tab_dim"],
-            max_len=d["max_len"],
-        )
-
-
-def train(spec: NetSpec, sequences: PaddedSequences, tabular: np.ndarray, y, config: TrainConfig | None = None) -> TrainedNet:
+def train(spec: NetSpec, sequences: PaddedSequences, tabular: np.ndarray, y, config: TrainConfig) -> TrainedNet:
     """Mini-batch adaptive-moment training on mean binary cross-entropy.
 
     Shuffling, dropout, and initialization each draw from a named
-    substream of ``config.seed``; two runs with the same seed produce
+    substream of ``spec.seed``; two runs with the same seed produce
     bitwise-identical loss histories.
     """
-    config = config or TrainConfig(seed=spec.seed)
     ids = np.asarray(sequences.ids, dtype=np.int64)
     tab = np.asarray(tabular, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
     if not (ids.shape[0] == tab.shape[0] == len(y)):
         raise ShapeError(f"row counts differ: {ids.shape[0]}, {tab.shape[0]}, {len(y)}")
 
-    params = init_params(spec, sequences.vocab_size, tab.shape[1], seed=config.seed)
-    shuffle_rng = np.random.default_rng(substream(config.seed, "shuffle"))
-    drop_rng = np.random.default_rng(substream(config.seed, "dropout"))
+    params = init_params(spec, sequences.vocab_size, tab.shape[1])
+    shuffle_rng = np.random.default_rng(substream(spec.seed, "shuffle"))
+    drop_rng = np.random.default_rng(substream(spec.seed, "dropout"))
     m = {k: np.zeros_like(v) for k, v in params.items()}
     v = {k: np.zeros_like(vv) for k, vv in params.items()}
     keys = sorted(params)
@@ -361,13 +334,13 @@ def train(spec: NetSpec, sequences: PaddedSequences, tabular: np.ndarray, y, con
             step += 1
             for k in keys:
                 g = grads[k]
-                m[k] = config.beta1 * m[k] + (1 - config.beta1) * g
-                v[k] = config.beta2 * v[k] + (1 - config.beta2) * g * g
-                m_hat = m[k] / (1 - config.beta1**step)
-                v_hat = v[k] / (1 - config.beta2**step)
-                params[k] = params[k] - config.lr * m_hat / (np.sqrt(v_hat) + config.eps)
+                m[k] = BETA1 * m[k] + (1 - BETA1) * g
+                v[k] = BETA2 * v[k] + (1 - BETA2) * g * g
+                m_hat = m[k] / (1 - BETA1**step)
+                v_hat = v[k] / (1 - BETA2**step)
+                params[k] = params[k] - config.lr * m_hat / (np.sqrt(v_hat) + EPS)
         history.append(float(np.mean(epoch_losses)))
-    return TrainedNet(spec, params, tuple(history), config, sequences.vocab_size, tab.shape[1], sequences.max_len)
+    return TrainedNet(spec, params, tuple(history), sequences.vocab_size, tab.shape[1], sequences.max_len)
 
 
 # ---------------------------------------------------------------------------

@@ -161,7 +161,7 @@ class LrFeaturePipeline:
             self.selected = selection.select_top_k(self.scores, k=self.select_k)
         return assemble([structured, text.select_columns(self.selected)])
 
-    def _project(self, X: FeatureMatrix, fit: bool, labels=None) -> np.ndarray | FeatureMatrix:
+    def _project(self, X: FeatureMatrix, fit: bool, labels=None) -> FeatureMatrix:
         if self.mode not in ("pca", "lda"):
             return X
         dense = X.to_dense()
@@ -186,9 +186,12 @@ class LrFeaturePipeline:
         self.model = classical.train_logreg(X, labels, **self.logreg)
         return self
 
+    def transform(self, X: FeatureMatrix) -> FeatureMatrix:
+        """The fitted head's view of ``X``: the matrix its model scores."""
+        return self._project(self._reduced_assembly(X, fit=False), fit=False)
+
     def predict_proba(self, X: FeatureMatrix, records):
-        X = self._project(self._reduced_assembly(X, fit=False), fit=False)
-        return self.model.predict_proba(X)
+        return self.model.predict_proba(self.transform(X))
 
     def describe(self) -> str:
         if self.mode == "svd":
@@ -242,7 +245,7 @@ class NeuralPipeline:
         self.max_len, self.vocab_cap = net["max_len"], net["vocab_cap"]
         layers = {key: net[key] for key in ("embedding_dim", "conv_filters", "kernel_width", "tabular_hidden", "dropout")}
         self.spec = neural.NetSpec(variant=variant, merge=tuple(net["merge"]), seed=seed, **layers)
-        self.train_config = neural.TrainConfig(epochs=net["epochs"], batch=net["batch"], lr=net["lr"], seed=seed)
+        self.train_config = neural.TrainConfig(epochs=net["epochs"], batch=net["batch"], lr=net["lr"])
         self.sequences = None
         self.net = None
 
@@ -261,8 +264,8 @@ class NeuralPipeline:
 def feature_benchmark_pipelines(config: Mapping = DEFAULTS) -> list[tuple[str, LrFeaturePipeline]]:
     """The six feature-engineering comparison rows, all with logistic regression.
 
-    ``config`` is the run's config tree (a RunConfig or a dict shaped like
-    ``DEFAULTS``); every head reads its hyperparameters from it.
+    ``config`` is the run's config tree, shaped like ``DEFAULTS``; every
+    head reads its hyperparameters from it.
     """
     pipes = [LrFeaturePipeline(mode, config) for mode in ("baseline", "svd", "chi2", "mi", "pca", "lda")]
     return [(p.describe(), p) for p in pipes]

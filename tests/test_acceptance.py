@@ -226,7 +226,7 @@ class TestCriterion5PropertySuite:
         for variant in ("ffnn", "cnn"):
             spec = neural.NetSpec(variant=variant, embedding_dim=5, conv_filters=4, kernel_width=2,
                                   tabular_hidden=3, merge=(6, 4), dropout=0.0, seed=13)
-            params = neural.init_params(spec, seqs.vocab_size, 3, seed=13)
+            params = neural.init_params(spec, seqs.vocab_size, 3)
             _, grads = neural.loss_and_grads(params, spec, seqs.ids, tab, y)
             h = 1e-6
             for key in sorted(params):

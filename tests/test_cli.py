@@ -268,8 +268,22 @@ class TestPlot:
         out, _, _ = workdir
         rc = main(["plot", "--which", which, "--out", str(out)])
         assert rc == 0
-        svg = (out / f"plot_{which}.svg").read_text()
+        # the default --model-name and --net name the roc and activations files
+        named = {"roc": "plot_roc_logistic_regression.svg", "activations": "plot_activations_cnn.svg"}
+        svg = (out / named.get(which, f"plot_{which}.svg")).read_text()
         assert svg.startswith("<svg ") and svg.rstrip().endswith("</svg>")
+
+    def test_each_net_and_model_keeps_its_own_svg(self, workdir):
+        out, _, _ = workdir
+        for net in ("cnn", "ffnn"):
+            assert main(["plot", "--which", "activations", "--net", net, "--out", str(out)]) == 0
+        for model in ("logistic_regression", "decision_tree"):
+            assert main(["plot", "--which", "roc", "--model-name", model, "--out", str(out)]) == 0
+        names = ["plot_activations_cnn.svg", "plot_activations_ffnn.svg"]
+        names += ["plot_roc_logistic_regression.svg", "plot_roc_decision_tree.svg"]
+        svgs = [(out / name).read_text() for name in names]
+        assert len(set(svgs)) == 4
+        assert "ROC: decision_tree" in svgs[3] and "merge-layer activations" in svgs[1]
 
     def test_keywords_at_most_ten_bars(self, workdir):
         out, _, _ = workdir
@@ -436,7 +450,27 @@ class TestConfigFile:
         cfg_path = tmp_path / "readme.json"
         cfg_path.write_text(blocks[0])
         cfg = load_config(str(cfg_path))
-        assert set(cfg.values) == set(DEFAULTS)
+        assert set(cfg) == set(DEFAULTS)
+
+    def test_each_override_flag_sets_its_key_over_the_file(self, tmp_path):
+        from sevtriage.cli import _config_from_args, build_parser
+
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"seed": 5, "svd": {"k": 9}, "net": {"epochs": 3}}))
+        flags = [
+            ("--data", "feed.csv", "data"), ("--out", "o", "out"), ("--seed", 7, "seed"),
+            ("--split", 0.3, "split"), ("--lexicon", "words.txt", "lexicon"),
+            ("--tfidf-max-features", 40, "tfidf.max_features"), ("--svd-k", 11, "svd.k"),
+            ("--select-k", 12, "select.k"), ("--pca-k", 13, "pca.k"),
+            ("--epochs", 2, "net.epochs"), ("--n-trees", 14, "forest.n_trees"),
+        ]
+        argv = ["ingest", "--config", str(cfg_path)] + [arg for flag, value, _ in flags for arg in (flag, str(value))]
+        cfg = _config_from_args(build_parser().parse_args(argv))
+        for flag, value, key in flags:
+            section, _, name = key.rpartition(".")
+            got = (cfg[section] if section else cfg)[name]
+            assert (type(got), got) == (type(value), value), flag
+        assert cfg["tfidf"]["ngram_hi"] == 2 and cfg["net"]["lr"] == 1e-3  # the sections' other keys stay
 
     def test_file_values_used_and_flags_override(self, tmp_path, synthetic_csv, capsys):
         cfg = tmp_path / "run.json"

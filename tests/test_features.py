@@ -87,20 +87,41 @@ class TestKeywordFlags:
             KeywordLexicon(("one two three four five",))
 
 
+def _indicators(descriptions, lex, cve_id=None) -> FeatureMatrix:
+    """The indicator block of one record per description."""
+    records = [_rec(cve_id=cve_id, description=d) for d in descriptions]
+    return features.assemble([features.indicator_block(records, lex, [features.tokenize(d) for d in descriptions])])
+
+
 class TestKeywordFrequencies:
     def test_counts_records_not_occurrences(self):
         lex = KeywordLexicon(("xss", "rce"))
         descriptions = ["xss and xss again", "xss", "xss"]
-        assert features.keyword_frequencies(descriptions, lex)[0] == ("xss", 3)
+        assert features.keyword_frequencies(_indicators(descriptions, lex), lex)[0] == ("xss", 3)
 
     def test_top_k_clamps(self):
         lex = KeywordLexicon(("xss", "rce"))
-        assert len(features.keyword_frequencies(["xss rce"], lex, top_k=10)) == 2
+        assert len(features.keyword_frequencies(_indicators(["xss rce"], lex), lex, top_k=10)) == 2
 
     def test_ties_alphabetical(self):
         lex = KeywordLexicon(("zz", "aa"))
-        ranked = features.keyword_frequencies(["aa zz"], lex)
+        ranked = features.keyword_frequencies(_indicators(["aa zz"], lex), lex)
         assert ranked == [("aa", 1), ("zz", 1)]
+
+    def test_cve_flag_not_counted(self):
+        lex = KeywordLexicon(("xss", "rce"))
+        X = _indicators(["xss", "nothing here"], lex, cve_id="CVE-2024-0001")
+        assert features.keyword_frequencies(X, lex) == [("xss", 1), ("rce", 0)]
+
+    def test_assembled_matrix_counts_match_descriptions(self, synthetic_dataset):
+        records = synthetic_dataset.train_records()
+        builder = FeatureBuilder().fit(records)
+        counts = [0] * len(builder.lexicon)
+        for r in records:
+            for i in features.keyword_hits(features.tokenize(r.description), builder.lexicon):
+                counts[i] += 1
+        want = sorted(zip(builder.lexicon.phrases, counts), key=lambda kv: (-kv[1], kv[0]))[:10]
+        assert features.keyword_frequencies(builder.transform(records), builder.lexicon, top_k=10) == want
 
 
 # Frozen outputs of a hand-applied oracle over the corpus

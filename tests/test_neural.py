@@ -113,15 +113,15 @@ class TestForward:
         assert strong > weak
 
     def test_inference_repeatable_bitwise(self, seqs, tabular):
-        spec = small_spec("cnn", dropout=0.5)  # dropout must not leak into inference
-        net = neural.train(spec, seqs, tabular, LABELS, neural.TrainConfig(epochs=2, batch=4, seed=1))
+        spec = small_spec("cnn", seed=1, dropout=0.5)  # dropout must not leak into inference
+        net = neural.train(spec, seqs, tabular, LABELS, neural.TrainConfig(epochs=2, batch=4))
         a = net.predict_proba(seqs.ids, tabular)
         b = net.predict_proba(seqs.ids, tabular)
         assert np.array_equal(a, b)
 
     def test_shape_mismatch_raises(self, seqs, tabular):
-        spec = small_spec("ffnn")
-        net = neural.train(spec, seqs, tabular, LABELS, neural.TrainConfig(epochs=1, batch=4, seed=0))
+        spec = small_spec("ffnn", seed=0)
+        net = neural.train(spec, seqs, tabular, LABELS, neural.TrainConfig(epochs=1, batch=4))
         with pytest.raises(ShapeError):
             net.predict_proba(seqs.ids[:, :4], tabular)
 
@@ -130,7 +130,7 @@ class TestGradients:
     @pytest.mark.parametrize("variant", ["ffnn", "cnn"])
     def test_analytic_gradients_match_finite_differences(self, variant, seqs, tabular):
         spec = small_spec(variant, seed=11)
-        params = neural.init_params(spec, seqs.vocab_size, tabular.shape[1], seed=11)
+        params = neural.init_params(spec, seqs.vocab_size, tabular.shape[1])
         ids4, tab4, y4 = seqs.ids[:4], tabular[:4], LABELS[:4].astype(float)
         _, grads = neural.loss_and_grads(params, spec, ids4, tab4, y4)
         h = 1e-6
@@ -154,14 +154,14 @@ class TestTraining:
     def test_toy_task_reaches_perfect_training_accuracy(self, seqs, tabular):
         for variant in ("ffnn", "cnn"):
             spec = small_spec(variant, seed=3)
-            cfg = neural.TrainConfig(epochs=200, batch=8, lr=0.02, seed=3)
+            cfg = neural.TrainConfig(epochs=200, batch=8, lr=0.02)
             net = neural.train(spec, seqs, tabular, LABELS, cfg)
             preds = (net.predict_proba(seqs.ids, tabular) >= 0.5).astype(int)
             assert np.array_equal(preds, LABELS), variant
 
     def test_identical_seeds_identical_loss_history(self, seqs, tabular):
-        spec = small_spec("cnn", dropout=0.3)
-        cfg = neural.TrainConfig(epochs=4, batch=4, seed=21)
+        spec = small_spec("cnn", seed=21, dropout=0.3)
+        cfg = neural.TrainConfig(epochs=4, batch=4)
         a = neural.train(spec, seqs, tabular, LABELS, cfg)
         b = neural.train(spec, seqs, tabular, LABELS, cfg)
         assert a.loss_history == b.loss_history
@@ -169,24 +169,19 @@ class TestTraining:
 
     def test_small_lr_first_epoch_decreases_loss(self, seqs, tabular):
         spec = small_spec("ffnn", seed=6)
-        initial_params = neural.init_params(spec, seqs.vocab_size, tabular.shape[1], seed=6)
+        initial_params = neural.init_params(spec, seqs.vocab_size, tabular.shape[1])
         initial_loss, _ = neural.loss_and_grads(initial_params, spec, seqs.ids, tabular, LABELS.astype(float))
-        net = neural.train(spec, seqs, tabular, LABELS, neural.TrainConfig(epochs=1, batch=8, lr=1e-4, seed=6))
+        net = neural.train(spec, seqs, tabular, LABELS, neural.TrainConfig(epochs=1, batch=8, lr=1e-4))
         after_loss, _ = neural.loss_and_grads(net.params, spec, seqs.ids, tabular, LABELS.astype(float))
         assert after_loss < initial_loss
 
     def test_loss_history_length_equals_epochs(self, seqs, tabular):
-        net = neural.train(small_spec("ffnn"), seqs, tabular, LABELS, neural.TrainConfig(epochs=5, batch=4, seed=2))
+        net = neural.train(small_spec("ffnn", seed=2), seqs, tabular, LABELS, neural.TrainConfig(epochs=5, batch=4))
         assert len(net.loss_history) == 5
 
     def test_row_count_mismatch_raises(self, seqs, tabular):
         with pytest.raises(ShapeError):
-            neural.train(small_spec("ffnn"), seqs, tabular[:3], LABELS, neural.TrainConfig(epochs=1, seed=0))
-
-    def test_json_roundtrip_preserves_predictions(self, seqs, tabular):
-        net = neural.train(small_spec("cnn"), seqs, tabular, LABELS, neural.TrainConfig(epochs=2, batch=4, seed=8))
-        back = neural.TrainedNet.from_dict(net.to_dict())
-        assert np.allclose(back.predict_proba(seqs.ids, tabular), net.predict_proba(seqs.ids, tabular))
+            neural.train(small_spec("ffnn", seed=0), seqs, tabular[:3], LABELS, neural.TrainConfig(epochs=1))
 
 
 @pytest.fixture(scope="module")
@@ -195,7 +190,7 @@ def nets(seqs, tabular):
     for variant in ("ffnn", "cnn"):
         spec = neural.NetSpec(variant=variant, embedding_dim=6, conv_filters=32, kernel_width=3,
                               tabular_hidden=4, merge=(64, 32), dropout=0.0, seed=4)
-        out[variant] = neural.train(spec, seqs, tabular, LABELS, neural.TrainConfig(epochs=1, batch=8, seed=4))
+        out[variant] = neural.train(spec, seqs, tabular, LABELS, neural.TrainConfig(epochs=1, batch=8))
     return out
 
 
@@ -214,7 +209,7 @@ class TestActivations:
     def test_zero_parameter_net_zero_activations(self, seqs, tabular):
         spec = small_spec("cnn")
         params = {k: np.zeros_like(v) for k, v in neural.init_params(spec, seqs.vocab_size, tabular.shape[1]).items()}
-        net = neural.TrainedNet(spec, params, (0.0,), neural.TrainConfig(), seqs.vocab_size, tabular.shape[1], seqs.max_len)
+        net = neural.TrainedNet(spec, params, (0.0,), seqs.vocab_size, tabular.shape[1], seqs.max_len)
         for layer in ("text_pool", "tabular_hidden", "merge_0", "merge_1"):
             assert not neural.activations(net, layer, (seqs.ids[0], tabular[0])).any()
 
@@ -298,7 +293,7 @@ class TestOracleBits:
     @pytest.mark.parametrize("dead", [False, True], ids=["live", "dead_filters"])
     def test_gradients_equal_oracle(self, variant, train, dead, seqs, tabular):
         spec = default_shape_spec(variant)
-        params = neural.init_params(spec, seqs.vocab_size, tabular.shape[1], seed=13)
+        params = neural.init_params(spec, seqs.vocab_size, tabular.shape[1])
         if dead:
             # units that never fire: their gradients are zeros of either sign
             params["tab_b"][:2] = -100.0
@@ -316,7 +311,7 @@ class TestOracleBits:
     @pytest.mark.parametrize("variant", ["ffnn", "cnn"])
     def test_training_equals_oracle(self, variant, seqs, tabular, monkeypatch):
         spec = default_shape_spec(variant)
-        cfg = neural.TrainConfig(epochs=3, batch=3, seed=13)
+        cfg = neural.TrainConfig(epochs=3, batch=3)
         net = neural.train(spec, seqs, tabular, LABELS, cfg)
         monkeypatch.setattr(neural, "loss_and_grads", oracle_loss_and_grads)
         want = neural.train(spec, seqs, tabular, LABELS, cfg)
@@ -378,5 +373,5 @@ class TestNoMutation:
         tab = np.asarray(np.random.default_rng(5).random((len(TEXTS), 3)), order=order)
         y = LABELS.copy()
         before = [(a.tobytes(order="A"), a.flags.f_contiguous) for a in (seqs.ids, tab, y)]
-        neural.train(small_spec(variant, dropout=0.3), seqs, tab, y, neural.TrainConfig(epochs=2, batch=3, seed=1))
+        neural.train(small_spec(variant, seed=1, dropout=0.3), seqs, tab, y, neural.TrainConfig(epochs=2, batch=3))
         assert [(a.tobytes(order="A"), a.flags.f_contiguous) for a in (seqs.ids, tab, y)] == before

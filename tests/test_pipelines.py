@@ -188,7 +188,7 @@ class TestModelPipelines:
         for variant in ("ffnn", "cnn"):
             pipe = nets[variant]
             assert pipe.spec.variant == variant and pipe.spec.merge == (16,)
-            assert pipe.spec.seed == pipe.train_config.seed == substream(3, f"net-{variant}")
+            assert pipe.spec.seed == substream(3, f"net-{variant}")
             assert (pipe.train_config.epochs, pipe.train_config.lr, pipe.max_len) == (2, 0.01, 20)
 
     def test_classical_kinds_fit_and_score(self, split, featurized):
