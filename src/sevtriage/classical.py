@@ -193,8 +193,6 @@ class TreeModel:
 
     nodes: tuple[dict, ...]
     n_features: int
-    max_depth: int | None
-    min_samples_leaf: int
     # per node: split feature, threshold, left, right, leaf flag, leaf probability; built once from ``nodes``
     routing: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
@@ -218,18 +216,6 @@ class TreeModel:
             at[active] = np.where(mat[active, feature[node]] <= threshold[node], left[node], right[node])
             active = active[~leaf[at[active]]]
         return prob[at]
-
-    def to_dict(self) -> dict:
-        return {
-            "nodes": list(self.nodes),
-            "n_features": self.n_features,
-            "max_depth": self.max_depth,
-            "min_samples_leaf": self.min_samples_leaf,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "TreeModel":
-        return cls(tuple(d["nodes"]), d["n_features"], d["max_depth"], d["min_samples_leaf"])
 
 
 def _gini(counts1: np.ndarray, size: np.ndarray) -> np.ndarray:
@@ -333,7 +319,7 @@ def train_tree(
     nodes: list[dict | None] = []
     XT = np.ascontiguousarray(mat.T)
     _grow(XT, y, rows, 0, nodes, max_depth, min_samples_leaf, _rng, _max_features)
-    return TreeModel(tuple(nodes), mat.shape[1], max_depth, min_samples_leaf)
+    return TreeModel(tuple(nodes), mat.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +330,6 @@ def train_tree(
 class ForestModel:
     trees: tuple[TreeModel, ...]
     tree_seeds: tuple[int, ...]
-    features_per_split: str | float
 
     @property
     def n_features(self) -> int:
@@ -354,21 +339,6 @@ class ForestModel:
         mat = _as_dense(X)
         per_tree = np.stack([t.predict_proba(mat) for t in self.trees])
         return per_tree.mean(axis=0)
-
-    def to_dict(self) -> dict:
-        return {
-            "trees": [t.to_dict() for t in self.trees],
-            "tree_seeds": list(self.tree_seeds),
-            "features_per_split": self.features_per_split,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "ForestModel":
-        return cls(
-            tuple(TreeModel.from_dict(t) for t in d["trees"]),
-            tuple(d["tree_seeds"]),
-            d["features_per_split"],
-        )
 
 
 def _mtry(features_per_split, d: int) -> int:
@@ -484,7 +454,7 @@ def train_forest(
                 raise FitError(f"the process growing trees {first}-{last} exited without sending them") from None
             if isinstance(result, Exception):
                 raise result
-            trees.extend(TreeModel(nodes, d, max_depth, min_samples_leaf) for nodes in result)
+            trees.extend(TreeModel(nodes, d) for nodes in result)
     except BaseException:
         for proc, *_ in children:
             proc.terminate()
@@ -493,7 +463,7 @@ def train_forest(
         for proc, recv, *_ in children:
             recv.close()
             proc.join()
-    return ForestModel(tuple(trees), seeds, features_per_split)
+    return ForestModel(tuple(trees), seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -520,17 +490,6 @@ class KnnModel:
             order = np.lexsort((np.arange(n), dists))  # distance ties: lower index first
             out[i] = float(np.mean(self.y_train[order[: self.k]]))
         return out
-
-    def to_dict(self) -> dict:
-        return {"X_train": self.X_train.tolist(), "y_train": self.y_train.tolist(), "k": self.k}
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "KnnModel":
-        return cls(
-            np.asarray(d["X_train"], dtype=np.float64),
-            np.asarray(d["y_train"], dtype=np.int64),
-            d["k"],
-        )
 
 
 def train_knn(X, y, k: int = 5) -> KnnModel:

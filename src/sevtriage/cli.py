@@ -163,7 +163,7 @@ def cmd_benchmark_features(cfg: dict) -> int:
 
 def _pca_scatter_points(pca_pipe, test_X, ys):
     """First two principal coordinates of the test rows, with true labels."""
-    proj = pca_pipe.transform(test_X).to_dense()
+    proj = pca_pipe.transform(test_X).toarray()
     second = proj[:, 1] if proj.shape[1] > 1 else np.zeros(len(proj))
     return [(f"{proj[i, 0]:.6f}", f"{second[i]:.6f}", int(ys[i])) for i in range(len(proj))]
 

@@ -70,6 +70,16 @@ def _merge(base: dict, override: Mapping, path: str = "") -> dict:
     return out
 
 
+def _check(values: Mapping, key: str, kind: type, holds, rule: str) -> None:
+    """Raise ConfigError naming ``key`` unless its value converts by ``kind`` to one that ``holds``."""
+    try:
+        ok = holds(kind(values[key]))
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ConfigError(f"config key {key!r} must be {rule}, got {values[key]!r}")
+
+
 def load_config(path: str | None = None, overrides: Mapping[str, Any] | None = None) -> dict[str, Any]:
     """The config tree: defaults, merged with an optional file, then overrides."""
     values = copy.deepcopy(DEFAULTS)
@@ -88,8 +98,6 @@ def load_config(path: str | None = None, overrides: Mapping[str, Any] | None = N
     env_out = os.environ.get(OUT_ENV_VAR)
     if env_out and (not overrides or overrides.get("out") is None):
         values["out"] = env_out
-    if values["seed"] is None or int(values["seed"]) < 0:
-        raise ConfigError("seed must be a non-negative integer")
-    if not 0.0 < float(values["split"]) < 1.0:
-        raise ConfigError("split must be in (0, 1)")
+    _check(values, "seed", int, lambda seed: seed >= 0, "a non-negative integer")
+    _check(values, "split", float, lambda split: 0.0 < split < 1.0, "in (0, 1)")
     return values

@@ -1,9 +1,10 @@
 """Feature engineering: named, group-tagged sparse matrices.
 
 Blocks are built per source (vendor one-hot, binary indicators, TF-IDF
-text) and assembled by horizontal concatenation into one matrix whose
-columns carry both a name and a group tag. All fitted models here are
-frozen after fit; transforms are read-only and thread-safe.
+text) and assembled by horizontal concatenation, in the order given, into
+one matrix whose columns carry both a name and one of three group tags
+(``GROUPS``). All fitted models here are frozen after fit; transforms are
+read-only and thread-safe.
 
 Each block makes one pass over its rows and writes its CSR arrays
 (``indptr``/``indices``/``data``) directly, in the manner of
@@ -13,8 +14,8 @@ keyword is found by looking its token tuple up in the set of the
 record's k-grams. Blocks are not validated; :func:`assemble` validates
 the one matrix it returns. A caller that assembles the same blocks again
 and again passes the :class:`Columns` it derived once (a fitted
-``FeatureBuilder`` fixes them at fit and at load), so column names,
-groups and their order are not rebuilt per call.
+``FeatureBuilder`` fixes them at fit and at load), so column names and
+groups are not rebuilt per call.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ import scipy.sparse as sp
 from .corpus import DisclosureRecord, decode_utf8
 from .errors import ConfigError, FitError, RowError, ShapeError
 
-GROUPS = ("vendor", "indicator", "text", "reduced")
-_GROUP_RANK = {g: i for i, g in enumerate(GROUPS)}
+GROUPS = ("vendor", "indicator", "text")
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 _CVE_RE = re.compile(r"CVE-\d{4}-\d{4,}")
@@ -93,12 +93,6 @@ class FeatureMatrix:
         array = np.atleast_2d(np.asarray(array, dtype=np.float64))
         groups = (group,) * array.shape[1] if isinstance(group, str) else tuple(group)
         return cls(sp.csr_matrix(array), tuple(names), groups)
-
-    @classmethod
-    def from_csr(cls, mat: sp.spmatrix, names: Sequence[str], group: str | Sequence[str]) -> "FeatureMatrix":
-        mat = sp.csr_matrix(mat, dtype=np.float64)
-        groups = (group,) * mat.shape[1] if isinstance(group, str) else tuple(group)
-        return cls(mat, tuple(names), groups)
 
     @property
     def n_rows(self) -> int:
@@ -191,23 +185,18 @@ def _block(indptr, indices, values, names: tuple[str, ...], group: str) -> Block
 
 @dataclass(frozen=True)
 class Columns:
-    """The names, groups and group order of an assembled matrix.
-
-    ``order`` permutes the concatenated columns into group order; it is
-    None when they are in group order already.
-    """
+    """The names and groups of an assembled matrix."""
 
     names: tuple[str, ...]
     groups: tuple[str, ...]
-    order: list[int] | None
 
 
 def assembled_columns(parts: Sequence[tuple[Sequence[str], Sequence[str]]]) -> Columns:
     """Columns of the assembly of blocks given as (names, groups) pairs.
 
-    Columns are stably reordered so groups appear as vendor, indicator,
-    text, reduced; names get a ``group__`` prefix (idempotently), so
-    assembling already-assembled matrices never double-prefixes.
+    Columns keep the order of the blocks given; names get a ``group__``
+    prefix (idempotently), so assembling already-assembled matrices never
+    double-prefixes.
     """
     names = []
     groups = []
@@ -216,14 +205,11 @@ def assembled_columns(parts: Sequence[tuple[Sequence[str], Sequence[str]]]) -> C
             prefix = f"{g}__"
             names.append(name if name.startswith(prefix) else prefix + name)
             groups.append(g)
-    order = sorted(range(len(groups)), key=lambda j: _GROUP_RANK[groups[j]])
-    if order == list(range(len(order))):
-        return Columns(tuple(names), tuple(groups), None)
-    return Columns(tuple(names[j] for j in order), tuple(groups[j] for j in order), order)
+    return Columns(tuple(names), tuple(groups))
 
 
 def assemble(blocks: Sequence[Block | FeatureMatrix], columns: Columns | None = None) -> FeatureMatrix:
-    """Concatenate blocks horizontally into one group-ordered, validated matrix.
+    """Concatenate blocks horizontally, in the order given, into one validated matrix.
 
     ``columns`` is :func:`assembled_columns` of these blocks, for a
     caller that assembles blocks of the same columns repeatedly; without
@@ -240,10 +226,7 @@ def assemble(blocks: Sequence[Block | FeatureMatrix], columns: Columns | None = 
     width = sum(b.n_cols for b in blocks)
     if width != len(columns.names):
         raise ShapeError(f"blocks have {width} columns but the layout has {len(columns.names)}")
-    data = sp.hstack([b.data for b in blocks], format="csr")
-    if columns.order is not None:
-        data = sp.csr_matrix(data[:, columns.order])
-    return FeatureMatrix(data, columns.names, columns.groups)
+    return FeatureMatrix(sp.hstack([b.data for b in blocks], format="csr"), columns.names, columns.groups)
 
 
 # ---------------------------------------------------------------------------
@@ -307,13 +290,6 @@ def keyword_hits(tokens: Sequence[str], lexicon: KeywordLexicon) -> list[int]:
     return [i for i, phrase in enumerate(lexicon.tokens) if phrase in grams]
 
 
-def keyword_flags(description: str, lexicon: KeywordLexicon) -> np.ndarray:
-    """Binary vector: flag i is 1 iff phrase i occurs as a contiguous token run."""
-    flags = np.zeros(len(lexicon), dtype=np.int64)
-    flags[keyword_hits(tokenize(description), lexicon)] = 1
-    return flags
-
-
 def keyword_frequencies(X: FeatureMatrix, lexicon: KeywordLexicon, top_k: int = 10) -> list[tuple[str, int]]:
     """Phrases ranked by how many rows of ``X`` flag them.
 
@@ -370,15 +346,6 @@ class VendorEncoder:
 
 def fit_vendor(records: Sequence[DisclosureRecord]) -> VendorEncoder:
     return VendorEncoder(tuple(sorted({r.vendor for r in records})))
-
-
-def encode_vendor(encoder: VendorEncoder, record: DisclosureRecord) -> np.ndarray:
-    """One 1 for a known vendor, all zeros for an unseen one."""
-    vec = np.zeros(len(encoder.categories), dtype=np.float64)
-    j = encoder.index.get(record.vendor)
-    if j is not None:
-        vec[j] = 1.0
-    return vec
 
 
 def vendor_block(encoder: VendorEncoder, records: Sequence[DisclosureRecord]) -> Block:

@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import classical, features, neural, reduction, selection
 from .config import DEFAULTS
@@ -44,7 +45,7 @@ class FeatureBuilder:
     """Vendor one-hot + indicator + TF-IDF blocks, fit on training records.
 
     ``tfidf`` is the config tree's ``tfidf`` section. ``columns`` (the
-    assembled names, groups and order) is fixed when the builder is fitted
+    assembled names and groups) is fixed when the builder is fitted
     or loaded; ``transform`` tokenizes each description once and shares
     the tokens between the indicator and text blocks.
     """
@@ -94,20 +95,17 @@ class FeatureBuilder:
                 "ngram_range": [self.tfidf["ngram_lo"], self.tfidf["ngram_hi"]],
                 "max_features": self.tfidf["max_features"],
             },
-            "tfidf_model": self.tfidf_model.to_dict() if self.tfidf_model else None,
-            "vendor_encoder": self.vendor_encoder.to_dict() if self.vendor_encoder else None,
+            "tfidf_model": self.tfidf_model.to_dict(),
+            "vendor_encoder": self.vendor_encoder.to_dict(),
         }
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "FeatureBuilder":
         (lo, hi), max_features = d["tfidf_config"]["ngram_range"], d["tfidf_config"]["max_features"]
         fb = cls(KeywordLexicon(tuple(d["lexicon"])), {"ngram_lo": lo, "ngram_hi": hi, "max_features": max_features})
-        if d.get("tfidf_model"):
-            fb.tfidf_model = TfidfModel.from_dict(d["tfidf_model"])
-        if d.get("vendor_encoder"):
-            fb.vendor_encoder = VendorEncoder.from_dict(d["vendor_encoder"])
-        if fb.tfidf_model is not None and fb.vendor_encoder is not None:
-            fb._fix_columns()
+        fb.tfidf_model = TfidfModel.from_dict(d["tfidf_model"])
+        fb.vendor_encoder = VendorEncoder.from_dict(d["vendor_encoder"])
+        fb._fix_columns()
         return fb
 
 
@@ -142,41 +140,35 @@ class LrFeaturePipeline:
 
     # -- feature-space plumbing ---------------------------------------------
 
-    def _reduced_assembly(self, X: FeatureMatrix, fit: bool, labels=None) -> FeatureMatrix:
+    def _reduced_assembly(self, X: FeatureMatrix, fit: bool, labels=None):
         if self.mode == "baseline":
             return X
         text = X.select_groups(["text"])
-        structured = X.select_groups(["vendor", "indicator"])
+        structured = X.select_groups(["vendor", "indicator"]).data
         if self.mode in ("svd", "pca", "lda"):
             if fit:
                 self.effective_k = _clamped(self.svd_k, text.n_rows, text.n_cols)
                 self.svd = reduction.fit_truncated_svd(text, k=self.effective_k, seed=substream(self.seed, "svd"))
-            proj = reduction.project_svd(self.svd, text)
-            reduced = FeatureMatrix.from_dense(proj, [f"svd_{i:03d}" for i in range(proj.shape[1])], "reduced")
-            return assemble([structured, reduced])
+            return sp.hstack([structured, sp.csr_matrix(reduction.project_svd(self.svd, text))], format="csr")
         # chi2 / mi keep a subset of text columns
         if fit:
             score_fn = selection.chi2_scores if self.mode == "chi2" else selection.mutual_info_scores
             self.scores = score_fn(text, labels)
             self.selected = selection.select_top_k(self.scores, k=self.select_k)
-        return assemble([structured, text.select_columns(self.selected)])
+        return sp.hstack([structured, text.data[:, self.selected]], format="csr")
 
-    def _project(self, X: FeatureMatrix, fit: bool, labels=None) -> FeatureMatrix:
+    def _project(self, X, fit: bool, labels=None):
         if self.mode not in ("pca", "lda"):
             return X
-        dense = X.to_dense()
+        dense = X.toarray()
         if self.mode == "pca":
             if fit:
                 k = _clamped(self.pca_k, dense.shape[0] - 1, dense.shape[1])
                 self.projector = reduction.fit_pca(dense, k=k)
-            return FeatureMatrix.from_dense(
-                reduction.project_pca(self.projector, dense),
-                [f"pc_{i:03d}" for i in range(self.projector.k)],
-                "reduced",
-            )
+            return sp.csr_matrix(reduction.project_pca(self.projector, dense))
         if fit:
             self.projector = reduction.fit_lda(dense, labels)
-        return FeatureMatrix.from_dense(reduction.project_lda(self.projector, dense), ["lda_0"], "reduced")
+        return sp.csr_matrix(reduction.project_lda(self.projector, dense))
 
     # -- pipeline surface ----------------------------------------------------
 
@@ -186,8 +178,13 @@ class LrFeaturePipeline:
         self.model = classical.train_logreg(X, labels, **self.logreg)
         return self
 
-    def transform(self, X: FeatureMatrix) -> FeatureMatrix:
-        """The fitted head's view of ``X``: the matrix its model scores."""
+    def transform(self, X: FeatureMatrix):
+        """The fitted head's view of ``X``: the matrix its model scores.
+
+        That is ``X`` itself for the baseline and a CSR matrix for the
+        other modes: the vendor and indicator columns, then the kept text
+        columns or the SVD projection, or the PCA or LDA projection alone.
+        """
         return self._project(self._reduced_assembly(X, fit=False), fit=False)
 
     def predict_proba(self, X: FeatureMatrix, records):
@@ -287,17 +284,9 @@ def model_benchmark_pipelines(config: Mapping = DEFAULTS) -> list[tuple[str, obj
 # Saved scoring artifact (featurizer + model) for the predict command
 
 
-_MODEL_CODECS = {
-    "LogRegModel": classical.LogRegModel,
-    "TreeModel": classical.TreeModel,
-    "ForestModel": classical.ForestModel,
-    "KnnModel": classical.KnnModel,
-}
-
-
 @dataclass
 class ScoringArtifact:
-    """Everything needed to score new records with a trained pipeline.
+    """Everything needed to score new records: a fitted featurizer and a logistic regression.
 
     The builder's column count, fixed when it was fitted or loaded, must
     equal the model's input width; an artifact that disagrees is refused
@@ -305,16 +294,14 @@ class ScoringArtifact:
     """
 
     builder: FeatureBuilder
-    model: object
+    model: classical.LogRegModel
 
     def __post_init__(self):
         if self.builder.columns is None:
             raise ConfigError("scoring artifact needs a fitted FeatureBuilder")
         built, expected = len(self.builder.columns.names), self.model.n_features
         if built != expected:
-            raise ShapeError(
-                f"artifact's featurizer makes {built} columns but its {type(self.model).__name__} expects {expected}"
-            )
+            raise ShapeError(f"artifact's featurizer makes {built} columns but its LogRegModel expects {expected}")
 
     def predict(self, records) -> tuple[np.ndarray, np.ndarray]:
         X = self.builder.transform(records)
@@ -324,7 +311,7 @@ class ScoringArtifact:
     def save(self, path) -> None:
         payload = {
             "builder": self.builder.to_dict(),
-            "model_kind": type(self.model).__name__,
+            "model_kind": "LogRegModel",
             "model": self.model.to_dict(),
         }
         with open(path, "w", encoding="utf-8") as fh:
@@ -336,9 +323,9 @@ class ScoringArtifact:
         try:
             payload = json.loads(decode_utf8(Path(path).read_bytes()))
             kind, builder, model = payload["model_kind"], payload["builder"], payload["model"]
-            if kind not in _MODEL_CODECS:
+            if kind != "LogRegModel":
                 raise ConfigError(f"model artifact {path}: unsupported model kind {kind!r}")
-            return cls(FeatureBuilder.from_dict(builder), _MODEL_CODECS[kind].from_dict(model))
+            return cls(FeatureBuilder.from_dict(builder), classical.LogRegModel.from_dict(model))
         except RowError as exc:
             raise ConfigError(f"model artifact {path}: {exc}") from None
         except json.JSONDecodeError as exc:

@@ -339,7 +339,7 @@ class TestDecisionTree:
 
     def test_leaf_fraction_probability(self):
         nodes = ({"counts": [2, 6]},)
-        model = classical.TreeModel(nodes, 1, None, 1)
+        model = classical.TreeModel(nodes, 1)
         assert model.predict_proba(np.zeros((1, 1)))[0] == 0.75
 
     def test_training_rows_land_in_leaves_containing_them(self):
@@ -427,11 +427,13 @@ class TestRandomForest:
         forest = classical.train_forest(X, y, n_trees=20, seed=5)
         assert len(set(forest.tree_seeds)) == 20
 
-    def test_json_roundtrip(self):
-        X, y = self._noisy_instance()
-        forest = classical.train_forest(X, y, n_trees=3, seed=2)
-        back = classical.ForestModel.from_dict(forest.to_dict())
-        assert np.array_equal(back.predict_proba(X), forest.predict_proba(X))
+
+def _leaf_depths_and_sizes(nodes, at=0, depth=0):
+    """(depth, training rows) of every leaf under node ``at``."""
+    node = nodes[at]
+    if "counts" in node:
+        return [(depth, sum(node["counts"]))]
+    return _leaf_depths_and_sizes(nodes, node["left"], depth + 1) + _leaf_depths_and_sizes(nodes, node["right"], depth + 1)
 
 
 def _cpus_and_trees_in_worker(X, y):
@@ -474,9 +476,12 @@ class TestForestWorkers:
         nodes = {repr([t.nodes for t in f.trees]) for f in forests}
         assert len(nodes) == 1
         assert len({f.tree_seeds for f in forests}) == 1
-        assert {(t.n_features, t.max_depth, t.min_samples_leaf) for f in forests for t in f.trees} == {
-            (4, kwargs.get("max_depth"), kwargs.get("min_samples_leaf", 1))
-        }
+        assert {t.n_features for f in forests for t in f.trees} == {4}
+        if "max_depth" in kwargs:
+            # trees grown in forked children keep the depth and leaf-size limits too
+            leaves = [leaf for f in forests for t in f.trees for leaf in _leaf_depths_and_sizes(t.nodes)]
+            assert max(depth for depth, _ in leaves) <= kwargs["max_depth"]
+            assert min(size for _, size in leaves) >= kwargs["min_samples_leaf"]
 
     @pytest.mark.parametrize("where", ["child", "parent"])
     @pytest.mark.parametrize("error", [ShapeError, ConfigError])
@@ -541,13 +546,6 @@ class TestKnn:
     def test_k_out_of_range_raises(self):
         with pytest.raises(ConfigError):
             classical.train_knn(np.ones((3, 1)), np.array([0, 1, 0]), k=4)
-
-    def test_json_roundtrip_embeds_training_matrix(self):
-        X = np.array([[0.0], [1.0]])
-        model = classical.train_knn(X, np.array([0, 1]), k=1)
-        back = classical.KnnModel.from_dict(model.to_dict())
-        assert np.array_equal(back.X_train, X)
-        assert np.array_equal(back.predict_proba(X), model.predict_proba(X))
 
 
 # ---------------------------------------------------------------------------

@@ -249,9 +249,16 @@ class TestPredict:
         assert rc != 0
 
     @pytest.mark.parametrize(
-        "content", [b"not json at all\n", b'{"builder": {}}', b'{"model_kind": "\xff"}'], ids=["not_json", "missing_keys", "not_utf8"]
+        "content, named",
+        [
+            (b"not json at all\n", "not valid JSON"),
+            (b'{"builder": {}}', "missing or malformed entry"),
+            (b'{"model_kind": "\xff"}', "not valid UTF-8"),
+            (b'{"model_kind": "TreeModel", "builder": {}, "model": {"nodes": []}}', "unsupported model kind 'TreeModel'"),
+        ],
+        ids=["not_json", "missing_keys", "not_utf8", "tree_kind"],
     )
-    def test_malformed_artifact_is_a_named_error(self, workdir, tmp_path, capsys, content):
+    def test_malformed_artifact_is_a_named_error(self, workdir, tmp_path, capsys, content, named):
         _, data, _ = workdir
         model = tmp_path / "model.json"
         model.write_bytes(content)
@@ -259,6 +266,7 @@ class TestPredict:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith(f"error: model artifact {model}: ")
+        assert named in err
         assert "Traceback" not in err
 
 
@@ -497,6 +505,15 @@ class TestConfigFile:
         assert len(built) == 6
         # a tolerance above the initial gradient norm stops every fit before its first step
         assert all(pipe.model.n_iter == 0 for _, pipe in built)
+
+    @pytest.mark.parametrize("values", [{"seed": "abc"}, {"split": "x"}], ids=["seed", "split"])
+    def test_unconvertible_value_names_its_key(self, tmp_path, synthetic_csv, capsys, values):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"data": str(synthetic_csv), **values}))
+        assert main(["benchmark-features", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        (key,) = values
+        assert capsys.readouterr().err.startswith(f"error: config key {key!r} must be ")
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

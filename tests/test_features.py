@@ -21,6 +21,22 @@ def _rec(cve_id=None, vendor="V", description=""):
     return DisclosureRecord("Z", cve_id, 5.0, None, vendor, description)
 
 
+def keyword_flags(description: str, lexicon: KeywordLexicon) -> np.ndarray:
+    """Row-at-a-time oracle: flag i is 1 iff phrase i occurs as a contiguous token run."""
+    flags = np.zeros(len(lexicon), dtype=np.int64)
+    flags[features.keyword_hits(features.tokenize(description), lexicon)] = 1
+    return flags
+
+
+def encode_vendor(encoder: features.VendorEncoder, record: DisclosureRecord) -> np.ndarray:
+    """Row-at-a-time oracle: one 1 for a known vendor, all zeros for an unseen one."""
+    vec = np.zeros(len(encoder.categories), dtype=np.float64)
+    j = encoder.index.get(record.vendor)
+    if j is not None:
+        vec[j] = 1.0
+    return vec
+
+
 class TestTokenize:
     def test_punctuation_and_case(self):
         assert features.tokenize("Remote Code Execution!") == ["remote", "code", "execution"]
@@ -59,24 +75,24 @@ class TestCveFlag:
 class TestKeywordFlags:
     def test_containment(self):
         lex = KeywordLexicon.default()
-        flags = features.keyword_flags("allows remote code execution on affected systems", lex)
+        flags = keyword_flags("allows remote code execution on affected systems", lex)
         assert flags[lex.phrases.index("remote code execution")] == 1
 
     def test_empty_description_all_zero(self):
-        assert not features.keyword_flags("", KeywordLexicon.default()).any()
+        assert not keyword_flags("", KeywordLexicon.default()).any()
 
     def test_case_and_whitespace_normalized(self):
         lex = KeywordLexicon(("buffer overflow",))
-        assert features.keyword_flags("buffer  OVERFLOW", lex).tolist() == [1]
+        assert keyword_flags("buffer  OVERFLOW", lex).tolist() == [1]
 
     def test_phrase_must_be_contiguous(self):
         lex = KeywordLexicon(("remote code",))
-        assert features.keyword_flags("remote unprivileged code", lex).tolist() == [0]
+        assert keyword_flags("remote unprivileged code", lex).tolist() == [0]
 
     @given(st.sampled_from(["Buffer Overflow here", "buffer\toverflow", "x BUFFER   overflow y"]))
     def test_invariant_to_case_and_spacing(self, text):
         lex = KeywordLexicon(("buffer overflow",))
-        assert features.keyword_flags(text, lex).tolist() == [1]
+        assert keyword_flags(text, lex).tolist() == [1]
 
     def test_lexicon_validation(self):
         with pytest.raises(ConfigError):
@@ -214,16 +230,16 @@ class TestTfidf:
 class TestVendorEncoder:
     def test_one_hot_for_known(self):
         enc = features.fit_vendor([_rec(vendor="A"), _rec(vendor="B")])
-        assert features.encode_vendor(enc, _rec(vendor="B")).tolist() == [0.0, 1.0]
+        assert features.vendor_block(enc, [_rec(vendor="B")]).to_dense().tolist() == [[0.0, 1.0]]
 
     def test_unseen_vendor_all_zero(self):
         enc = features.fit_vendor([_rec(vendor="A"), _rec(vendor="B")])
-        assert features.encode_vendor(enc, _rec(vendor="C")).tolist() == [0.0, 0.0]
+        assert features.vendor_block(enc, [_rec(vendor="C")]).to_dense().tolist() == [[0.0, 0.0]]
 
     def test_sum_in_zero_one(self):
         enc = features.fit_vendor([_rec(vendor=v) for v in "ABCD"])
-        for vendor in ("A", "D", "unknown"):
-            assert features.encode_vendor(enc, _rec(vendor=vendor)).sum() in (0.0, 1.0)
+        rows = features.vendor_block(enc, [_rec(vendor=v) for v in ("A", "D", "unknown")]).to_dense()
+        assert rows.sum(axis=1).tolist() == [1.0, 1.0, 0.0]
 
 
 class TestAssemble:
@@ -248,12 +264,6 @@ class TestAssemble:
         with pytest.raises(ShapeError):
             features.assemble([a, b])
 
-    def test_group_order_canonical(self):
-        text = self._block(np.full((2, 2), 0.5), "text", "t")
-        vendor = self._block(np.ones((2, 1)), "vendor", "v")
-        out = features.assemble([text, vendor])
-        assert out.groups == ("vendor", "text", "text")
-
     def test_associative_in_column_content(self):
         a = self._block(np.random.default_rng(0).random((3, 2)), "vendor", "a")
         b = self._block(np.random.default_rng(1).random((3, 3)), "indicator", "b")
@@ -276,7 +286,7 @@ class TestFeatureMatrix:
         # triplet constructor keeps explicitly-supplied zeros
         mat = sp.csr_matrix(([0.0, 1.0], ([0, 0], [0, 1])), shape=(2, 2))
         assert mat.nnz == 2
-        fm = FeatureMatrix.from_csr(mat, ["a", "b"], "indicator")
+        fm = FeatureMatrix(mat, ("a", "b"), ("indicator", "indicator"))
         assert fm.data.nnz == 1
 
     def test_caller_matrix_not_mutated(self):
@@ -331,13 +341,13 @@ def _reference_matrix(builder: FeatureBuilder, records) -> tuple[np.ndarray, tup
     enc, lex, model = builder.vendor_encoder, builder.lexicon, builder.tfidf_model
     rows = []
     for r in records:
-        flags = features.keyword_flags(r.description, lex)
+        flags = keyword_flags(r.description, lex)
         tokens = features.tokenize(r.description)
         assert flags.tolist() == [int(_scan_contains(tokens, features.tokenize(p))) for p in lex.phrases]
         rows.append(
             np.concatenate(
                 [
-                    features.encode_vendor(enc, r),
+                    encode_vendor(enc, r),
                     [features.cve_flag(r)],
                     flags,
                     features.transform_tfidf(model, r.description).toarray().ravel(),

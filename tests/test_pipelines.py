@@ -100,6 +100,17 @@ class TestLrFeaturePipeline:
         assert len(pipe.selected) == 40
         assert pipe.describe() == f"tfidf_{mode}(k=40)"
 
+    @pytest.mark.parametrize("mode", ["chi2", "mi"])
+    def test_transform_is_structured_columns_then_selected_text(self, split, featurized, mode):
+        train_records, train_labels, _, _ = split
+        train_X, test_X = featurized
+        pipe = pipelines.LrFeaturePipeline(mode, SEED_0).fit(train_X, train_records, train_labels)
+        dense = test_X.to_dense()
+        is_text = np.array(test_X.groups) == "text"
+        got = pipe.transform(test_X)
+        assert got.format == "csr"
+        assert np.array_equal(got.toarray(), np.hstack([dense[:, ~is_text], dense[:, is_text][:, pipe.selected]]))
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError):
             pipelines.LrFeaturePipeline("umap")
