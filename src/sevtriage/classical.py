@@ -367,24 +367,14 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _grow_trees(mat, y, seeds, bootstrap, max_depth, min_samples_leaf, mtry) -> list[TreeModel]:
+def _grow_trees(mat, y, seeds, mtry) -> list[TreeModel]:
     """One tree per seed, each from its own bootstrap sample and feature-subset stream."""
     n, d = mat.shape
     trees = []
     for tree_seed in seeds:
         rng = np.random.default_rng(tree_seed)
-        idx = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-        trees.append(
-            train_tree(
-                mat,
-                y,
-                max_depth=max_depth,
-                min_samples_leaf=min_samples_leaf,
-                _rng=rng,
-                _max_features=mtry if mtry < d else None,
-                _rows=idx,
-            )
-        )
+        idx = rng.integers(0, n, size=n)
+        trees.append(train_tree(mat, y, _rng=rng, _max_features=mtry if mtry < d else None, _rows=idx))
     return trees
 
 
@@ -404,19 +394,16 @@ def train_forest(
     n_trees: int = 100,
     features_per_split: str | float = "sqrt",
     seed: int = 0,
-    bootstrap: bool = True,
-    max_depth: int | None = None,
-    min_samples_leaf: int = 1,
 ) -> ForestModel:
     """Bootstrap-aggregated gini trees with per-split feature subsampling.
 
     Every tree draws its own seeded bootstrap sample (n rows with
     replacement) and its own feature-subset stream, so the whole forest
-    is reproducible from one seed. Every tree grows on the forest's one
-    dense matrix, made once in column-major order so each tree reads its
-    transpose without a copy, with its bootstrap indices as the root's
-    rows, so no tree copies its sample. ``bootstrap=False`` trains every
-    tree on the full sample (test mode).
+    is reproducible from one seed. Trees grow to purity, with no depth
+    limit and leaves of at least one row. Every tree grows on the
+    forest's one dense matrix, made once in column-major order so each
+    tree reads its transpose without a copy, with its bootstrap indices
+    as the root's rows, so no tree copies its sample.
 
     Trees are independent, so they grow on every usable CPU: the trees
     are cut into one contiguous range per worker, the parent grows the
@@ -433,7 +420,7 @@ def train_forest(
         raise ShapeError(f"{n} rows but {len(y)} labels")
     if n < 1:
         raise FitError("cannot fit a tree on an empty dataset")
-    opts = (bootstrap, max_depth, min_samples_leaf, _mtry(features_per_split, d))
+    mtry = _mtry(features_per_split, d)
     seeds = tuple(substream(seed, f"forest-tree-{i}") for i in range(n_trees))
     workers = min(_usable_cpus(), n_trees)
     cuts = [n_trees * k // workers for k in range(workers + 1)]
@@ -442,11 +429,11 @@ def train_forest(
     try:
         for start, stop in zip(cuts[1:-1], cuts[2:]):
             recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_grow_and_send, args=(send, mat, y, seeds[start:stop], *opts))
+            proc = ctx.Process(target=_grow_and_send, args=(send, mat, y, seeds[start:stop], mtry))
             proc.start()
             send.close()  # the child holds the only sending end, so its death reads as EOF
             children.append((proc, recv, start, stop - 1))
-        trees = _grow_trees(mat, y, seeds[: cuts[1]], *opts)
+        trees = _grow_trees(mat, y, seeds[: cuts[1]], mtry)
         for _, recv, first, last in children:
             try:
                 result = recv.recv()

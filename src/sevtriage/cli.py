@@ -141,7 +141,7 @@ def cmd_benchmark_features(cfg: dict) -> int:
 
     if "svd" in fitted:
         svd = fitted["svd"].svd
-        vocab = builder.tfidf_model.terms
+        vocab = builder.tfidf_model.names
         term_rows = []
         for ci, terms in enumerate(reduction.top_terms_per_component(svd, vocab, components=10, terms=10)):
             for rank, (term, loading) in enumerate(terms):

@@ -1,9 +1,10 @@
 """Run configuration: one JSON tree, one seed, CLI flags override keys.
 
 The config file is a nested JSON object mirroring ``DEFAULTS``; unknown
-keys are rejected early so typos fail loudly instead of silently using a
-default. The output directory honors the SEVTRIAGE_OUT environment
-variable unless a flag pins it.
+keys, and section values whose JSON type is not their default's, are
+rejected early so mistakes fail loudly instead of silently using a
+default or crashing later. The output directory honors the SEVTRIAGE_OUT
+environment variable unless a flag pins it.
 """
 
 from __future__ import annotations
@@ -70,14 +71,37 @@ def _merge(base: dict, override: Mapping, path: str = "") -> dict:
     return out
 
 
-def _check(values: Mapping, key: str, kind: type, holds, rule: str) -> None:
-    """Raise ConfigError naming ``key`` unless its value converts by ``kind`` to one that ``holds``."""
+def _check(value, key: str, holds, rule: str) -> None:
+    """Raise ConfigError naming ``key`` unless ``holds(value)``; a value that does not convert fails."""
     try:
-        ok = holds(kind(values[key]))
+        ok = holds(value)
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
-        raise ConfigError(f"config key {key!r} must be {rule}, got {values[key]!r}")
+        raise ConfigError(f"config key {key!r} must be {rule}, got {value!r}")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _type_rule(default):
+    """(holds, rule) for a section value: the JSON type of its default, or anything when the default is null."""
+    if isinstance(default, bool):
+        return lambda v: isinstance(v, bool), "true or false"
+    if isinstance(default, int):
+        return lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"
+    if isinstance(default, float):
+        return _is_number, "a number"
+    if isinstance(default, list):
+        return lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers"
+    return lambda v: True, ""
+
+
+_FEATURES_PER_SPLIT = (
+    lambda v: v is None or v == "sqrt" or (_is_number(v) and 0 < v <= 1),
+    "'sqrt', null or a number in (0, 1]",
+)
 
 
 def load_config(path: str | None = None, overrides: Mapping[str, Any] | None = None) -> dict[str, Any]:
@@ -98,6 +122,13 @@ def load_config(path: str | None = None, overrides: Mapping[str, Any] | None = N
     env_out = os.environ.get(OUT_ENV_VAR)
     if env_out and (not overrides or overrides.get("out") is None):
         values["out"] = env_out
-    _check(values, "seed", int, lambda seed: seed >= 0, "a non-negative integer")
-    _check(values, "split", float, lambda split: 0.0 < split < 1.0, "in (0, 1)")
+    _check(values["seed"], "seed", lambda seed: int(seed) >= 0, "a non-negative integer")
+    _check(values["split"], "split", lambda split: 0.0 < float(split) < 1.0, "in (0, 1)")
+    for section, defaults in DEFAULTS.items():
+        if isinstance(defaults, dict) and section != "schema":
+            _check(values[section], section, lambda v: isinstance(v, dict), "an object")
+            for key, default in defaults.items():
+                where = f"{section}.{key}"
+                rule = _FEATURES_PER_SPLIT if where == "forest.features_per_split" else _type_rule(default)
+                _check(values[section][key], where, *rule)
     return values

@@ -48,18 +48,6 @@ class DisclosureRecord:
         }
         return d
 
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "DisclosureRecord":
-        pub = d.get("published")
-        return cls(
-            zdi_id=d["zdi_id"],
-            cve_id=d.get("cve_id"),
-            cvss=d.get("cvss"),
-            published=date.fromisoformat(pub) if pub else None,
-            vendor=d.get("vendor", ""),
-            description=d.get("description", ""),
-        )
-
 
 @dataclass(frozen=True)
 class LabeledDataset:
@@ -78,10 +66,6 @@ class LabeledDataset:
             raise ShapeError("train and test index sets overlap")
         if len(self.train_idx) + len(self.test_idx) != len(self.records):
             raise ShapeError("train/test indices do not partition the dataset")
-
-    @property
-    def n(self) -> int:
-        return len(self.records)
 
     def train_records(self) -> list[DisclosureRecord]:
         return [self.records[i] for i in self.train_idx]

@@ -3,7 +3,7 @@
 ``run`` plans every strategy's members as ``Member`` content keys, fits
 each distinct member once and keeps only its probabilities. Each
 strategy's combiner then takes their mean, or stacking's meta-model, and
-thresholds at 0.5; exactly 0.5 resolves to the positive class. Member
+thresholds it with ``evaluation.predicted_labels``. Member
 probabilities are exposed next to the labels, so AUC never re-runs them.
 """
 
@@ -17,17 +17,16 @@ import numpy as np
 from .classical import train_forest, train_knn, train_logreg  # noqa: F401  (looked up by name in run)
 from .config import DEFAULTS
 from .errors import ConfigError, FitError, StratificationError
+from .evaluation import THRESHOLD, predicted_labels  # noqa: F401  (THRESHOLD is re-exported)
 from .features import FeatureMatrix
 from .seeds import substream
 
-THRESHOLD = 0.5
 STRATEGIES = ("feature_split", "bootstrap", "heterogeneous", "instance", "stacking")
 BASES = ("logreg", "forest", "knn")  # the heterogeneous members and the stacking bases
 
 
 @dataclass(frozen=True)
 class EnsembleResult:
-    strategy: str
     probabilities: np.ndarray
     labels: np.ndarray
     member_probabilities: dict[str, np.ndarray]
@@ -57,12 +56,12 @@ def _bases(cfg: Mapping, seed: int, k: int, **where) -> dict[str, Member]:
     }
 
 
-def _finish(strategy: str, members: dict[str, np.ndarray], combined: np.ndarray) -> EnsembleResult:
-    return EnsembleResult(strategy, combined, (combined >= THRESHOLD).astype(np.int64), members)
+def _finish(members: dict[str, np.ndarray], combined: np.ndarray) -> EnsembleResult:
+    return EnsembleResult(combined, predicted_labels(combined), members)
 
 
-def _mean(strategy: str, members: dict[str, np.ndarray]) -> EnsembleResult:
-    return _finish(strategy, members, np.mean(np.stack(list(members.values())), axis=0))
+def _mean(members: dict[str, np.ndarray]) -> EnsembleResult:
+    return _finish(members, np.mean(np.stack(list(members.values())), axis=0))
 
 
 def _feature_split_members(train_X: FeatureMatrix, cfg: Mapping) -> dict[str, Member]:
@@ -144,22 +143,22 @@ def _stacking_members(y: np.ndarray, cfg: Mapping) -> dict[str, Member]:
 
 def feature_split_ensemble(members: dict[str, np.ndarray]) -> EnsembleResult:
     """The mean of the full-feature and the structured-only member."""
-    return _mean("feature_split", members)
+    return _mean(members)
 
 
 def bootstrap_ensemble(members: dict[str, np.ndarray]) -> EnsembleResult:
     """The mean of the resampled members."""
-    return _mean("bootstrap", members)
+    return _mean(members)
 
 
 def heterogeneous_ensemble(members: dict[str, np.ndarray]) -> EnsembleResult:
     """The mean of three different learners trained on the identical matrix."""
-    return _mean("heterogeneous", members)
+    return _mean(members)
 
 
 def instance_ensemble(members: dict[str, np.ndarray]) -> EnsembleResult:
     """The mean of the members at each regularization strength."""
-    return _mean("instance", members)
+    return _mean(members)
 
 
 def stacking_ensemble(members: dict[str, np.ndarray], plan: dict[str, Member], y_train, logreg: Mapping) -> EnsembleResult:
@@ -175,7 +174,7 @@ def stacking_ensemble(members: dict[str, np.ndarray], plan: dict[str, Member], y
             meta_train[np.asarray(m.scores), BASES.index(m.learner)] = members[name]
     bases = {name: members[name] for name in BASES}
     meta_model = train_logreg(meta_train, y_train, **logreg)
-    return _finish("stacking", bases, meta_model.predict_proba(np.stack(list(bases.values()), axis=1)))
+    return _finish(bases, meta_model.predict_proba(np.stack(list(bases.values()), axis=1)))
 
 
 def run(train_X: FeatureMatrix, y_train, test_X: FeatureMatrix, config: Mapping = DEFAULTS) -> dict[str, EnsembleResult]:

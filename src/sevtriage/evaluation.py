@@ -18,6 +18,13 @@ from .errors import DomainError, ShapeError
 
 BENCHMARK_COLUMNS = ("model", "accuracy", "precision_macro", "recall_macro", "f1_macro", "roc_auc")
 
+THRESHOLD = 0.5  # the decision threshold; a probability of exactly 0.5 is the positive class
+
+
+def predicted_labels(probs) -> np.ndarray:
+    """The class each probability decides: 1 iff it is at least ``THRESHOLD``."""
+    return (np.asarray(probs) >= THRESHOLD).astype(np.int64)
+
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
@@ -282,8 +289,7 @@ def benchmark(pipelines: Sequence[tuple[str, object]], dataset, train_X, test_X)
         try:
             pipe.fit(train_X, train_records, train_labels)
             probs = np.asarray(pipe.predict_proba(test_X, test_records), dtype=np.float64)
-            preds = (probs >= 0.5).astype(np.int64)
-            rows.append(BenchmarkRow(name, report(test_labels, preds, probs), probabilities=probs))
+            rows.append(BenchmarkRow(name, report(test_labels, predicted_labels(probs), probs), probabilities=probs))
         except Exception as exc:  # noqa: BLE001 - error rows are part of the contract
             where = traceback.extract_tb(exc.__traceback__)[-1]  # the frame that raised
             error = f"error: {type(exc).__name__}: {exc} ({os.path.basename(where.filename)}:{where.lineno} in {where.name})"

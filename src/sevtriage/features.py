@@ -12,10 +12,10 @@ scikit-learn's ``CountVectorizer``. A description is tokenized once, and
 its tokens serve both the keyword flags and the TF-IDF n-grams. A
 keyword is found by looking its token tuple up in the set of the
 record's k-grams. Blocks are not validated; :func:`assemble` validates
-the one matrix it returns. A caller that assembles the same blocks again
-and again passes the :class:`Columns` it derived once (a fitted
-``FeatureBuilder`` fixes them at fit and at load), so column names and
-groups are not rebuilt per call.
+the one matrix it returns. It takes the blocks themselves, never an
+assembled matrix, and the :class:`Columns` their caller derived once (a
+fitted ``FeatureBuilder`` fixes them at fit and at load), so column
+names and groups are not rebuilt per call.
 """
 
 from __future__ import annotations
@@ -88,12 +88,6 @@ class FeatureMatrix:
         if np.any(_text_row_norms(self.data, self.groups) > 1.0 + 1e-9):
             raise ShapeError("text block rows must have L2 norm <= 1")
 
-    @classmethod
-    def from_dense(cls, array, names: Sequence[str], group: str | Sequence[str]) -> "FeatureMatrix":
-        array = np.atleast_2d(np.asarray(array, dtype=np.float64))
-        groups = (group,) * array.shape[1] if isinstance(group, str) else tuple(group)
-        return cls(sp.csr_matrix(array), tuple(names), groups)
-
     @property
     def n_rows(self) -> int:
         return self.data.shape[0]
@@ -105,20 +99,17 @@ class FeatureMatrix:
     def to_dense(self) -> np.ndarray:
         return np.asarray(self.data.todense(), dtype=np.float64)
 
-    def select_columns(self, indices: Sequence[int]) -> "FeatureMatrix":
-        idx = list(indices)
-        return FeatureMatrix(
-            sp.csr_matrix(self.data[:, idx]),
-            tuple(self.names[j] for j in idx),
-            tuple(self.groups[j] for j in idx),
-        )
-
     def select_groups(self, wanted: Iterable[str]) -> "FeatureMatrix":
         wanted = set(wanted)
         missing = wanted - set(self.groups)
         if missing:
             raise ConfigError(f"matrix has no columns in group(s) {sorted(missing)}")
-        return self.select_columns([j for j, g in enumerate(self.groups) if g in wanted])
+        idx = [j for j, g in enumerate(self.groups) if g in wanted]
+        return FeatureMatrix(
+            sp.csr_matrix(self.data[:, idx]),
+            tuple(self.names[j] for j in idx),
+            tuple(self.groups[j] for j in idx),
+        )
 
     def select_rows(self, indices) -> "FeatureMatrix":
         return FeatureMatrix(sp.csr_matrix(self.data[indices]), self.names, self.groups)
@@ -167,13 +158,6 @@ class Block:
     def n_cols(self) -> int:
         return self.data.shape[1]
 
-    @property
-    def groups(self) -> tuple[str, ...]:
-        return (self.group,) * self.n_cols
-
-    def to_dense(self) -> np.ndarray:
-        return self.data.toarray()
-
 
 def _block(indptr, indices, values, names: tuple[str, ...], group: str) -> Block:
     mat = sp.csr_matrix(
@@ -191,29 +175,27 @@ class Columns:
     groups: tuple[str, ...]
 
 
-def assembled_columns(parts: Sequence[tuple[Sequence[str], Sequence[str]]]) -> Columns:
-    """Columns of the assembly of blocks given as (names, groups) pairs.
+def assembled_columns(parts: Sequence[tuple[Sequence[str], str]]) -> Columns:
+    """Columns of the assembly of blocks given as (names, group) pairs.
 
-    Columns keep the order of the blocks given; names get a ``group__``
-    prefix (idempotently), so assembling already-assembled matrices never
-    double-prefixes.
+    Columns keep the order of the blocks given; each name gets its
+    block's ``group__`` prefix.
     """
     names = []
     groups = []
-    for block_names, block_groups in parts:
-        for name, g in zip(block_names, block_groups):
-            prefix = f"{g}__"
-            names.append(name if name.startswith(prefix) else prefix + name)
-            groups.append(g)
+    for block_names, group in parts:
+        names.extend(f"{group}__{name}" for name in block_names)
+        groups.extend([group] * len(block_names))
     return Columns(tuple(names), tuple(groups))
 
 
-def assemble(blocks: Sequence[Block | FeatureMatrix], columns: Columns | None = None) -> FeatureMatrix:
+def assemble(blocks: Sequence[Block], columns: Columns) -> FeatureMatrix:
     """Concatenate blocks horizontally, in the order given, into one validated matrix.
 
-    ``columns`` is :func:`assembled_columns` of these blocks, for a
-    caller that assembles blocks of the same columns repeatedly; without
-    it the columns are derived from the blocks.
+    ``columns`` is :func:`assembled_columns` of these blocks, derived
+    once by a caller that assembles blocks of the same columns
+    repeatedly. Blocks of another row count or total width than
+    ``columns``, or no blocks at all, raise ShapeError.
     """
     if not blocks:
         raise ShapeError("assemble needs at least one block")
@@ -221,8 +203,6 @@ def assemble(blocks: Sequence[Block | FeatureMatrix], columns: Columns | None = 
     for b in blocks[1:]:
         if b.n_rows != n:
             raise ShapeError(f"row count mismatch: {n} vs {b.n_rows}")
-    if columns is None:
-        columns = assembled_columns([(b.names, b.groups) for b in blocks])
     width = sum(b.n_cols for b in blocks)
     if width != len(columns.names):
         raise ShapeError(f"blocks have {width} columns but the layout has {len(columns.names)}")
@@ -383,11 +363,6 @@ class TfidfModel:
         for term, j in self.vocabulary.items():
             out[j] = term
         object.__setattr__(self, "names", tuple(out))
-
-    @property
-    def terms(self) -> list[str]:
-        """Vocabulary terms in column order."""
-        return list(self.names)
 
     def to_dict(self) -> dict:
         return {

@@ -154,15 +154,12 @@ def _forward(params, spec: NetSpec, ids: np.ndarray, tab: np.ndarray, train: boo
         argmax = conv_a.argmax(axis=1)  # (B, F), first max wins
         text = np.take_along_axis(conv_a, argmax[:, None, :], axis=1)[:, 0, :]
         cache.update(windows=windows, conv_z=conv_z, conv_a=conv_a, argmax=argmax)
-    cache["text"] = text
 
     tab_z = tab @ params["tab_w"] + params["tab_b"]
     tab_a = np.maximum(tab_z, 0.0)
-    cache.update(tab_z=tab_z, tab_a=tab_a)
+    cache["tab_z"] = tab_z
 
-    h = np.concatenate([text, tab_a], axis=1)
-    cache["h"] = h
-    x = h
+    x = np.concatenate([text, tab_a], axis=1)
     for li in range(len(spec.merge)):
         z = x @ params[f"merge{li}_w"] + params[f"merge{li}_b"]
         a = np.maximum(z, 0.0)
@@ -280,7 +277,6 @@ class TrainedNet:
     spec: NetSpec
     params: dict[str, np.ndarray]
     loss_history: tuple[float, ...]
-    vocab_size: int
     tab_dim: int
     max_len: int
 
@@ -340,7 +336,7 @@ def train(spec: NetSpec, sequences: PaddedSequences, tabular: np.ndarray, y, con
                 v_hat = v[k] / (1 - BETA2**step)
                 params[k] = params[k] - config.lr * m_hat / (np.sqrt(v_hat) + EPS)
         history.append(float(np.mean(epoch_losses)))
-    return TrainedNet(spec, params, tuple(history), sequences.vocab_size, tab.shape[1], sequences.max_len)
+    return TrainedNet(spec, params, tuple(history), tab.shape[1], sequences.max_len)
 
 
 # ---------------------------------------------------------------------------
@@ -350,18 +346,14 @@ def train(spec: NetSpec, sequences: PaddedSequences, tabular: np.ndarray, y, con
 def activations(net: TrainedNet, layer_id: str, sample: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Activations captured at a named layer for one sample (inference mode).
 
-    ``sample`` is an (ids_row, tabular_row) pair. ``conv_maps`` returns
-    the per-filter ReLU feature maps (filters x positions, cnn only);
-    the other ids return the layer's activation vector.
+    ``sample`` is an (ids_row, tabular_row) pair. ``merge_<i>`` returns
+    the i-th merge layer's activation vector; ``conv_maps`` returns the
+    per-filter ReLU feature maps (filters x positions, cnn only).
     """
     ids_row, tab_row = sample
     ids = np.asarray(ids_row, dtype=np.int64).reshape(1, -1)
     tab = np.asarray(tab_row, dtype=np.float64).reshape(1, -1)
-    probs, cache = _forward(net.params, net.spec, ids, tab, train=False)
-    if layer_id == "text_pool":
-        return cache["text"][0]
-    if layer_id == "tabular_hidden":
-        return cache["tab_a"][0]
+    _, cache = _forward(net.params, net.spec, ids, tab, train=False)
     if layer_id.startswith("merge_"):
         li = int(layer_id.split("_")[1])
         key = f"merge{li}_a"
@@ -372,6 +364,4 @@ def activations(net: TrainedNet, layer_id: str, sample: tuple[np.ndarray, np.nda
         if net.spec.variant != "cnn":
             raise KeyError("conv_maps is only defined for the cnn variant")
         return cache["conv_a"][0].T  # filters x positions
-    if layer_id == "output":
-        return probs
     raise KeyError(f"unknown layer id {layer_id!r}")

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from . import classical, features, neural, reduction, selection
+from . import classical, evaluation, features, neural, reduction, selection
 from .config import DEFAULTS
 from .corpus import DisclosureRecord, decode_utf8
 from .errors import ConfigError, RowError, ShapeError
@@ -68,12 +68,13 @@ class FeatureBuilder:
         return self
 
     def _fix_columns(self) -> None:
-        parts = (
-            (self.vendor_encoder.categories, "vendor"),
-            (indicator_names(self.lexicon), "indicator"),
-            (self.tfidf_model.names, "text"),
+        self.columns = assembled_columns(
+            [
+                (self.vendor_encoder.categories, "vendor"),
+                (indicator_names(self.lexicon), "indicator"),
+                (self.tfidf_model.names, "text"),
+            ]
         )
-        self.columns = assembled_columns([(names, (group,) * len(names)) for names, group in parts])
 
     def transform(self, records: Sequence[DisclosureRecord]) -> FeatureMatrix:
         if self.columns is None:
@@ -306,7 +307,7 @@ class ScoringArtifact:
     def predict(self, records) -> tuple[np.ndarray, np.ndarray]:
         X = self.builder.transform(records)
         probs = self.model.predict_proba(X)
-        return probs, (probs >= 0.5).astype(np.int64)
+        return probs, evaluation.predicted_labels(probs)
 
     def save(self, path) -> None:
         payload = {

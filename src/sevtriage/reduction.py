@@ -174,7 +174,6 @@ def project_pca(pca: PcaModel, X: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class LdaModel:
     projection: np.ndarray  # 1 x d unit vector, class-1 mean projects higher
-    class_means: np.ndarray  # 2 x d (row 0 = class 0)
 
 
 
@@ -206,7 +205,7 @@ def fit_lda(X: np.ndarray, y) -> LdaModel:
         w = w / norm
     if float(w @ means[1]) < float(w @ means[0]):
         w = -w
-    return LdaModel(w.reshape(1, d), means)
+    return LdaModel(w.reshape(1, d))
 
 
 def project_lda(lda: LdaModel, X: np.ndarray) -> np.ndarray:

@@ -21,7 +21,6 @@ from .features import FeatureMatrix, as_matrix
 @dataclass(frozen=True)
 class FeatureScores:
     scores: np.ndarray
-    method: str  # "chi2" | "mutual_info"
     names: tuple[str, ...]
 
     def __post_init__(self):
@@ -58,7 +57,7 @@ def chi2_scores(X, y) -> FeatureScores:
         expected = prior * total
         nz = expected > 0
         scores[nz] += (observed[nz] - expected[nz]) ** 2 / expected[nz]
-    return FeatureScores(scores, "chi2", names)
+    return FeatureScores(scores, names)
 
 
 def mutual_info_scores(X, y) -> FeatureScores:
@@ -98,7 +97,7 @@ def mutual_info_scores(X, y) -> FeatureScores:
             if p > 0 and marg[cell] > 0:
                 mi += p * math.log(p / marg[cell])
         scores[j] = max(mi, 0.0)
-    return FeatureScores(scores, "mutual_info", names)
+    return FeatureScores(scores, names)
 
 
 def select_top_k(scores: FeatureScores, k: int = 300) -> list[int]:

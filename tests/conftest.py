@@ -90,6 +90,21 @@ def write_synthetic_csv(
     return path
 
 
+def grouped_matrix(*parts):
+    """The FeatureMatrix that ``features.assemble`` makes of blocks given as (matrix, names, group) parts.
+
+    Each matrix, dense or sparse, becomes one block; the columns are
+    assembled in the order given, each name prefixed with its group, as
+    a FeatureBuilder assembles its vendor, indicator and text blocks.
+    """
+    import scipy.sparse as sp
+
+    from sevtriage import features  # not at the top: scripts import this module without the package on the path
+
+    blocks = [features.Block(sp.csr_matrix(m, dtype=np.float64), tuple(names), group) for m, names, group in parts]
+    return features.assemble(blocks, features.assembled_columns([(b.names, b.group) for b in blocks]))
+
+
 @pytest.fixture(scope="session")
 def synthetic_csv(tmp_path_factory) -> Path:
     path = tmp_path_factory.mktemp("data") / "synthetic.csv"

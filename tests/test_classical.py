@@ -14,8 +14,9 @@ from hypothesis.extra.numpy import arrays
 
 from sevtriage import classical
 from sevtriage.errors import ConfigError, FitError, ShapeError
-from sevtriage.features import FeatureMatrix, as_matrix
+from sevtriage.features import as_matrix
 from sevtriage.seeds import substream
+from tests.conftest import grouped_matrix
 
 
 def bce(weights, bias, X, y):
@@ -182,7 +183,7 @@ def logreg_case(name):
         "dense": (dense, y, {}),
         "fortran": (np.asfortranarray(dense), y, {"C": 0.25}),
         "csr": (sp.csr_matrix(sparse), y_sparse, {}),
-        "feature_matrix": (FeatureMatrix.from_dense(sparse, [f"k{j}" for j in range(12)], "indicator"), y_sparse, {"C": 4.0}),
+        "feature_matrix": (grouped_matrix((sparse, [f"k{j}" for j in range(12)], "indicator")), y_sparse, {"C": 4.0}),
         "max_iter_hit": (sp.csr_matrix(sparse), y_sparse, {"max_iter": 4}),
         "meta_probabilities": (rng.random((40, 3)), y, {"tol": 1e-9}),
     }
@@ -366,25 +367,11 @@ class TestRandomForest:
             y[0], y[1] = 0, 1
         return X, y
 
-    def test_reduces_to_single_tree_in_test_mode(self):
-        X, y = self._noisy_instance()
-        forest = classical.train_forest(X, y, n_trees=1, features_per_split=1.0, bootstrap=False, seed=0)
-        tree = classical.train_tree(X, y)
-        assert np.array_equal(forest.predict_proba(X), tree.predict_proba(X))
-
     def test_same_seed_identical_predictions(self):
         X, y = self._noisy_instance()
         a = classical.train_forest(X, y, n_trees=10, seed=42)
         b = classical.train_forest(X, y, n_trees=10, seed=42)
         assert np.array_equal(a.predict_proba(X), b.predict_proba(X))
-
-    def test_forest_at_least_matches_depth_limited_tree(self):
-        X, y = self._noisy_instance()
-        tree = classical.train_tree(X, y, max_depth=2)
-        forest = classical.train_forest(X, y, n_trees=30, max_depth=2, seed=3)
-        tree_acc = np.mean((tree.predict_proba(X) >= 0.5).astype(int) == y)
-        forest_acc = np.mean((forest.predict_proba(X) >= 0.5).astype(int) == y)
-        assert forest_acc >= tree_acc
 
     def test_mean_of_member_trees_exactly(self):
         X, y = self._noisy_instance()
@@ -407,12 +394,12 @@ class TestRandomForest:
         digest = hashlib.sha256(json.dumps([t.nodes for t in forest.trees]).encode()).hexdigest()
         assert digest == "55fd2b4302e432c75a258418f29b209b207f4ef118591362b4dfdfc53310c2a7"
 
-    @pytest.mark.parametrize("max_depth,min_leaf", [(None, 1), (3, 2)])
+    @pytest.mark.parametrize("max_depth,min_leaf", [(None, 1)])  # a forest tree's limits: none, leaves of 1 row
     def test_trees_equal_trees_grown_on_copied_bootstrap_rows(self, max_depth, min_leaf):
         # a forest tree grows on bootstrap row indices into the one matrix;
         # growing it on a copy of those rows, in the same order, is the same tree
         X, y = self._noisy_instance()
-        forest = classical.train_forest(X, y, n_trees=5, seed=4, max_depth=max_depth, min_samples_leaf=min_leaf)
+        forest = classical.train_forest(X, y, n_trees=5, seed=4)
         mtry = classical._mtry("sqrt", X.shape[1])
         for i, tree in enumerate(forest.trees):
             rng = np.random.default_rng(substream(4, f"forest-tree-{i}"))
@@ -426,14 +413,6 @@ class TestRandomForest:
         X, y = self._noisy_instance()
         forest = classical.train_forest(X, y, n_trees=20, seed=5)
         assert len(set(forest.tree_seeds)) == 20
-
-
-def _leaf_depths_and_sizes(nodes, at=0, depth=0):
-    """(depth, training rows) of every leaf under node ``at``."""
-    node = nodes[at]
-    if "counts" in node:
-        return [(depth, sum(node["counts"]))]
-    return _leaf_depths_and_sizes(nodes, node["left"], depth + 1) + _leaf_depths_and_sizes(nodes, node["right"], depth + 1)
 
 
 def _cpus_and_trees_in_worker(X, y):
@@ -467,8 +446,8 @@ class TestForestWorkers:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{}, {"bootstrap": False}, {"max_depth": 3, "min_samples_leaf": 2}, {"n_trees": 2}],
-        ids=["bootstrap", "no-bootstrap", "depth-and-leaf", "fewer-trees-than-workers"],
+        [{}, {"n_trees": 2}],
+        ids=["bootstrap", "fewer-trees-than-workers"],
     )
     def test_same_trees_for_any_worker_count(self, monkeypatch, kwargs):
         forests = [self._forest(monkeypatch, workers, **kwargs) for workers in (1, 2, 3)]
@@ -477,11 +456,6 @@ class TestForestWorkers:
         assert len(nodes) == 1
         assert len({f.tree_seeds for f in forests}) == 1
         assert {t.n_features for f in forests for t in f.trees} == {4}
-        if "max_depth" in kwargs:
-            # trees grown in forked children keep the depth and leaf-size limits too
-            leaves = [leaf for f in forests for t in f.trees for leaf in _leaf_depths_and_sizes(t.nodes)]
-            assert max(depth for depth, _ in leaves) <= kwargs["max_depth"]
-            assert min(size for _, size in leaves) >= kwargs["min_samples_leaf"]
 
     @pytest.mark.parametrize("where", ["child", "parent"])
     @pytest.mark.parametrize("error", [ShapeError, ConfigError])

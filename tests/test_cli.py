@@ -515,6 +515,40 @@ class TestConfigFile:
         assert capsys.readouterr().err.startswith(f"error: config key {key!r} must be ")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "command,values",
+        [
+            ("benchmark-features", {"tfidf": {"max_features": "x"}}),
+            ("benchmark-features", {"svd": {"k": "x"}}),
+            ("ensembles", {"ensemble": {"members": "x"}}),
+            ("ensembles", {"knn": {"k": 2.5}}),
+            ("ensembles", {"forest": {"features_per_split": "x"}}),
+        ],
+        ids=["tfidf.max_features", "svd.k", "ensemble.members", "knn.k", "forest.features_per_split"],
+    )
+    def test_wrongly_typed_section_value_names_its_key(self, tmp_path, synthetic_csv, capsys, command, values):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"data": str(synthetic_csv), **values}))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        ((section, keys),) = values.items()
+        (key,) = keys
+        assert capsys.readouterr().err.startswith(f"error: config key '{section}.{key}' must be ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "values",
+        [{"logreg": {"C": 1}}, {"tree": {"max_depth": 3}}, {"forest": {"features_per_split": 0.5}}],
+        ids=["integer-for-number", "integer-for-null", "fraction-per-split"],
+    )
+    def test_values_of_each_accepted_type_load(self, tmp_path, values):
+        from sevtriage.config import load_config
+
+        cfg = tmp_path / "ok.json"
+        cfg.write_text(json.dumps(values))
+        ((section, keys),) = values.items()
+        loaded = load_config(str(cfg))[section]
+        assert {key: loaded[key] for key in keys} == keys
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"tpyo": 1}))

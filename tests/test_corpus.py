@@ -220,6 +220,11 @@ class TestRoundTrips:
         corpus.write_records_jsonl(records, path)
         import json
 
+        def read(line):
+            d = json.loads(line)
+            published = date.fromisoformat(d["published"]) if d["published"] else None
+            return corpus.DisclosureRecord(**{**d, "published": published})
+
         with open(path) as fh:
-            back = [corpus.DisclosureRecord.from_dict(json.loads(line)) for line in fh]
+            back = [read(line) for line in fh]
         assert back == records

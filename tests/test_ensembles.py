@@ -11,8 +11,9 @@ from sevtriage import ensembles
 from sevtriage.classical import train_forest, train_knn, train_logreg
 from sevtriage.config import load_config
 from sevtriage.errors import ConfigError, FitError, StratificationError
-from sevtriage.features import FeatureMatrix, assemble
+from sevtriage.features import FeatureMatrix
 from sevtriage.seeds import substream
+from tests.conftest import grouped_matrix
 
 
 def make_grouped_data(seed=0, n=80, noise=0.6):
@@ -25,12 +26,10 @@ def make_grouped_data(seed=0, n=80, noise=0.6):
     indicator = (signal[:, :2] > 0.9).astype(float)
     text = np.abs(signal)
     text = text / np.maximum(np.linalg.norm(text, axis=1, keepdims=True), 1e-9)
-    X = assemble(
-        [
-            FeatureMatrix.from_dense(vendor, ["v0", "v1"], "vendor"),
-            FeatureMatrix.from_dense(indicator, ["k0", "k1"], "indicator"),
-            FeatureMatrix.from_dense(text, ["t0", "t1", "t2"], "text"),
-        ]
+    X = grouped_matrix(
+        (vendor, ["v0", "v1"], "vendor"),
+        (indicator, ["k0", "k1"], "indicator"),
+        (text, ["t0", "t1", "t2"], "text"),
     )
     split = int(n * 0.75)
     return X.select_rows(np.arange(split)), y[:split], X.select_rows(np.arange(split, n)), y[split:]
@@ -43,11 +42,9 @@ def config(seed=0, n_trees=10, **ensemble):
 
 def separable_four_rows():
     """A 4-row matrix with a constant vendor column and a separable indicator pair."""
-    X = assemble(
-        [
-            FeatureMatrix.from_dense(np.ones((4, 1)), ["v0"], "vendor"),
-            FeatureMatrix.from_dense(np.array([[0.0, 1.0], [0.0, 0.9], [1.0, 0.1], [1.0, 0.0]]), ["a", "b"], "indicator"),
-        ]
+    X = grouped_matrix(
+        (np.ones((4, 1)), ["v0"], "vendor"),
+        (np.array([[0.0, 1.0], [0.0, 0.9], [1.0, 0.1], [1.0, 0.0]]), ["a", "b"], "indicator"),
     )
     return X, np.array([0, 0, 1, 1])
 
@@ -372,8 +369,7 @@ class TestDispatch:
         Xtr, ytr, Xte, _ = data
         results = ensembles.run(Xtr, ytr, Xte, config(seed=3, n_trees=10))
         assert list(results) == list(ensembles.STRATEGIES)
-        for strategy, res in results.items():
-            assert res.strategy == strategy
+        for res in results.values():
             assert res.probabilities.shape == (Xte.n_rows,)
             assert set(np.unique(res.labels)) <= {0, 1}
             assert np.array_equal(res.labels, (res.probabilities >= 0.5).astype(int))

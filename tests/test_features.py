@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ from sevtriage.corpus import DisclosureRecord
 from sevtriage.errors import ConfigError, FitError, ShapeError
 from sevtriage.features import FeatureMatrix, KeywordLexicon
 from sevtriage.pipelines import FeatureBuilder
+from tests.conftest import grouped_matrix
 
 
 def _rec(cve_id=None, vendor="V", description=""):
@@ -106,7 +108,8 @@ class TestKeywordFlags:
 def _indicators(descriptions, lex, cve_id=None) -> FeatureMatrix:
     """The indicator block of one record per description."""
     records = [_rec(cve_id=cve_id, description=d) for d in descriptions]
-    return features.assemble([features.indicator_block(records, lex, [features.tokenize(d) for d in descriptions])])
+    block = features.indicator_block(records, lex, [features.tokenize(d) for d in descriptions])
+    return grouped_matrix((block.data, block.names, block.group))
 
 
 class TestKeywordFrequencies:
@@ -180,7 +183,7 @@ ORACLE_BIGRAM_ROW2 = [
 class TestTfidf:
     def test_idf_matches_hand_oracle(self):
         model = features.fit_tfidf(ORACLE_DOCS, ngram_range=(1, 1), max_features=100)
-        assert model.terms == sorted(ORACLE_IDF)
+        assert list(model.names) == sorted(ORACLE_IDF)
         for term, expected in ORACLE_IDF.items():
             assert model.idf[model.vocabulary[term]] == pytest.approx(expected, abs=1e-12)
 
@@ -192,7 +195,7 @@ class TestTfidf:
 
     def test_bigram_rows_match_hand_oracle(self):
         model = features.fit_tfidf(ORACLE_DOCS, ngram_range=(1, 2), max_features=100)
-        assert model.terms == sorted(ORACLE_BIGRAM_IDF)
+        assert list(model.names) == sorted(ORACLE_BIGRAM_IDF)
         for term, expected in ORACLE_BIGRAM_IDF.items():
             assert model.idf[model.vocabulary[term]] == pytest.approx(expected, abs=1e-12)
         row = features.transform_tfidf(model, ORACLE_DOCS[2]).toarray().ravel()
@@ -216,7 +219,7 @@ class TestTfidf:
 
     def test_max_features_keeps_highest_corpus_count(self):
         model = features.fit_tfidf(["aa aa bb", "aa cc", "cc dd"], ngram_range=(1, 1), max_features=2)
-        assert model.terms == ["aa", "cc"]  # counts: aa=3, cc=2, bb=dd=1
+        assert model.names == ("aa", "cc")  # counts: aa=3, cc=2, bb=dd=1
 
     def test_transform_never_mutates_model(self):
         model = features.fit_tfidf(ORACLE_DOCS)
@@ -230,59 +233,52 @@ class TestTfidf:
 class TestVendorEncoder:
     def test_one_hot_for_known(self):
         enc = features.fit_vendor([_rec(vendor="A"), _rec(vendor="B")])
-        assert features.vendor_block(enc, [_rec(vendor="B")]).to_dense().tolist() == [[0.0, 1.0]]
+        assert features.vendor_block(enc, [_rec(vendor="B")]).data.toarray().tolist() == [[0.0, 1.0]]
 
     def test_unseen_vendor_all_zero(self):
         enc = features.fit_vendor([_rec(vendor="A"), _rec(vendor="B")])
-        assert features.vendor_block(enc, [_rec(vendor="C")]).to_dense().tolist() == [[0.0, 0.0]]
+        assert features.vendor_block(enc, [_rec(vendor="C")]).data.toarray().tolist() == [[0.0, 0.0]]
 
     def test_sum_in_zero_one(self):
         enc = features.fit_vendor([_rec(vendor=v) for v in "ABCD"])
-        rows = features.vendor_block(enc, [_rec(vendor=v) for v in ("A", "D", "unknown")]).to_dense()
+        rows = features.vendor_block(enc, [_rec(vendor=v) for v in ("A", "D", "unknown")]).data.toarray()
         assert rows.sum(axis=1).tolist() == [1.0, 1.0, 0.0]
 
 
 class TestAssemble:
-    def _block(self, arr, group, prefix="c"):
+    def _part(self, arr, group, prefix="c"):
         arr = np.asarray(arr, dtype=float)
-        return FeatureMatrix.from_dense(arr, [f"{prefix}{j}" for j in range(arr.shape[1])], group)
+        return arr, [f"{prefix}{j}" for j in range(arr.shape[1])], group
 
     def test_widths_add(self):
-        a = self._block(np.ones((4, 3)), "vendor")
-        b = self._block(np.ones((4, 5)), "indicator")
-        assert features.assemble([a, b]).n_cols == 8
+        assert grouped_matrix(self._part(np.ones((4, 3)), "vendor"), self._part(np.ones((4, 5)), "indicator")).n_cols == 8
 
     def test_single_block_identity(self):
-        a = self._block(np.arange(12).reshape(3, 4), "vendor")
-        out = features.assemble([a])
-        assert np.array_equal(out.to_dense(), a.to_dense())
+        arr = np.arange(12.0).reshape(3, 4)
+        out = grouped_matrix(self._part(arr, "vendor"))
+        assert np.array_equal(out.to_dense(), arr)
         assert out.names == tuple(f"vendor__c{j}" for j in range(4))
 
     def test_row_mismatch_raises(self):
-        a = self._block(np.ones((10, 2)), "vendor")
-        b = self._block(np.ones((9, 2)), "indicator")
         with pytest.raises(ShapeError):
-            features.assemble([a, b])
+            grouped_matrix(self._part(np.ones((10, 2)), "vendor"), self._part(np.ones((9, 2)), "indicator"))
 
-    def test_associative_in_column_content(self):
-        a = self._block(np.random.default_rng(0).random((3, 2)), "vendor", "a")
-        b = self._block(np.random.default_rng(1).random((3, 3)), "indicator", "b")
-        c = self._block(np.random.default_rng(2).random((3, 2)) / 2.0, "text", "cc")
-        nested = features.assemble([features.assemble([a, b]), c])
-        flat = features.assemble([a, b, c])
-        assert nested.names == flat.names
-        assert nested.groups == flat.groups
-        assert np.array_equal(nested.to_dense(), flat.to_dense())
+    @pytest.mark.parametrize("layout", ["wider", "narrower", "no_blocks"])
+    def test_blocks_that_do_not_fill_the_columns_raise(self, layout):
+        a = features.Block(sp.csr_matrix(np.ones((3, 2))), ("a0", "a1"), "vendor")
+        b = features.Block(sp.csr_matrix(np.ones((3, 3))), ("b0", "b1", "b2"), "indicator")
+        columns = features.assembled_columns([(a.names, a.group), (b.names, b.group)])
+        blocks = {"wider": [a], "narrower": [a, b, b], "no_blocks": []}[layout]
+        with pytest.raises(ShapeError):
+            features.assemble(blocks, columns)
 
 
 class TestFeatureMatrix:
     def test_text_norm_invariant_enforced(self):
         with pytest.raises(ShapeError):
-            FeatureMatrix.from_dense(np.array([[2.0, 2.0]]), ["a", "b"], "text")
+            grouped_matrix((np.array([[2.0, 2.0]]), ["a", "b"], "text"))
 
     def test_no_explicit_zeros(self):
-        import scipy.sparse as sp
-
         # triplet constructor keeps explicitly-supplied zeros
         mat = sp.csr_matrix(([0.0, 1.0], ([0, 0], [0, 1])), shape=(2, 2))
         assert mat.nnz == 2
@@ -290,8 +286,6 @@ class TestFeatureMatrix:
         assert fm.data.nnz == 1
 
     def test_caller_matrix_not_mutated(self):
-        import scipy.sparse as sp
-
         mat = sp.csr_matrix(([0.0, 1.0], ([0, 0], [0, 1])), shape=(2, 2))
         fm = FeatureMatrix(mat, ("a", "b"), ("indicator", "indicator"))
         assert fm.data.nnz == 1
@@ -299,7 +293,7 @@ class TestFeatureMatrix:
         assert mat.data.tolist() == [0.0, 1.0]
 
     def test_select_groups_missing_raises(self):
-        fm = FeatureMatrix.from_dense(np.eye(2), ["a", "b"], "vendor")
+        fm = grouped_matrix((np.eye(2), ["a", "b"], "vendor"))
         with pytest.raises(ConfigError):
             fm.select_groups(["text"])
 
@@ -313,7 +307,7 @@ class TestIndicatorBlock:
         ]
         block = features.indicator_block(records, lex, [features.tokenize(r.description) for r in records])
         assert block.names == ("has_cve", "buffer overflow", "xss")
-        assert block.to_dense().tolist() == [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        assert block.data.toarray().tolist() == [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +353,7 @@ def _reference_matrix(builder: FeatureBuilder, records) -> tuple[np.ndarray, tup
     names = (
         tuple(f"vendor__{v}" for v in enc.categories)
         + tuple(f"indicator__{p}" for p in ("has_cve",) + lex.phrases)
-        + tuple(f"text__{t}" for t in model.terms)
+        + tuple(f"text__{t}" for t in model.names)
     )
     groups = ("vendor",) * len(enc.categories) + ("indicator",) * (1 + len(lex)) + ("text",) * len(model.vocabulary)
     return dense, names, groups

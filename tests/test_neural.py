@@ -209,8 +209,8 @@ class TestActivations:
     def test_zero_parameter_net_zero_activations(self, seqs, tabular):
         spec = small_spec("cnn")
         params = {k: np.zeros_like(v) for k, v in neural.init_params(spec, seqs.vocab_size, tabular.shape[1]).items()}
-        net = neural.TrainedNet(spec, params, (0.0,), seqs.vocab_size, tabular.shape[1], seqs.max_len)
-        for layer in ("text_pool", "tabular_hidden", "merge_0", "merge_1"):
+        net = neural.TrainedNet(spec, params, (0.0,), tabular.shape[1], seqs.max_len)
+        for layer in ("merge_0", "merge_1"):
             assert not neural.activations(net, layer, (seqs.ids[0], tabular[0])).any()
 
     def test_unknown_layer_raises_lookup(self, nets, seqs, tabular):

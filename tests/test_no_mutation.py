@@ -1,4 +1,5 @@
-"""Selection and reduction leave their input matrices, labels and fitted models byte-identical."""
+"""Selection, reduction, evaluation and the train/test split leave their
+input matrices, labels, probabilities, records and fitted models unchanged."""
 
 from unittest import mock
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sevtriage import reduction, selection
+from sevtriage import corpus, evaluation, reduction, selection
 
 
 def _all_stored(X):
@@ -87,3 +88,43 @@ class TestReduction:
         reduction.project_lda(lda, X)
         assert (input_bytes(X), y.tobytes()) == before
         assert (model_bytes(pca), model_bytes(lda)) == fitted
+
+
+def snapshot(values):
+    """What a caller sees of an array or list argument: its dtype and bytes, or its items."""
+    return (values.dtype.str, values.tobytes()) if isinstance(values, np.ndarray) else list(values)
+
+
+@st.composite
+def scored_labels(draw):
+    """True labels with both classes, predicted labels and tied probabilities, as arrays or lists."""
+    n = draw(st.integers(2, 12))
+    y_true = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    y_true[:2] = [0, 1]
+    y_pred = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    probs = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), min_size=n, max_size=n))
+    as_array = draw(st.booleans())
+    return [np.array(v) if as_array else v for v in (y_true, y_pred, probs)]
+
+
+class TestEvaluation:
+    @settings(max_examples=60, deadline=None)
+    @given(scored_labels())
+    def test_report_and_roc_auc_leave_inputs_unchanged(self, args):
+        before = [snapshot(a) for a in args]
+        evaluation.report(*args)
+        y_true, _, probs = args
+        evaluation.roc_auc(y_true, probs)
+        assert [snapshot(a) for a in args] == before
+
+
+class TestSplit:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 1), min_size=2, max_size=12), st.sampled_from([0.2, 0.5, 0.8]), st.booleans())
+    def test_stratified_split_leaves_inputs_unchanged(self, labels, fraction, as_array):
+        labels[:2] = [0, 1]
+        records = [corpus.DisclosureRecord(f"Z{i}", None, 8.0 if y else 3.0, None, "V", "") for i, y in enumerate(labels)]
+        labels = np.array(labels) if as_array else labels
+        before = list(records), snapshot(labels)
+        corpus.stratified_split(records, labels, test_fraction=fraction, seed=5)
+        assert (records, snapshot(labels)) == before

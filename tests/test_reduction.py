@@ -5,7 +5,7 @@ import pytest
 
 from sevtriage import reduction
 from sevtriage.errors import FitError, RankError, ShapeError
-from sevtriage.features import FeatureMatrix
+from tests.conftest import grouped_matrix
 
 
 def oracle_singular_values(X, k):
@@ -92,7 +92,7 @@ class TestTruncatedSvd:
         assert curve[-1] <= 1.0 + 1e-8
 
     def test_accepts_feature_matrix(self):
-        fm = FeatureMatrix.from_dense(np.eye(4) * 0.5, list("abcd"), "text")
+        fm = grouped_matrix((np.eye(4) * 0.5, list("abcd"), "text"))
         svd = reduction.fit_truncated_svd(fm, k=2, seed=0)
         assert reduction.project_svd(svd, fm).shape == (4, 2)
 

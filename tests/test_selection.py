@@ -8,7 +8,7 @@ import pytest
 
 from sevtriage import selection
 from sevtriage.errors import DomainError
-from sevtriage.features import FeatureMatrix
+from tests.conftest import grouped_matrix
 
 
 def oracle_chi2_binary(col, y):
@@ -133,7 +133,7 @@ class TestMutualInfo:
 
 class TestSelectTopK:
     def _scores(self, values):
-        return selection.FeatureScores(np.asarray(values, dtype=float), "chi2", tuple(f"f{i}" for i in range(len(values))))
+        return selection.FeatureScores(np.asarray(values, dtype=float), tuple(f"f{i}" for i in range(len(values))))
 
     def test_basic(self):
         assert selection.select_top_k(self._scores([3, 1, 2]), k=2) == [0, 2]
@@ -156,16 +156,16 @@ class TestSelectTopK:
 
 class TestTopScoredTerms:
     def test_single_nonzero_first(self):
-        scores = selection.FeatureScores(np.array([0.0, 4.2, 0.0]), "chi2", ("aa", "code execution", "bb"))
+        scores = selection.FeatureScores(np.array([0.0, 4.2, 0.0]), ("aa", "code execution", "bb"))
         ranked = selection.top_scored_terms(scores, n=2)
         assert ranked[0] == ("code execution", 4.2)
 
     def test_n_clamped_to_vocab(self):
-        scores = selection.FeatureScores(np.array([1.0, 2.0]), "mutual_info", ("x", "y"))
+        scores = selection.FeatureScores(np.array([1.0, 2.0]), ("x", "y"))
         assert len(selection.top_scored_terms(scores, n=20)) == 2
 
     def test_with_feature_matrix_input(self):
-        fm = FeatureMatrix.from_dense(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]), ["hot", "cold"], "indicator")
+        fm = grouped_matrix((np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]), ["hot", "cold"], "indicator"))
         y = np.array([1, 0, 1, 0])
         scores = selection.chi2_scores(fm, y)
-        assert selection.top_scored_terms(scores, n=1)[0][0] == "hot"
+        assert selection.top_scored_terms(scores, n=1)[0][0] == "indicator__hot"
