@@ -6,7 +6,8 @@ logistic regression trains by full-batch gradient descent with a
 backtracking line search, so its loss never increases; each accepted
 point's logits are reused by the next gradient. Trees search midpoint
 splits exactly; the forest averages bootstrap trees; KNN memorizes and
-votes.
+votes. Models carry no serializers: the one model a command saves, the
+logistic regression, is written and read by ``pipelines.ScoringArtifact``.
 
 A tree grows depth-first on arrays of row indices into one dense
 (features x rows) matrix, never copying a node's rows. The forest
@@ -31,7 +32,7 @@ import math
 import multiprocessing
 import os
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -80,13 +81,6 @@ class LogRegModel:
         mat = as_matrix(X)
         _check_width(mat, self.n_features)
         return _sigmoid(np.asarray(mat @ self.weights).ravel() + self.bias)
-
-    def to_dict(self) -> dict:
-        return {"weights": self.weights.tolist(), "bias": self.bias, "C": self.C, "n_iter": self.n_iter}
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "LogRegModel":
-        return cls(np.asarray(d["weights"], dtype=np.float64), d["bias"], d["C"], d.get("n_iter", 0))
 
 
 def _logits(weights: np.ndarray, bias: float, X) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Run configuration: one JSON tree, one seed, CLI flags override keys.
 
 The config file is a nested JSON object mirroring ``DEFAULTS``; unknown
-keys, and section values whose JSON type is not their default's, are
-rejected early so mistakes fail loudly instead of silently using a
-default or crashing later. The output directory honors the SEVTRIAGE_OUT
-environment variable unless a flag pins it.
+keys, and values that break their key's rule (the JSON type of the
+default unless the key has a rule of its own), are rejected early so
+mistakes fail loudly instead of silently using a default or crashing
+later. The output directory honors the SEVTRIAGE_OUT environment
+variable unless a flag pins it.
 """
 
 from __future__ import annotations
@@ -85,27 +86,62 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _type_rule(default):
-    """(holds, rule) for a section value: the JSON type of its default, or anything when the default is null."""
+    """(holds, rule) for a value with no rule of its own: the JSON type of its default."""
     if isinstance(default, bool):
         return lambda v: isinstance(v, bool), "true or false"
     if isinstance(default, int):
-        return lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"
+        return _is_int, "an integer"
     if isinstance(default, float):
         return _is_number, "a number"
+    if isinstance(default, str):
+        return lambda v: isinstance(v, str), "a string"
+    if isinstance(default, list) and all(map(_is_int, default)):
+        return lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"
     if isinstance(default, list):
         return lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers"
-    return lambda v: True, ""
+    return lambda v: isinstance(v, dict), "an object"  # a section
 
 
-_FEATURES_PER_SPLIT = (
-    lambda v: v is None or v == "sqrt" or (_is_number(v) and 0 < v <= 1),
-    "'sqrt', null or a number in (0, 1]",
-)
+_NULL_OR_STRING = (lambda v: v is None or isinstance(v, str), "null or a string")
+
+# Keys whose rule is not the JSON type of their default.
+_RULES = {
+    "data": _NULL_OR_STRING,
+    "schema": (lambda v: isinstance(v, dict) and all(isinstance(c, str) for c in v.values()), "an object of strings"),
+    "lexicon": _NULL_OR_STRING,
+    "seed": (lambda seed: int(seed) >= 0, "a non-negative integer"),
+    "split": (lambda split: 0.0 < float(split) < 1.0, "in (0, 1)"),
+    "tfidf.max_features": (lambda v: _is_int(v) and v > 0, "a positive integer"),
+    "tree.max_depth": (lambda v: v is None or _is_int(v), "null or an integer"),
+    "forest.features_per_split": (
+        lambda v: v is None or v == "sqrt" or (_is_number(v) and 0 < v <= 1),
+        "'sqrt', null or a number in (0, 1]",
+    ),
+}
+
+
+def _checked(values: dict) -> dict:
+    """``values``, unless a key breaks its rule: then ConfigError naming the first such key."""
+    for key, default in DEFAULTS.items():
+        _check(values[key], key, *_RULES.get(key, _type_rule(default)))
+        if isinstance(default, dict) and key != "schema":
+            for name, value in default.items():
+                where = f"{key}.{name}"
+                _check(values[key][name], where, *_RULES.get(where, _type_rule(value)))
+    return values
 
 
 def load_config(path: str | None = None, overrides: Mapping[str, Any] | None = None) -> dict[str, Any]:
-    """The config tree: defaults, merged with an optional file, then overrides."""
+    """The config tree: defaults, merged with an optional file, then overrides.
+
+    The file's values are checked before the overrides replace any of
+    them, so a malformed key fails even where a flag sets it.
+    """
     values = copy.deepcopy(DEFAULTS)
     if path is not None:
         try:
@@ -116,19 +152,10 @@ def load_config(path: str | None = None, overrides: Mapping[str, Any] | None = N
             raise ConfigError(f"config file {path} is not valid JSON: {exc}")
         if not isinstance(file_values, dict):
             raise ConfigError(f"config file {path} must contain a JSON object")
-        values = _merge(values, file_values)
+        values = _checked(_merge(values, file_values))
     if overrides:
         values = _merge(values, {k: v for k, v in overrides.items() if v is not None})
     env_out = os.environ.get(OUT_ENV_VAR)
     if env_out and (not overrides or overrides.get("out") is None):
         values["out"] = env_out
-    _check(values["seed"], "seed", lambda seed: int(seed) >= 0, "a non-negative integer")
-    _check(values["split"], "split", lambda split: 0.0 < float(split) < 1.0, "in (0, 1)")
-    for section, defaults in DEFAULTS.items():
-        if isinstance(defaults, dict) and section != "schema":
-            _check(values[section], section, lambda v: isinstance(v, dict), "an object")
-            for key, default in defaults.items():
-                where = f"{section}.{key}"
-                rule = _FEATURES_PER_SPLIT if where == "forest.features_per_split" else _type_rule(default)
-                _check(values[section][key], where, *rule)
-    return values
+    return _checked(values)

@@ -4,7 +4,8 @@ Blocks are built per source (vendor one-hot, binary indicators, TF-IDF
 text) and assembled by horizontal concatenation, in the order given, into
 one matrix whose columns carry both a name and one of three group tags
 (``GROUPS``). All fitted models here are frozen after fit; transforms are
-read-only and thread-safe.
+read-only and thread-safe. They carry no serializers: the scoring artifact
+(``pipelines.ScoringArtifact``) writes and reads them.
 
 Each block makes one pass over its rows and writes its CSR arrays
 (``indptr``/``indices``/``data``) directly, in the manner of
@@ -25,7 +26,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -316,13 +317,6 @@ class VendorEncoder:
     def __post_init__(self):
         object.__setattr__(self, "index", {v: j for j, v in enumerate(self.categories)})
 
-    def to_dict(self) -> dict:
-        return {"categories": list(self.categories)}
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "VendorEncoder":
-        return cls(tuple(d["categories"]))
-
 
 def fit_vendor(records: Sequence[DisclosureRecord]) -> VendorEncoder:
     return VendorEncoder(tuple(sorted({r.vendor for r in records})))
@@ -353,7 +347,6 @@ class TfidfModel:
     vocabulary: dict[str, int]
     idf: np.ndarray
     ngram_range: tuple[int, int]
-    max_features: int
     names: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -363,23 +356,6 @@ class TfidfModel:
         for term, j in self.vocabulary.items():
             out[j] = term
         object.__setattr__(self, "names", tuple(out))
-
-    def to_dict(self) -> dict:
-        return {
-            "vocabulary": self.vocabulary,
-            "idf": self.idf.tolist(),
-            "ngram_range": list(self.ngram_range),
-            "max_features": self.max_features,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "TfidfModel":
-        return cls(
-            dict(d["vocabulary"]),
-            np.asarray(d["idf"], dtype=np.float64),
-            tuple(d["ngram_range"]),
-            d["max_features"],
-        )
 
 
 def _ngrams(tokens: Sequence[str], lo: int, hi: int) -> list[str]:
@@ -421,7 +397,7 @@ def fit_tfidf(
     vocabulary = {t: j for j, t in enumerate(terms)}
     n_docs = len(texts)
     idf = np.array([math.log((1 + n_docs) / (1 + df[t])) + 1.0 for t in terms], dtype=np.float64)
-    return TfidfModel(vocabulary, idf, (lo, hi), max_features)
+    return TfidfModel(vocabulary, idf, (lo, hi))
 
 
 def transform_tfidf(model: TfidfModel, text: str) -> sp.csr_matrix:

@@ -12,6 +12,7 @@ in the classifier; the nets also read the records' descriptions.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -20,9 +21,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import classical, evaluation, features, neural, reduction, selection
-from .config import DEFAULTS
+from .config import DEFAULTS, _is_int, _is_number
 from .corpus import DisclosureRecord, decode_utf8
-from .errors import ConfigError, RowError, ShapeError
+from .errors import ConfigError, ShapeError, TriageError
 from .features import (
     Columns,
     FeatureMatrix,
@@ -58,16 +59,16 @@ class FeatureBuilder:
         self.columns: Columns | None = None
 
     def fit(self, records: Sequence[DisclosureRecord]) -> "FeatureBuilder":
-        self.tfidf_model = fit_tfidf(
+        tfidf_model = fit_tfidf(
             [r.description for r in records],
             ngram_range=(self.tfidf["ngram_lo"], self.tfidf["ngram_hi"]),
             max_features=self.tfidf["max_features"],
         )
-        self.vendor_encoder = fit_vendor(records)
-        self._fix_columns()
-        return self
+        return self.set_fitted(tfidf_model, fit_vendor(records))
 
-    def _fix_columns(self) -> None:
+    def set_fitted(self, tfidf_model: TfidfModel, vendor_encoder: VendorEncoder) -> "FeatureBuilder":
+        """Take the fitted TF-IDF model and vendor encoder, and fix the columns they make; returns self."""
+        self.tfidf_model, self.vendor_encoder = tfidf_model, vendor_encoder
         self.columns = assembled_columns(
             [
                 (self.vendor_encoder.categories, "vendor"),
@@ -75,6 +76,7 @@ class FeatureBuilder:
                 (self.tfidf_model.names, "text"),
             ]
         )
+        return self
 
     def transform(self, records: Sequence[DisclosureRecord]) -> FeatureMatrix:
         if self.columns is None:
@@ -88,26 +90,6 @@ class FeatureBuilder:
             ],
             self.columns,
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "lexicon": list(self.lexicon.phrases),
-            "tfidf_config": {
-                "ngram_range": [self.tfidf["ngram_lo"], self.tfidf["ngram_hi"]],
-                "max_features": self.tfidf["max_features"],
-            },
-            "tfidf_model": self.tfidf_model.to_dict(),
-            "vendor_encoder": self.vendor_encoder.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "FeatureBuilder":
-        (lo, hi), max_features = d["tfidf_config"]["ngram_range"], d["tfidf_config"]["max_features"]
-        fb = cls(KeywordLexicon(tuple(d["lexicon"])), {"ngram_lo": lo, "ngram_hi": hi, "max_features": max_features})
-        fb.tfidf_model = TfidfModel.from_dict(d["tfidf_model"])
-        fb.vendor_encoder = VendorEncoder.from_dict(d["vendor_encoder"])
-        fb._fix_columns()
-        return fb
 
 
 def _clamped(k: int, *limits: int) -> int:
@@ -291,7 +273,10 @@ class ScoringArtifact:
 
     The builder's column count, fixed when it was fitted or loaded, must
     equal the model's input width; an artifact that disagrees is refused
-    when it is built or loaded, not when it first scores.
+    when it is built or loaded, not when it first scores. ``save`` and
+    ``load`` alone define the file: one JSON object holding the builder's
+    lexicon, TF-IDF settings, vocabulary, idf weights and vendor
+    categories, and the model's weights, bias, C and iteration count.
     """
 
     builder: FeatureBuilder
@@ -310,26 +295,114 @@ class ScoringArtifact:
         return probs, evaluation.predicted_labels(probs)
 
     def save(self, path) -> None:
+        """Write the artifact to ``path`` as JSON with sorted keys."""
+        builder, model = self.builder, self.model
+        # the file holds the TF-IDF settings twice, as the builder's config and beside its fitted model
+        tfidf = {
+            "ngram_range": [builder.tfidf["ngram_lo"], builder.tfidf["ngram_hi"]],
+            "max_features": builder.tfidf["max_features"],
+        }
         payload = {
-            "builder": self.builder.to_dict(),
+            "builder": {
+                "lexicon": list(builder.lexicon.phrases),
+                "tfidf_config": tfidf,
+                "tfidf_model": {
+                    "vocabulary": builder.tfidf_model.vocabulary,
+                    "idf": builder.tfidf_model.idf.tolist(),
+                    **tfidf,
+                },
+                "vendor_encoder": {"categories": list(builder.vendor_encoder.categories)},
+            },
             "model_kind": "LogRegModel",
-            "model": self.model.to_dict(),
+            "model": {"weights": model.weights.tolist(), "bias": model.bias, "C": model.C, "n_iter": model.n_iter},
         }
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, sort_keys=True)
 
     @classmethod
     def load(cls, path) -> "ScoringArtifact":
-        """The artifact saved at ``path``; a file that is not one raises ConfigError naming it."""
+        """The artifact saved at ``path``, each entry converted to its type.
+
+        A file that is not an artifact, or an entry that does not convert,
+        raises ConfigError naming the file; a model whose width is not the
+        featurizer's column count raises ShapeError.
+        """
         try:
             payload = json.loads(decode_utf8(Path(path).read_bytes()))
             kind, builder, model = payload["model_kind"], payload["builder"], payload["model"]
             if kind != "LogRegModel":
-                raise ConfigError(f"model artifact {path}: unsupported model kind {kind!r}")
-            return cls(FeatureBuilder.from_dict(builder), classical.LogRegModel.from_dict(model))
-        except RowError as exc:
-            raise ConfigError(f"model artifact {path}: {exc}") from None
+                raise ConfigError(f"unsupported model kind {kind!r}")
+            config, fitted = builder["tfidf_config"], builder["tfidf_model"]
+            lo, hi = _entry(config, "ngram_range", _ngram_range)
+            tfidf = {"ngram_lo": lo, "ngram_hi": hi, "max_features": _entry(config, "max_features", _integer)}
+            fb = FeatureBuilder(KeywordLexicon(_entry(builder, "lexicon", _strings)), tfidf)
+            fb.set_fitted(
+                TfidfModel(_entry(fitted, "vocabulary", _vocabulary), _entry(fitted, "idf", _floats), (lo, hi)),
+                VendorEncoder(_entry(builder["vendor_encoder"], "categories", _strings)),
+            )
+            lr = classical.LogRegModel(
+                _entry(model, "weights", _floats),
+                _entry(model, "bias", _number),
+                _entry(model, "C", _number),
+                _entry(model, "n_iter", _integer),
+            )
         except json.JSONDecodeError as exc:
             raise ConfigError(f"model artifact {path}: not valid JSON: {exc}") from None
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"model artifact {path}: missing or malformed entry {exc}") from None
+        except TriageError as exc:
+            raise ConfigError(f"model artifact {path}: {exc}") from None
+        return cls(fb, lr)
+
+
+# Converters for the artifact's entries: each returns the value as its type, or
+# raises ValueError naming the rule it breaks.
+
+
+def _entry(entries: Mapping, key: str, convert):
+    """``entries[key]`` converted by ``convert``; ConfigError naming ``key`` when it does not convert."""
+    try:
+        return convert(entries[key])
+    except ValueError as exc:
+        raise ConfigError(f"entry {key!r} must be {exc}") from None
+
+
+def _integer(value) -> int:
+    if not _is_int(value):
+        raise ValueError("an integer")
+    return value
+
+
+def _number(value) -> float:
+    if not (_is_number(value) and math.isfinite(value)):
+        raise ValueError("a finite number")
+    return value
+
+
+def _ngram_range(value) -> tuple[int, int]:
+    if not (isinstance(value, list) and len(value) == 2 and all(map(_is_int, value))):
+        raise ValueError("two integers")
+    return tuple(value)
+
+
+def _floats(value) -> np.ndarray:
+    try:
+        arr = np.asarray(value if isinstance(value, list) else None)
+    except ValueError:  # a ragged nested list
+        arr = np.asarray(None)
+    if arr.ndim != 1 or arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+        raise ValueError("a list of finite numbers")
+    return arr.astype(np.float64, copy=False)
+
+
+def _strings(value) -> tuple[str, ...]:
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise ValueError("a list of strings")
+    return tuple(value)
+
+
+def _vocabulary(value) -> dict[str, int]:
+    columns = value.values() if isinstance(value, dict) else [None]
+    if set(map(type, columns)) - {int} or set(columns) != set(range(len(columns))):
+        raise ValueError("an object mapping each term to its column, 0 to n - 1")
+    return value

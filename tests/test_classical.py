@@ -100,12 +100,6 @@ class TestLogReg:
         sparse = classical.train_logreg(sp.csr_matrix(X), y, max_iter=200)
         assert np.allclose(dense.weights, sparse.weights, atol=1e-10)
 
-    def test_json_roundtrip(self):
-        model = classical.train_logreg(np.array([[-1.0], [1.0]]), np.array([0, 1]))
-        back = classical.LogRegModel.from_dict(model.to_dict())
-        assert np.array_equal(back.weights, model.weights)
-        assert back.bias == model.bias
-
 
 # Bit-identity oracle: logistic regression that recomputes the logits for
 # every gradient, which the reuse of each accepted point's logits must

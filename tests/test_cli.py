@@ -255,12 +255,30 @@ class TestPredict:
             (b'{"builder": {}}', "missing or malformed entry"),
             (b'{"model_kind": "\xff"}', "not valid UTF-8"),
             (b'{"model_kind": "TreeModel", "builder": {}, "model": {"nodes": []}}', "unsupported model kind 'TreeModel'"),
+            # the rest edit one entry of the artifact benchmark-models wrote
+            (lambda p: p["builder"]["tfidf_config"].update(ngram_range=[1]), "entry 'ngram_range' must be two integers"),
+            (lambda p: p["model"].update(weights=["a"]), "entry 'weights' must be a list of finite numbers"),
+            (lambda p: p["model"].update(bias="x"), "entry 'bias' must be a finite number"),
+            (lambda p: p["builder"]["tfidf_model"]["idf"].pop(), "idf length must match vocabulary size"),
+            (lambda p: p["builder"].update(lexicon=[]), "lexicon must not be empty"),
+            (lambda p: p["builder"].update(lexicon=[5]), "entry 'lexicon' must be a list of strings"),
+            (
+                lambda p: p["builder"]["tfidf_model"]["vocabulary"].update({"zz": 10**6}),
+                "entry 'vocabulary' must be an object mapping each term to its column",
+            ),
         ],
-        ids=["not_json", "missing_keys", "not_utf8", "tree_kind"],
+        ids=[
+            "not_json", "missing_keys", "not_utf8", "tree_kind", "ngram_range_one_entry", "weights_not_numbers",
+            "bias_not_a_number", "idf_one_short", "lexicon_empty", "lexicon_not_strings", "vocabulary_column_out_of_range",
+        ],
     )
     def test_malformed_artifact_is_a_named_error(self, workdir, tmp_path, capsys, content, named):
-        _, data, _ = workdir
+        out, data, _ = workdir
         model = tmp_path / "model.json"
+        if callable(content):
+            payload = json.loads((out / "model_baseline_lr.json").read_text(encoding="utf-8"))
+            content(payload)
+            content = json.dumps(payload).encode("utf-8")
         model.write_bytes(content)
         rc = main(["predict", "--model", str(model), "--input", str(data), "--out", str(tmp_path)])
         err = capsys.readouterr().err
@@ -506,7 +524,19 @@ class TestConfigFile:
         # a tolerance above the initial gradient norm stops every fit before its first step
         assert all(pipe.model.n_iter == 0 for _, pipe in built)
 
-    @pytest.mark.parametrize("values", [{"seed": "abc"}, {"split": "x"}], ids=["seed", "split"])
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {"seed": "abc"},
+            {"split": "x"},
+            {"lexicon": 5},
+            {"out": 5},
+            {"data": 7},
+            {"schema": "x"},
+            {"schema": {"cvss": 5}},
+        ],
+        ids=["seed", "split", "lexicon", "out", "data", "schema", "schema-value"],
+    )
     def test_unconvertible_value_names_its_key(self, tmp_path, synthetic_csv, capsys, values):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"data": str(synthetic_csv), **values}))
@@ -523,8 +553,15 @@ class TestConfigFile:
             ("ensembles", {"ensemble": {"members": "x"}}),
             ("ensembles", {"knn": {"k": 2.5}}),
             ("ensembles", {"forest": {"features_per_split": "x"}}),
+            ("benchmark-models", {"tree": {"max_depth": "x"}}),
+            ("benchmark-models", {"net": {"merge": [64.5, 32]}}),
+            ("benchmark-features", {"tfidf": {"max_features": -5}}),
+            ("benchmark-features", {"tfidf": {"max_features": 0}}),
         ],
-        ids=["tfidf.max_features", "svd.k", "ensemble.members", "knn.k", "forest.features_per_split"],
+        ids=[
+            "tfidf.max_features", "svd.k", "ensemble.members", "knn.k", "forest.features_per_split",
+            "tree.max_depth", "net.merge", "tfidf.max_features-negative", "tfidf.max_features-zero",
+        ],
     )
     def test_wrongly_typed_section_value_names_its_key(self, tmp_path, synthetic_csv, capsys, command, values):
         cfg = tmp_path / "bad.json"
@@ -537,17 +574,23 @@ class TestConfigFile:
 
     @pytest.mark.parametrize(
         "values",
-        [{"logreg": {"C": 1}}, {"tree": {"max_depth": 3}}, {"forest": {"features_per_split": 0.5}}],
-        ids=["integer-for-number", "integer-for-null", "fraction-per-split"],
+        [
+            {"logreg": {"C": 1}},
+            {"tree": {"max_depth": 3}},
+            {"forest": {"features_per_split": 0.5}},
+            {"lexicon": None},
+            {"tree": {"max_depth": None}},
+        ],
+        ids=["integer-for-number", "integer-for-null", "fraction-per-split", "null-lexicon", "null-max-depth"],
     )
     def test_values_of_each_accepted_type_load(self, tmp_path, values):
         from sevtriage.config import load_config
 
         cfg = tmp_path / "ok.json"
         cfg.write_text(json.dumps(values))
-        ((section, keys),) = values.items()
-        loaded = load_config(str(cfg))[section]
-        assert {key: loaded[key] for key in keys} == keys
+        ((key, value),) = values.items()
+        loaded = load_config(str(cfg))[key]
+        assert ({name: loaded[name] for name in value} if isinstance(value, dict) else loaded) == value
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

@@ -52,14 +52,6 @@ class TestFeatureBuilder:
         assert groups == ["vendor", "indicator", "text"]
         assert X.n_rows == len(train_records)
 
-    def test_roundtrip_through_dict(self, split):
-        train_records, _, test_records, _ = split
-        fb = pipelines.FeatureBuilder().fit(train_records)
-        back = pipelines.FeatureBuilder.from_dict(fb.to_dict())
-        a = fb.transform(test_records).to_dense()
-        b = back.transform(test_records).to_dense()
-        assert np.array_equal(a, b)
-
 
 class TestLrFeaturePipeline:
     @pytest.mark.parametrize("mode", ["baseline", "svd", "chi2", "mi", "pca", "lda"])
@@ -173,13 +165,6 @@ class TestHeadsReadTheConfigTree:
         assert list(params) == [first, "config"]
         assert params["config"].default is DEFAULTS
 
-    def test_builder_artifact_keeps_its_tfidf_config_format(self, split):
-        fb = pipelines.FeatureBuilder().fit(split[0])
-        assert fb.to_dict()["tfidf_config"] == {"ngram_range": [1, 2], "max_features": 5000}
-        cfg = load_config(overrides={"tfidf": {"ngram_hi": 3, "max_features": 40}})
-        back = pipelines.FeatureBuilder.from_dict(pipelines.FeatureBuilder(tfidf=cfg["tfidf"]).fit(split[0]).to_dict())
-        assert back.tfidf == cfg["tfidf"]
-
 
 class TestModelPipelines:
     def test_factory_returns_six_named_pipelines(self):
@@ -241,7 +226,94 @@ class TestSharedMatrices:
         assert (_digests(train_X), _digests(test_X)) == before, "ensembles"
 
 
+# Byte oracle: one to_dict each for the TF-IDF model, vendor encoder, logistic
+# regression and builder, whose payload ScoringArtifact.save must write byte for
+# byte. max_features comes from the builder's config, the one place holding it.
+
+
+def oracle_tfidf_to_dict(model, max_features: int) -> dict:
+    return {
+        "vocabulary": model.vocabulary,
+        "idf": model.idf.tolist(),
+        "ngram_range": list(model.ngram_range),
+        "max_features": max_features,
+    }
+
+
+def oracle_vendor_to_dict(encoder) -> dict:
+    return {"categories": list(encoder.categories)}
+
+
+def oracle_logreg_to_dict(model) -> dict:
+    return {"weights": model.weights.tolist(), "bias": model.bias, "C": model.C, "n_iter": model.n_iter}
+
+
+def oracle_builder_to_dict(fb) -> dict:
+    return {
+        "lexicon": list(fb.lexicon.phrases),
+        "tfidf_config": {
+            "ngram_range": [fb.tfidf["ngram_lo"], fb.tfidf["ngram_hi"]],
+            "max_features": fb.tfidf["max_features"],
+        },
+        "tfidf_model": oracle_tfidf_to_dict(fb.tfidf_model, fb.tfidf["max_features"]),
+        "vendor_encoder": oracle_vendor_to_dict(fb.vendor_encoder),
+    }
+
+
+def oracle_artifact_bytes(artifact) -> bytes:
+    payload = {
+        "builder": oracle_builder_to_dict(artifact.builder),
+        "model_kind": "LogRegModel",
+        "model": oracle_logreg_to_dict(artifact.model),
+    }
+    return json.dumps(payload, sort_keys=True).encode("utf-8")
+
+
+TFIDF_SETTINGS = pytest.mark.parametrize(
+    "tfidf", [{}, {"ngram_hi": 3, "max_features": 40}], ids=["default", "trigrams-40-terms"]
+)
+
+
+def _fitted_artifact(split, tfidf: dict):
+    from sevtriage.classical import train_logreg
+
+    train_records, train_labels, _, _ = split
+    cfg = load_config(overrides={"tfidf": tfidf})
+    fb = pipelines.FeatureBuilder(tfidf=cfg["tfidf"]).fit(train_records)
+    return pipelines.ScoringArtifact(fb, train_logreg(fb.transform(train_records), train_labels)), cfg
+
+
 class TestScoringArtifact:
+    @TFIDF_SETTINGS
+    def test_save_writes_the_oracle_bytes(self, split, tmp_path, tfidf):
+        artifact, _ = _fitted_artifact(split, tfidf)
+        artifact.save(tmp_path / "artifact.json")
+        assert (tmp_path / "artifact.json").read_bytes() == oracle_artifact_bytes(artifact)
+
+    @TFIDF_SETTINGS
+    def test_save_load_save_is_byte_identical(self, split, tmp_path, tfidf):
+        artifact, _ = _fitted_artifact(split, tfidf)
+        artifact.save(tmp_path / "first.json")
+        pipelines.ScoringArtifact.load(tmp_path / "first.json").save(tmp_path / "second.json")
+        assert (tmp_path / "second.json").read_bytes() == (tmp_path / "first.json").read_bytes()
+
+    @TFIDF_SETTINGS
+    def test_load_restores_the_config_model_and_columns(self, split, tmp_path, tfidf):
+        artifact, cfg = _fitted_artifact(split, tfidf)
+        artifact.save(tmp_path / "artifact.json")
+        loaded = pipelines.ScoringArtifact.load(tmp_path / "artifact.json")
+        assert loaded.builder.tfidf == cfg["tfidf"]
+        assert np.array_equal(loaded.model.weights, artifact.model.weights)
+        assert (loaded.model.bias, loaded.model.C, loaded.model.n_iter) == (
+            artifact.model.bias,
+            artifact.model.C,
+            artifact.model.n_iter,
+        )
+        test_records = split[2]
+        a, b = artifact.builder.transform(test_records), loaded.builder.transform(test_records)
+        assert (a.names, a.groups) == (b.names, b.groups)
+        assert np.array_equal(a.to_dense(), b.to_dense())
+
     def test_save_load_predict_identical(self, split, tmp_path):
         from sevtriage.classical import train_logreg
 
