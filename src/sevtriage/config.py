@@ -73,12 +73,8 @@ def _merge(base: dict, override: Mapping, path: str = "") -> dict:
 
 
 def _check(value, key: str, holds, rule: str) -> None:
-    """Raise ConfigError naming ``key`` unless ``holds(value)``; a value that does not convert fails."""
-    try:
-        ok = holds(value)
-    except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok:
+    """Raise ConfigError naming ``key`` unless ``holds(value)``."""
+    if not holds(value):
         raise ConfigError(f"config key {key!r} must be {rule}, got {value!r}")
 
 
@@ -114,8 +110,8 @@ _RULES = {
     "data": _NULL_OR_STRING,
     "schema": (lambda v: isinstance(v, dict) and all(isinstance(c, str) for c in v.values()), "an object of strings"),
     "lexicon": _NULL_OR_STRING,
-    "seed": (lambda seed: int(seed) >= 0, "a non-negative integer"),
-    "split": (lambda split: 0.0 < float(split) < 1.0, "in (0, 1)"),
+    "seed": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
+    "split": (lambda v: _is_number(v) and 0 < v < 1, "a number in (0, 1)"),
     "tfidf.max_features": (lambda v: _is_int(v) and v > 0, "a positive integer"),
     "tree.max_depth": (lambda v: v is None or _is_int(v), "null or an integer"),
     "forest.features_per_split": (

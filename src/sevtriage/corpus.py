@@ -10,6 +10,7 @@ import csv
 import io
 import json
 import math
+import re
 from dataclasses import dataclass
 from datetime import date, datetime
 from typing import BinaryIO, Iterable, Mapping, Sequence
@@ -24,6 +25,7 @@ FIELDS = ("zdi_id", "cve_id", "cvss", "published", "vendor", "description")
 HIGH_SEVERITY_THRESHOLD = 7.0
 
 _DATE_FORMATS = ("%Y-%m-%d", "%B %d, %Y", "%b %d, %Y")
+_ISO_DAY_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 @dataclass(frozen=True)
@@ -98,6 +100,11 @@ def _parse_date(raw: str) -> date | None:
     raw = raw.strip()
     if not raw:
         return None
+    if _ISO_DAY_RE.fullmatch(raw):  # the first format's usual case, without strptime
+        try:
+            return date(int(raw[:4]), int(raw[5:7]), int(raw[8:]))
+        except ValueError:
+            pass
     for fmt in _DATE_FORMATS:
         try:
             return datetime.strptime(raw, fmt).date()

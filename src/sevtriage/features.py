@@ -7,21 +7,25 @@ one matrix whose columns carry both a name and one of three group tags
 read-only and thread-safe. They carry no serializers: the scoring artifact
 (``pipelines.ScoringArtifact``) writes and reads them.
 
-Each block makes one pass over its rows and writes its CSR arrays
-(``indptr``/``indices``/``data``) directly, in the manner of
-scikit-learn's ``CountVectorizer``. A description is tokenized once, and
-its tokens serve both the keyword flags and the TF-IDF n-grams. A
-keyword is found by looking its token tuple up in the set of the
-record's k-grams. Blocks are not validated; :func:`assemble` validates
-the one matrix it returns. It takes the blocks themselves, never an
-assembled matrix, and the :class:`Columns` their caller derived once (a
-fitted ``FeatureBuilder`` fixes them at fit and at load), so column
-names and groups are not rebuilt per call.
+Each block writes its CSR arrays (``indptr``/``indices``/``data``)
+directly, in the manner of scikit-learn's ``CountVectorizer``. A
+description is tokenized once, and its tokens serve both the keyword
+flags and the TF-IDF n-grams. A keyword is found by a substring test of
+its space-padded tokens against the record's. The TF-IDF block is built
+in whole-batch passes (one vocabulary lookup, one ``np.unique``, one
+multiply and divide); only the row norms are summed per row, to keep
+the bits of numpy's pairwise sum over each row. Blocks are not
+validated; :func:`assemble` validates the one matrix it returns. It
+takes the blocks themselves, never an assembled matrix, and the
+:class:`Columns` their caller derived once (a fitted ``FeatureBuilder``
+fixes them at fit and at load), so column names and groups are not
+rebuilt per call.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -36,7 +40,9 @@ from .errors import ConfigError, FitError, RowError, ShapeError
 
 GROUPS = ("vendor", "indicator", "text")
 
-_TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# A maximal alphanumeric run of length 1 never matches and a longer one
+# matches whole, so these are the runs of length >= 2 without a filter.
+_TOKEN_RE = re.compile(r"[^\W_]{2,}", re.UNICODE)
 _CVE_RE = re.compile(r"CVE-\d{4}-\d{4,}")
 
 DEFAULT_KEYWORDS = (
@@ -55,7 +61,7 @@ DEFAULT_KEYWORDS = (
 
 def tokenize(text: str) -> list[str]:
     """Lowercase tokens: maximal alphanumeric runs of length >= 2."""
-    return [t for t in _TOKEN_RE.findall(text.lower()) if len(t) >= 2]
+    return _TOKEN_RE.findall(text.lower())
 
 
 def _kgrams(tokens: Sequence[str], k: int):
@@ -218,13 +224,13 @@ def assemble(blocks: Sequence[Block], columns: Columns) -> FeatureMatrix:
 class KeywordLexicon:
     """Ordered set of lowercase keyword phrases (1-4 tokens each).
 
-    ``tokens`` holds each phrase's token tuple and ``lengths`` the
-    distinct phrase lengths, both fixed at construction.
+    ``tokens`` holds each phrase's token tuple and ``probes`` its
+    :func:`_padded` tokens, both fixed at construction.
     """
 
     phrases: tuple[str, ...]
     tokens: tuple[tuple[str, ...], ...] = field(init=False, repr=False, compare=False)
-    lengths: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    probes: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.phrases:
@@ -236,7 +242,7 @@ class KeywordLexicon:
             if not 1 <= len(t) <= 4:
                 raise ConfigError(f"phrase {p!r} must be 1-4 tokens, got {len(t)}")
         object.__setattr__(self, "tokens", tokens)
-        object.__setattr__(self, "lengths", tuple(sorted({len(t) for t in tokens})))
+        object.__setattr__(self, "probes", tuple(map(_padded, tokens)))
 
     @classmethod
     def default(cls) -> "KeywordLexicon":
@@ -263,12 +269,20 @@ def cve_flag(record: DisclosureRecord) -> int:
     return 1 if _CVE_RE.fullmatch(record.cve_id.strip()) else 0
 
 
+def _padded(tokens: Sequence[str]) -> str:
+    """The tokens joined by single spaces, with one space at each end."""
+    return " " + " ".join(tokens) + " "
+
+
 def keyword_hits(tokens: Sequence[str], lexicon: KeywordLexicon) -> list[int]:
-    """Indices of the phrases that occur in ``tokens`` as contiguous runs."""
-    grams = set()
-    for k in lexicon.lengths:
-        grams.update(_kgrams(tokens, k))
-    return [i for i, phrase in enumerate(lexicon.tokens) if phrase in grams]
+    """Indices of the phrases that occur in ``tokens`` as contiguous runs.
+
+    A phrase's probe is a substring of the padded tokens exactly where the
+    phrase occurs: tokens hold no whitespace, so the probe's spaces can
+    only fall on token boundaries.
+    """
+    row = _padded(tokens)
+    return [i for i, probe in enumerate(lexicon.probes) if probe in row]
 
 
 def keyword_frequencies(X: FeatureMatrix, lexicon: KeywordLexicon, top_k: int = 10) -> list[tuple[str, int]]:
@@ -426,26 +440,29 @@ def text_block(model: TfidfModel, tokens: Sequence[Sequence[str]]) -> Block:
     """L2-normalized tf-idf rows, one per token list (see :func:`tokenize`).
 
     A row's entries are ``count * idf`` over its sorted in-vocabulary
-    columns, divided by ``sqrt(sum(v * v))`` of that row.
+    columns, divided by ``sqrt(sum(v * v))`` of that row. The batch's
+    n-grams are looked up in one pass and counted by one ``np.unique``
+    over the keys ``row * d + column``. Only the norm is taken row by
+    row: ``np.add.reduce`` of a row's slice is the pairwise sum the row
+    gets on its own, whose bits neither ``np.add.reduceat`` nor padding
+    the rows to one width reproduces.
     """
     lo, hi = model.ngram_range
-    lookup = model.vocabulary.get
-    indptr = [0]
-    cols_parts = []
-    vals_parts = []
+    n, d = len(tokens), len(model.idf)
+    grams: list[str] = []
+    ends = [0]
     for toks in tokens:
-        hits = [j for j in map(lookup, _ngrams(toks, lo, hi)) if j is not None]
-        if hits:
-            cols, counts = np.unique(hits, return_counts=True)
-            vals = counts * model.idf[cols]
-            norm = np.sqrt(np.sum(vals * vals))
-            if norm > 0:
-                vals /= norm
-            cols_parts.append(cols)
-            vals_parts.append(vals)
-            indptr.append(indptr[-1] + len(cols))
-        else:
-            indptr.append(indptr[-1])
-    indices = np.concatenate(cols_parts) if cols_parts else []
-    values = np.concatenate(vals_parts) if vals_parts else []
-    return _block(indptr, indices, values, model.names, "text")
+        grams.extend(_ngrams(toks, lo, hi))
+        ends.append(len(grams))
+    cols = np.fromiter(map(model.vocabulary.get, grams, itertools.repeat(-1)), dtype=np.int64, count=len(grams))
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(np.asarray(ends, dtype=np.int64)))
+    hit = cols >= 0
+    keys, counts = np.unique(rows[hit] * d + cols[hit], return_counts=True)
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * d)
+    row_nnz = np.diff(indptr)
+    cols = keys % d  # no keys when d is 0
+    vals = counts * model.idf[cols]
+    sq = vals * vals
+    norms = np.sqrt([np.add.reduce(sq[a:b]) for a, b in itertools.pairwise(indptr.tolist())])
+    norms[norms == 0] = 1.0  # a row with no entries, or only zero ones, stays as it is
+    return _block(indptr, cols, vals / np.repeat(norms, row_nnz), model.names, "text")

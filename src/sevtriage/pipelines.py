@@ -325,7 +325,7 @@ class ScoringArtifact:
 
         A file that is not an artifact, or an entry that does not convert,
         raises ConfigError naming the file; a model whose width is not the
-        featurizer's column count raises ShapeError.
+        featurizer's column count raises ShapeError naming the file.
         """
         try:
             payload = json.loads(decode_utf8(Path(path).read_bytes()))
@@ -352,7 +352,10 @@ class ScoringArtifact:
             raise ConfigError(f"model artifact {path}: missing or malformed entry {exc}") from None
         except TriageError as exc:
             raise ConfigError(f"model artifact {path}: {exc}") from None
-        return cls(fb, lr)
+        try:
+            return cls(fb, lr)
+        except ShapeError as exc:
+            raise ShapeError(f"model artifact {path}: {exc}") from None
 
 
 # Converters for the artifact's entries: each returns the value as its type, or

@@ -266,10 +266,12 @@ class TestPredict:
                 lambda p: p["builder"]["tfidf_model"]["vocabulary"].update({"zz": 10**6}),
                 "entry 'vocabulary' must be an object mapping each term to its column",
             ),
+            (lambda p: p["model"].update(weights=p["model"]["weights"][:-3]), "columns but its LogRegModel expects"),
         ],
         ids=[
             "not_json", "missing_keys", "not_utf8", "tree_kind", "ngram_range_one_entry", "weights_not_numbers",
             "bias_not_a_number", "idf_one_short", "lexicon_empty", "lexicon_not_strings", "vocabulary_column_out_of_range",
+            "weights_three_short",
         ],
     )
     def test_malformed_artifact_is_a_named_error(self, workdir, tmp_path, capsys, content, named):
@@ -534,8 +536,15 @@ class TestConfigFile:
             {"data": 7},
             {"schema": "x"},
             {"schema": {"cvss": 5}},
+            {"seed": 7.9},
+            {"seed": "7"},
+            {"seed": True},
+            {"split": "0.3"},
         ],
-        ids=["seed", "split", "lexicon", "out", "data", "schema", "schema-value"],
+        ids=[
+            "seed", "split", "lexicon", "out", "data", "schema", "schema-value",
+            "seed-fraction", "seed-string", "seed-bool", "split-string",
+        ],
     )
     def test_unconvertible_value_names_its_key(self, tmp_path, synthetic_csv, capsys, values):
         cfg = tmp_path / "bad.json"

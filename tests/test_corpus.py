@@ -1,7 +1,7 @@
 """Parsing, cleaning, labeling, and stratified splitting."""
 
 import io
-from datetime import date
+from datetime import date, datetime
 
 import numpy as np
 import pytest
@@ -110,6 +110,48 @@ class TestParseCsv:
             except TriageError:
                 continue
             assert all(isinstance(r, corpus.DisclosureRecord) for r in records)
+
+
+def _parse_date_by_strptime(raw: str):
+    """Date parsing before the ISO fast path: each format by strptime, then fromisoformat."""
+    raw = raw.strip()
+    if not raw:
+        return None
+    for fmt in ("%Y-%m-%d", "%B %d, %Y", "%b %d, %Y"):
+        try:
+            return datetime.strptime(raw, fmt).date()
+        except ValueError:
+            continue
+    try:
+        return datetime.fromisoformat(raw).date()
+    except ValueError:
+        return None
+
+
+class TestParseDate:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.one_of(
+            st.from_regex(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", fullmatch=True),
+            st.from_regex(r"[0-9]{4}-(0[0-9]|1[0-3])-([0-2][0-9]|3[0-2])", fullmatch=True),
+            st.dates().map(date.isoformat),
+        ),
+        st.sampled_from(["", " ", "\t", "  \n"]),
+        st.sampled_from(["", " ", "T00:00", "T12:30:00"]),
+    )
+    def test_iso_days_equal_the_strptime_chain(self, day, pad, tail):
+        raw = pad + day + tail + pad
+        parsed = corpus._parse_date(raw)
+        expected = _parse_date_by_strptime(raw)
+        assert parsed == expected and type(parsed) is type(expected)
+
+    @pytest.mark.parametrize(
+        "raw",
+        ["2024-02-29", "2023-02-29", "2024-13-01", "2024-00-10", "2024-04-31", "0000-01-01", "0001-01-01", "9999-12-31",
+         " 2024-05-01 ", "May 01, 2024", "2024-05-01T08:00:00"],
+    )
+    def test_edge_days_equal_the_strptime_chain(self, raw):
+        assert corpus._parse_date(raw) == _parse_date_by_strptime(raw)
 
 
 class TestClean:

@@ -4,6 +4,7 @@ the one-pass featurizer against its row-at-a-time reference."""
 import copy
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -451,3 +452,116 @@ class TestOnePassTransform:
         builder = FeatureBuilder().fit([_rec(description="remote code execution")])
         X = builder.transform([])
         assert X.n_rows == 0 and X.names == builder.columns.names
+
+
+# ---------------------------------------------------------------------------
+# The batch helpers against the code they replaced, kept here as oracles
+
+
+def _tokenize_with_filter(text: str) -> list[str]:
+    """The tokenizer before the batch rewrite: every maximal run, then a length filter."""
+    return [t for t in re.findall(r"[^\W_]+", text.lower()) if len(t) >= 2]
+
+
+def _kgram_set_hits(tokens, lexicon: KeywordLexicon) -> list[int]:
+    """Keyword search before the batch rewrite: look each phrase up in the set of the row's k-grams."""
+    grams = set()
+    for k in {len(t) for t in lexicon.tokens}:
+        grams.update(zip(*(tokens[i:] for i in range(k))))
+    return [i for i, phrase in enumerate(lexicon.tokens) if phrase in grams]
+
+
+class TestBatchHelpersMatchTheirOracles:
+    @given(st.text())
+    @settings(max_examples=500, deadline=None)
+    def test_tokenize_equals_the_filtered_runs(self, text):
+        assert features.tokenize(text) == _tokenize_with_filter(text)
+
+    @pytest.mark.parametrize(
+        "tokens, phrase, found",
+        [
+            (["codes"], "code", False),
+            (["remote", "codes", "execution"], "remote code", False),
+            (["xcode", "execution"], "code execution", False),
+            (["code", "execution", "bug"], "code execution", True),
+            (["a1", "bug", "code", "execution"], "code execution", True),
+            (["rce"], "rce", True),
+            (["rce", "rce", "rce"], "rce", True),
+            (["aa", "aa", "bb"], "aa bb", True),
+            (["aa", "bb", "aa"], "bb aa bb", False),
+            ([], "rce", False),
+        ],
+        ids=[
+            "prefix-of-a-token", "prefix-inside-a-phrase", "suffix-of-a-token", "at-the-start", "at-the-end",
+            "whole-row", "repeated-tokens", "after-a-repeat", "overrunning-the-end", "no-tokens",
+        ],
+    )
+    def test_keyword_hits_find_whole_token_runs(self, tokens, phrase, found):
+        lexicon = KeywordLexicon((phrase, "unrelated words"))
+        expected = [0] if found else []
+        assert _scan_contains(tokens, features.tokenize(phrase)) is found
+        assert features.keyword_hits(tokens, lexicon) == expected
+        assert _kgram_set_hits(tokens, lexicon) == expected
+
+    @given(
+        tokens=st.lists(st.sampled_from(("code", "codes", "ecode", "aa", "aaa", "bb")), max_size=10),
+        phrases=st.lists(
+            st.lists(st.sampled_from(("code", "codes", "ecode", "aa", "aaa", "bb")), min_size=1, max_size=4).map(" ".join),
+            min_size=1,
+            max_size=5,
+            unique=True,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_keyword_hits_equal_the_scan_and_the_kgram_set(self, tokens, phrases):
+        lexicon = KeywordLexicon(tuple(phrases))
+        hits = features.keyword_hits(tokens, lexicon)
+        assert hits == [i for i, p in enumerate(lexicon.tokens) if _scan_contains(tokens, p)]
+        assert hits == _kgram_set_hits(tokens, lexicon)
+
+
+# Terms of a fitted vocabulary with idf weights that differ, so rows of more
+# than 128 columns (numpy's pairwise-sum block) can be drawn.
+_MANY_WORDS = tuple(f"w{i:03d}" for i in range(300))
+
+
+def _many_word_model(ngram_range):
+    rng = np.random.default_rng(5)
+    texts = [" ".join(rng.choice(_MANY_WORDS, size=int(rng.integers(1, 250)))) for _ in range(40)]
+    return features.fit_tfidf(texts, ngram_range=ngram_range, max_features=5000)
+
+
+_MANY_WORD_MODELS = {r: _many_word_model(r) for r in ((1, 1), (1, 2))}
+
+
+@st.composite
+def _token_rows(draw):
+    """A row: a prefix of a shuffled vocabulary (up to all of it), then repeats and unseen words."""
+    words = draw(st.permutations(_MANY_WORDS))[: draw(st.integers(0, len(_MANY_WORDS)))]
+    extra = draw(st.lists(st.sampled_from(_MANY_WORDS[:5] + _UNSEEN), max_size=10))
+    return draw(st.permutations(list(words) + extra))
+
+
+class TestTextBlockBits:
+    @given(
+        rows=st.lists(st.one_of(_token_rows(), st.lists(st.sampled_from(_UNSEEN), max_size=4)), max_size=6),
+        ngram_range=st.sampled_from(sorted(_MANY_WORD_MODELS)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_batch_rows_equal_transform_tfidf_bit_for_bit(self, rows, ngram_range):
+        model = _MANY_WORD_MODELS[ngram_range]
+        block = features.text_block(model, rows).data
+        assert block.shape == (len(rows), len(model.idf))
+        for i, tokens in enumerate(rows):
+            ref = features.transform_tfidf(model, " ".join(tokens))
+            a, b = block.indptr[i], block.indptr[i + 1]
+            assert block.indices[a:b].tolist() == ref.indices.tolist()
+            assert block.data[a:b].tobytes() == ref.data.tobytes()
+
+    def test_a_row_past_the_pairwise_block_and_empty_rows(self):
+        # numpy's pairwise sum adds blocks of 128 elements; this row has 300
+        model = _MANY_WORD_MODELS[(1, 1)]
+        block = features.text_block(model, [list(_MANY_WORDS), ["zz"], []]).data
+        assert np.diff(block.indptr).tolist() == [len(_MANY_WORDS), 0, 0]
+        ref = features.transform_tfidf(model, " ".join(_MANY_WORDS))
+        assert block.data.tobytes() == ref.data.tobytes()
