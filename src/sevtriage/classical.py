@@ -19,9 +19,10 @@ the class counts of every cut. The lower feature index, then the lower
 threshold, wins a tie. Prediction routes all rows through a tree
 together, one level per step.
 
-The forest grows its trees on the CPUs in the process's affinity mask,
-the parent and forked children each growing a contiguous range of
-them. Every tree depends only on the data and its own seed, so the
+The forest grows its trees as ``workers.map_jobs`` jobs, one per tree,
+on the CPUs in the process's affinity mask; a forest fitted inside
+another mapped job (a benchmark head or an ensemble member) grows
+serially. Every tree depends only on the data and its own seed, so the
 forest is the same bit for bit on any number of CPUs; restricting the
 process (for example ``taskset -c 0``) only makes it slower.
 """
@@ -29,8 +30,6 @@ process (for example ``taskset -c 0``) only makes it slower.
 from __future__ import annotations
 
 import math
-import multiprocessing
-import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -40,6 +39,7 @@ import scipy.sparse as sp
 from .errors import ConfigError, FitError, ShapeError
 from .features import as_matrix
 from .seeds import substream
+from .workers import map_jobs
 
 
 def _as_dense(X, order: str | None = None) -> np.ndarray:
@@ -346,42 +346,6 @@ def _mtry(features_per_split, d: int) -> int:
     return max(1, int(round(frac * d)))
 
 
-def _usable_cpus() -> int:
-    """CPUs in this process's affinity mask.
-
-    1 without ``sched_getaffinity`` or the fork start method, and in a
-    daemonic process (a pool worker, say), which may not have children.
-    """
-    if (
-        not hasattr(os, "sched_getaffinity")
-        or "fork" not in multiprocessing.get_all_start_methods()
-        or multiprocessing.current_process().daemon
-    ):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _grow_trees(mat, y, seeds, mtry) -> list[TreeModel]:
-    """One tree per seed, each from its own bootstrap sample and feature-subset stream."""
-    n, d = mat.shape
-    trees = []
-    for tree_seed in seeds:
-        rng = np.random.default_rng(tree_seed)
-        idx = rng.integers(0, n, size=n)
-        trees.append(train_tree(mat, y, _rng=rng, _max_features=mtry if mtry < d else None, _rows=idx))
-    return trees
-
-
-def _grow_and_send(conn, *grow_args):
-    """A forked child's work: its trees' node tuples, or the exception that stopped it, sent to the parent."""
-    try:
-        result = [tree.nodes for tree in _grow_trees(*grow_args)]
-    except Exception as exc:
-        result = exc
-    conn.send(result)
-    conn.close()
-
-
 def train_forest(
     X,
     y,
@@ -399,11 +363,10 @@ def train_forest(
     tree reads its transpose without a copy, with its bootstrap indices
     as the root's rows, so no tree copies its sample.
 
-    Trees are independent, so they grow on every usable CPU: the trees
-    are cut into one contiguous range per worker, the parent grows the
-    first and forked children the rest. Children inherit the matrix
-    through fork and send back only node tuples, which the parent puts
-    in tree order, so the forest is the same for any number of workers.
+    Trees are independent, so each is one ``map_jobs`` job: forked
+    workers inherit the matrix and send back only their trees, which
+    come back in tree order, so the forest is the same for any number
+    of workers.
     """
     if n_trees < 1:
         raise ConfigError(f"n_trees must be >= 1, got {n_trees}")
@@ -416,35 +379,14 @@ def train_forest(
         raise FitError("cannot fit a tree on an empty dataset")
     mtry = _mtry(features_per_split, d)
     seeds = tuple(substream(seed, f"forest-tree-{i}") for i in range(n_trees))
-    workers = min(_usable_cpus(), n_trees)
-    cuts = [n_trees * k // workers for k in range(workers + 1)]
-    ctx = multiprocessing.get_context("fork") if workers > 1 else None
-    children = []  # (process, receiving end, first tree, last tree)
-    try:
-        for start, stop in zip(cuts[1:-1], cuts[2:]):
-            recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_grow_and_send, args=(send, mat, y, seeds[start:stop], mtry))
-            proc.start()
-            send.close()  # the child holds the only sending end, so its death reads as EOF
-            children.append((proc, recv, start, stop - 1))
-        trees = _grow_trees(mat, y, seeds[: cuts[1]], mtry)
-        for _, recv, first, last in children:
-            try:
-                result = recv.recv()
-            except EOFError:
-                raise FitError(f"the process growing trees {first}-{last} exited without sending them") from None
-            if isinstance(result, Exception):
-                raise result
-            trees.extend(TreeModel(nodes, d) for nodes in result)
-    except BaseException:
-        for proc, *_ in children:
-            proc.terminate()
-        raise
-    finally:
-        for proc, recv, *_ in children:
-            recv.close()
-            proc.join()
-    return ForestModel(tuple(trees), seeds)
+
+    def grow(tree_seed: int) -> TreeModel:
+        """One tree from its own bootstrap sample and feature-subset stream."""
+        rng = np.random.default_rng(tree_seed)
+        idx = rng.integers(0, n, size=n)
+        return train_tree(mat, y, _rng=rng, _max_features=mtry if mtry < d else None, _rows=idx)
+
+    return ForestModel(tuple(map_jobs(grow, seeds)), seeds)
 
 
 # ---------------------------------------------------------------------------

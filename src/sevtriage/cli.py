@@ -118,17 +118,17 @@ def cmd_benchmark_features(cfg: dict) -> int:
     table = evaluation.benchmark(pipes, dataset, train_X, test_X)
     # names may sharpen after fit (effective component counts)
     table = evaluation.BenchmarkTable(
-        tuple(dataclasses.replace(row, name=p.describe()) for (_, p), row in zip(pipes, table.rows)),
+        tuple(dataclasses.replace(row, name=(row.head or p).describe()) for (_, p), row in zip(pipes, table.rows)),
         table.support,
     )
     _write_table(out, "features_table", table)
     if all(row.report is None for row in table.rows):
         return _fail("every feature pipeline failed; see features_table.txt")
-    fitted = {}  # mode -> pipeline, for the pipelines that fitted and scored
-    for (_, pipe), row in zip(pipes, table.rows):
-        if row.report is not None:
-            fitted[pipe.mode] = pipe
-            _write(out / f"report_{pipe.mode}.txt", row.report.render() + "\n")
+    fitted = {}  # mode -> fitted head, for the pipelines that fitted and scored
+    for row in table.rows:
+        if row.head is not None:
+            fitted[row.head.mode] = row.head
+            _write(out / f"report_{row.head.mode}.txt", row.report.render() + "\n")
 
     counts = keyword_frequencies(train_X, builder.lexicon, top_k=10)
     _write(out / "keyword_counts.csv", _csv_lines(["phrase", "count"], counts))
@@ -183,7 +183,7 @@ def cmd_benchmark_models(cfg: dict) -> int:
 
     test_labels = dataset.test_labels()
     test_records = dataset.test_records()
-    trained = dict(pipes)
+    trained = {row.name: row.head for row in table.rows if row.head is not None}
     for row in table.rows:
         if row.report is None:
             continue
@@ -200,21 +200,20 @@ def cmd_benchmark_models(cfg: dict) -> int:
 
     _export_activations(out, trained, test_X, test_records)
 
-    lr_pipe = trained["logistic_regression"]
-    if lr_pipe.model is not None:
-        ScoringArtifact(builder, lr_pipe.model).save(out / "model_baseline_lr.json")
+    if "logistic_regression" in trained:
+        ScoringArtifact(builder, trained["logistic_regression"].model).save(out / "model_baseline_lr.json")
 
     print(table.render_text())
     return 0
 
 
 def _export_activations(out: Path, trained: dict, test_X, test_records) -> None:
-    """CSV heatmap grids from the first test record, when the nets trained."""
+    """CSV heatmap grids from the first test record, from the nets that trained and scored."""
     if not test_records:
         return
     for name in ("ffnn", "cnn"):
         pipe = trained.get(name)
-        if pipe is None or pipe.net is None:
+        if pipe is None:
             continue
         seqs = neural.apply_sequences(pipe.sequences, [test_records[0].description])
         sample = (seqs.ids[0], net_tabular(test_X.select_rows([0]))[0])

@@ -20,6 +20,7 @@ from .errors import ConfigError, FitError, StratificationError
 from .evaluation import THRESHOLD, predicted_labels  # noqa: F401  (THRESHOLD is re-exported)
 from .features import FeatureMatrix
 from .seeds import substream
+from .workers import map_jobs
 
 STRATEGIES = ("feature_split", "bootstrap", "heterogeneous", "instance", "stacking")
 BASES = ("logreg", "forest", "knn")  # the heterogeneous members and the stacking bases
@@ -177,6 +178,13 @@ def stacking_ensemble(members: dict[str, np.ndarray], plan: dict[str, Member], y
     return _finish(bases, meta_model.predict_proba(np.stack(list(bases.values()), axis=1)))
 
 
+def _fit_and_score(job) -> np.ndarray:
+    """One member's probabilities on the rows it scores, from its (member, train rows, labels, scored rows) job."""
+    m, X, y, scored = job
+    train = globals()[f"train_{m.learner}"]  # looked up per call, so a wrapped trainer sees it
+    return train(X, y, **dict(m.params)).predict_proba(scored)
+
+
 def run(train_X: FeatureMatrix, y_train, test_X: FeatureMatrix, config: Mapping = DEFAULTS) -> dict[str, EnsembleResult]:
     """Every strategy's result by name, in ``STRATEGIES`` order.
 
@@ -184,9 +192,10 @@ def run(train_X: FeatureMatrix, y_train, test_X: FeatureMatrix, config: Mapping 
     Members read its ``seed``, ``ensemble``,
     ``logreg``, ``forest`` and ``knn`` sections; a KNN member's ``k`` is
     clamped to the rows it trains on. Every member is planned
-    before any is trained; each distinct one is then fit once, on a row
-    or column selection made once per run, and only its probabilities
-    are kept.
+    before any is trained, and every row and column selection is made
+    once, before any fit. Each distinct member is then one
+    ``workers.map_jobs`` job, fit once on every usable CPU, and only its
+    probabilities are kept.
     """
     y = np.asarray(y_train, dtype=np.int64)
     plans = {
@@ -207,11 +216,12 @@ def run(train_X: FeatureMatrix, y_train, test_X: FeatureMatrix, config: Mapping 
             selections[key] = X if groups is None else X.select_groups(groups)
         return selections[key]
 
-    probs: dict[Member, np.ndarray] = {}
-    for m in dict.fromkeys(m for plan in plans.values() for m in plan.values()):
-        train = globals()[f"train_{m.learner}"]  # looked up per call, so a wrapped trainer sees it
-        model = train(select(False, m.rows, m.groups), y if m.rows is None else y[list(m.rows)], **dict(m.params))
-        probs[m] = model.predict_proba(select(m.scores is None, m.scores, m.groups))
+    distinct = list(dict.fromkeys(m for plan in plans.values() for m in plan.values()))
+    jobs = []
+    for m in distinct:
+        labels = y if m.rows is None else y[list(m.rows)]
+        jobs.append((m, select(False, m.rows, m.groups), labels, select(m.scores is None, m.scores, m.groups)))
+    probs = dict(zip(distinct, map_jobs(_fit_and_score, jobs)))
 
     results = {}
     for strategy, plan in plans.items():

@@ -7,14 +7,16 @@ as 0.
 
 from __future__ import annotations
 
+import copy
 import os
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, ShapeError
+from .workers import map_jobs
 
 BENCHMARK_COLUMNS = ("model", "accuracy", "precision_macro", "recall_macro", "f1_macro", "roc_auc")
 
@@ -195,6 +197,7 @@ class BenchmarkRow:
     error: str | None = None
     note: str = ""
     probabilities: np.ndarray | None = None  # test-fold P(class 1), kept for ROC files
+    head: object | None = field(default=None, repr=False, compare=False)  # the fitted pipeline; None for an error row
 
     def metric(self, column: str) -> float | None:
         if self.report is None:
@@ -276,22 +279,27 @@ def benchmark(pipelines: Sequence[tuple[str, object]], dataset, train_X, test_X)
     ``train_X`` and ``test_X`` are the split's featurized training and test
     rows, made once by the caller and shared by every pipeline, which
     exposes ``fit(X, records, labels)`` and ``predict_proba(X, records)``.
-    Each scored row keeps its test probabilities, so callers never predict
-    twice. Per-pipeline failures become error rows, naming the exception
-    type and the innermost frame, instead of aborting the table.
+    Each pipeline is one ``workers.map_jobs`` job that fits a copy, so the
+    pipelines passed in stay unfitted. Each scored row keeps the fitted
+    copy as its ``head`` and its test probabilities, so callers never
+    predict twice. Per-pipeline failures become error rows, with no head,
+    naming the exception type and the innermost frame.
     """
     train_records = dataset.train_records()
     train_labels = dataset.train_labels()
     test_records = dataset.test_records()
     test_labels = dataset.test_labels()
-    rows = []
-    for name, pipe in pipelines:
+
+    def fit_and_score(named) -> BenchmarkRow:
+        name, pipe = named
         try:
-            pipe.fit(train_X, train_records, train_labels)
-            probs = np.asarray(pipe.predict_proba(test_X, test_records), dtype=np.float64)
-            rows.append(BenchmarkRow(name, report(test_labels, predicted_labels(probs), probs), probabilities=probs))
+            head = copy.deepcopy(pipe)
+            head.fit(train_X, train_records, train_labels)
+            probs = np.asarray(head.predict_proba(test_X, test_records), dtype=np.float64)
+            return BenchmarkRow(name, report(test_labels, predicted_labels(probs), probs), probabilities=probs, head=head)
         except Exception as exc:  # noqa: BLE001 - error rows are part of the contract
             where = traceback.extract_tb(exc.__traceback__)[-1]  # the frame that raised
             error = f"error: {type(exc).__name__}: {exc} ({os.path.basename(where.filename)}:{where.lineno} in {where.name})"
-            rows.append(BenchmarkRow(name, None, error=error))
-    return BenchmarkTable(tuple(rows), support=len(test_records))
+            return BenchmarkRow(name, None, error=error)
+
+    return BenchmarkTable(tuple(map_jobs(fit_and_score, pipelines)), support=len(test_records))

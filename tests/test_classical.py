@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sevtriage import classical
+from sevtriage import classical, workers
 from sevtriage.errors import ConfigError, FitError, ShapeError
 from sevtriage.features import as_matrix
 from sevtriage.seeds import substream
@@ -410,7 +410,7 @@ class TestRandomForest:
 
 
 def _cpus_and_trees_in_worker(X, y):
-    return classical._usable_cpus(), len(classical.train_forest(X, y, n_trees=4, seed=1).trees)
+    return workers.usable_cpus(), len(classical.train_forest(X, y, n_trees=4, seed=1).trees)
 
 
 class TestForestWorkers:
@@ -421,8 +421,8 @@ class TestForestWorkers:
         yield
         assert multiprocessing.active_children() == []
 
-    def _forest(self, monkeypatch, workers, n_trees=7, **kwargs):
-        monkeypatch.setattr(classical, "_usable_cpus", lambda: workers)
+    def _forest(self, monkeypatch, n_workers, n_trees=7, **kwargs):
+        monkeypatch.setattr(workers, "usable_cpus", lambda: n_workers)
         X, y = TestRandomForest()._noisy_instance(seed=11, n=50)
         return classical.train_forest(X, y, n_trees=n_trees, seed=3, **kwargs)
 
@@ -444,7 +444,7 @@ class TestForestWorkers:
         ids=["bootstrap", "fewer-trees-than-workers"],
     )
     def test_same_trees_for_any_worker_count(self, monkeypatch, kwargs):
-        forests = [self._forest(monkeypatch, workers, **kwargs) for workers in (1, 2, 3)]
+        forests = [self._forest(monkeypatch, n_workers, **kwargs) for n_workers in (1, 2, 3)]
         # repr keeps every threshold's bits
         nodes = {repr([t.nodes for t in f.trees]) for f in forests}
         assert len(nodes) == 1
@@ -463,7 +463,7 @@ class TestForestWorkers:
 
     def test_child_exiting_unsent_raises_fit_error(self, monkeypatch):
         self._fail_in(monkeypatch, "child", lambda: os._exit(3))
-        with pytest.raises(FitError, match=r"trees 2-3 exited"):
+        with pytest.raises(FitError, match=r"^a worker exited without sending jobs [0-6]$"):
             self._forest(monkeypatch, 3)
 
     def test_daemonic_process_grows_alone(self, monkeypatch):
@@ -475,7 +475,7 @@ class TestForestWorkers:
         pool.join()
 
     def test_set_up_errors_raise_before_any_fork(self, monkeypatch):
-        monkeypatch.setattr(classical, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
         monkeypatch.setattr(multiprocessing, "get_context", lambda method: pytest.fail("forked"))
         with pytest.raises(ShapeError):
             classical.train_forest(np.ones((4, 2)), np.array([0, 1, 0]), n_trees=4)

@@ -509,22 +509,23 @@ class TestConfigFile:
         assert "tfidf_chi2(k=50)" in table
 
     def test_logreg_tol_reaches_feature_pipelines(self, tmp_path, synthetic_csv, monkeypatch):
-        import sevtriage.cli as cli_mod
+        from sevtriage import evaluation
 
-        built = []
-        real = cli_mod.feature_benchmark_pipelines
+        tables = []
+        real = evaluation.benchmark
 
-        def capture(**kw):
-            built.extend(real(**kw))
-            return built
+        def capture(*args):
+            tables.append(real(*args))
+            return tables[-1]
 
-        monkeypatch.setattr(cli_mod, "feature_benchmark_pipelines", capture)
+        monkeypatch.setattr(evaluation, "benchmark", capture)
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"data": str(synthetic_csv), "logreg": {"tol": 10.0}}))
         assert main(["benchmark-features", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-        assert len(built) == 6
+        (table,) = tables
+        assert len(table.rows) == 6
         # a tolerance above the initial gradient norm stops every fit before its first step
-        assert all(pipe.model.n_iter == 0 for _, pipe in built)
+        assert all(row.head.model.n_iter == 0 for row in table.rows)
 
     @pytest.mark.parametrize(
         "values",

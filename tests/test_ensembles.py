@@ -7,7 +7,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from sevtriage import ensembles
+from sevtriage import ensembles, workers
 from sevtriage.classical import train_forest, train_knn, train_logreg
 from sevtriage.config import load_config
 from sevtriage.errors import ConfigError, FitError, StratificationError
@@ -225,6 +225,7 @@ class TestMemberPlan:
             return real(X, y, **kwargs)
 
         monkeypatch.setattr(ensembles, "train_logreg", recording)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 1)  # fits in forked workers would not be recorded
         ensembles.run(Xtr, ytr, Xte, config(n_trees=3))
         assert len(digests) == 15  # 2 feature split + 5 bootstrap + 2 instance + 5 folds + 1 meta-model
         assert len(set(digests)) == len(digests)

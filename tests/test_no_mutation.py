@@ -1,6 +1,8 @@
 """Selection, reduction, evaluation and the train/test split leave their
-input matrices, labels, probabilities, records and fitted models unchanged."""
+input matrices, labels, probabilities, records, fitted models and
+pipelines unchanged."""
 
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -9,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sevtriage import corpus, evaluation, reduction, selection
+from sevtriage import corpus, evaluation, reduction, selection, workers
+from sevtriage.config import load_config
+from sevtriage.pipelines import FeatureBuilder, feature_benchmark_pipelines, model_benchmark_pipelines
 
 
 def _all_stored(X):
@@ -116,6 +120,22 @@ class TestEvaluation:
         y_true, _, probs = args
         evaluation.roc_auc(y_true, probs)
         assert [snapshot(a) for a in args] == before
+
+
+class TestBenchmark:
+    def test_benchmark_leaves_its_pipelines_unfitted(self, synthetic_dataset, monkeypatch):
+        # one worker: every head fits in this process, where a fit in place would show
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
+        cfg = load_config(overrides={"forest": {"n_trees": 3}, "net": {"epochs": 1}})
+        pipes = feature_benchmark_pipelines(cfg) + model_benchmark_pipelines(cfg)
+        train, test = synthetic_dataset.train_records(), synthetic_dataset.test_records()
+        builder = FeatureBuilder().fit(train)
+        train_X, test_X = builder.transform(train), builder.transform(test)
+        before = [pickle.dumps(pipe) for _, pipe in pipes]
+        table = evaluation.benchmark(pipes, synthetic_dataset, train_X, test_X)
+        assert [pickle.dumps(pipe) for _, pipe in pipes] == before
+        assert all(row.report is not None for row in table.rows)
+        assert all(row.head is not pipe and type(row.head) is type(pipe) for (_, pipe), row in zip(pipes, table.rows))
 
 
 class TestSplit:
