@@ -18,7 +18,7 @@ from .classical import train_forest, train_knn, train_logreg  # noqa: F401  (loo
 from .config import DEFAULTS
 from .errors import ConfigError, FitError, StratificationError
 from .evaluation import THRESHOLD, predicted_labels  # noqa: F401  (THRESHOLD is re-exported)
-from .features import FeatureMatrix
+from .features import GROUPS, FeatureMatrix
 from .seeds import substream
 from .workers import map_jobs
 
@@ -67,8 +67,9 @@ def _mean(members: dict[str, np.ndarray]) -> EnsembleResult:
 
 def _feature_split_members(train_X: FeatureMatrix, cfg: Mapping) -> dict[str, Member]:
     """A full-feature logistic regression and one on the structured vendor + indicator blocks only."""
+    widths = dict(zip(GROUPS, train_X.widths))
     for required in ("vendor", "indicator"):
-        if required not in train_X.groups:
+        if not widths[required]:
             raise ConfigError(f"feature split needs a {required!r} block")
     return {
         "all_features": _member("logreg", cfg["logreg"]),

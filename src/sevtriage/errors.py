@@ -17,7 +17,10 @@ class RowError(TriageError):
 
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
+        self.line_no, self.message = line_no, message
+
+    def __reduce__(self):  # pickle rebuilds it from both arguments, not from the formatted text
+        return type(self), (self.line_no, self.message)
 
 
 class LabelError(TriageError):

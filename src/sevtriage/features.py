@@ -1,10 +1,11 @@
-"""Feature engineering: named, group-tagged sparse matrices.
+"""Feature engineering: named sparse matrices over three column groups.
 
 Blocks are built per source (vendor one-hot, binary indicators, TF-IDF
-text) and assembled by horizontal concatenation, in the order given, into
-one matrix whose columns carry both a name and one of three group tags
-(``GROUPS``). All fitted models here are frozen after fit; transforms are
-read-only and thread-safe. They carry no serializers: the scoring artifact
+text) and assembled by horizontal concatenation, in ``GROUPS`` order,
+into one matrix whose columns carry a name and fall in one contiguous
+range per group; the matrix records each group's width. All fitted
+models here are frozen after fit; transforms are read-only and
+thread-safe. They carry no serializers: the scoring artifact
 (``pipelines.ScoringArtifact``) writes and reads them.
 
 Each block writes its CSR arrays (``indptr``/``indices``/``data``)
@@ -16,10 +17,9 @@ in whole-batch passes (one vocabulary lookup, one ``np.unique``, one
 multiply and divide); only the row norms are summed per row, to keep
 the bits of numpy's pairwise sum over each row. Blocks are not
 validated; :func:`assemble` validates the one matrix it returns. It
-takes the blocks themselves, never an assembled matrix, and the
-:class:`Columns` their caller derived once (a fitted ``FeatureBuilder``
-fixes them at fit and at load), so column names and groups are not
-rebuilt per call.
+takes the blocks themselves, never an assembled matrix, and the column
+names their caller derived once (a fitted ``FeatureBuilder`` fixes them
+at fit and at load), so names are not rebuilt per call.
 """
 
 from __future__ import annotations
@@ -75,25 +75,31 @@ def _kgrams(tokens: Sequence[str], k: int):
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Sparse row-major matrix with named, group-tagged columns."""
+    """Sparse row-major matrix with named columns in contiguous group ranges.
+
+    ``widths`` holds one column count per ``GROUPS`` entry, 0 for a group
+    the matrix lacks; the groups' columns follow each other in that order.
+    """
 
     data: sp.csr_matrix
     names: tuple[str, ...]
-    groups: tuple[str, ...]
+    widths: tuple[int, ...]
 
     def __post_init__(self):
         n, d = self.data.shape
-        if len(self.names) != d or len(self.groups) != d:
-            raise ShapeError(f"matrix has {d} columns but {len(self.names)} names / {len(self.groups)} groups")
-        for g in set(self.groups):
-            if g not in GROUPS:
-                raise ConfigError(f"unknown column group {g!r}")
+        if len(self.widths) != len(GROUPS) or min(self.widths) < 0 or sum(self.widths) != d or len(self.names) != d:
+            raise ShapeError(f"matrix has {d} columns but {len(self.names)} names and group widths {self.widths}")
         if not self.data.data.all():  # explicit zeros: drop them from a copy, never the caller's matrix
             data = self.data.copy()
             data.eliminate_zeros()
             object.__setattr__(self, "data", data)
-        if np.any(_text_row_norms(self.data, self.groups) > 1.0 + 1e-9):
+        if np.any(_text_row_norms(self.data, d - self.widths[-1]) > 1.0 + 1e-9):
             raise ShapeError("text block rows must have L2 norm <= 1")
+
+    @property
+    def groups(self) -> tuple[str, ...]:
+        """Each column's group."""
+        return tuple(g for g, w in zip(GROUPS, self.widths) for _ in range(w))
 
     @property
     def n_rows(self) -> int:
@@ -107,28 +113,27 @@ class FeatureMatrix:
         return np.asarray(self.data.todense(), dtype=np.float64)
 
     def select_groups(self, wanted: Iterable[str]) -> "FeatureMatrix":
+        """The columns of the ``wanted`` groups, which must be present with no other group's columns between them."""
         wanted = set(wanted)
-        missing = wanted - set(self.groups)
-        if missing:
+        missing = wanted - {g for g, w in zip(GROUPS, self.widths) if w}
+        if missing or not wanted:
             raise ConfigError(f"matrix has no columns in group(s) {sorted(missing)}")
-        idx = [j for j, g in enumerate(self.groups) if g in wanted]
-        return FeatureMatrix(
-            sp.csr_matrix(self.data[:, idx]),
-            tuple(self.names[j] for j in idx),
-            tuple(self.groups[j] for j in idx),
-        )
+        widths = tuple(w if g in wanted else 0 for g, w in zip(GROUPS, self.widths))
+        starts = list(itertools.accumulate(self.widths, initial=0))
+        lo = starts[min(GROUPS.index(g) for g in wanted)]
+        hi = starts[max(GROUPS.index(g) for g in wanted) + 1]
+        if hi - lo != sum(widths):
+            raise ConfigError(f"group(s) {sorted(wanted)} are not adjacent")
+        return FeatureMatrix(sp.csr_matrix(self.data[:, lo:hi]), self.names[lo:hi], widths)
 
     def select_rows(self, indices) -> "FeatureMatrix":
-        return FeatureMatrix(sp.csr_matrix(self.data[indices]), self.names, self.groups)
+        return FeatureMatrix(sp.csr_matrix(self.data[indices]), self.names, self.widths)
 
 
-def _text_row_norms(mat: sp.csr_matrix, groups: Sequence[str]) -> np.ndarray:
-    """L2 norm of each row's text entries, looking up the groups of the stored columns only."""
-    n, d = mat.shape
-    used = np.flatnonzero(np.bincount(mat.indices, minlength=d))
-    is_text = np.zeros(d, dtype=bool)
-    is_text[used] = [groups[j] == "text" for j in used.tolist()]
-    text = is_text[mat.indices]
+def _text_row_norms(mat: sp.csr_matrix, text_start: int) -> np.ndarray:
+    """L2 norm of each row's entries in columns ``text_start`` onwards, the text range."""
+    n = mat.shape[0]
+    text = mat.indices >= text_start
     rows = np.repeat(np.arange(n), np.diff(mat.indptr))[text]
     return np.sqrt(np.bincount(rows, weights=mat.data[text] ** 2, minlength=n))
 
@@ -174,46 +179,26 @@ def _block(indptr, indices, values, names: tuple[str, ...], group: str) -> Block
     return Block(mat, names, group)
 
 
-@dataclass(frozen=True)
-class Columns:
-    """The names and groups of an assembled matrix."""
+def assemble(blocks: Sequence[Block], names: Sequence[str]) -> FeatureMatrix:
+    """Concatenate blocks horizontally into one validated matrix named ``names``.
 
-    names: tuple[str, ...]
-    groups: tuple[str, ...]
-
-
-def assembled_columns(parts: Sequence[tuple[Sequence[str], str]]) -> Columns:
-    """Columns of the assembly of blocks given as (names, group) pairs.
-
-    Columns keep the order of the blocks given; each name gets its
-    block's ``group__`` prefix.
-    """
-    names = []
-    groups = []
-    for block_names, group in parts:
-        names.extend(f"{group}__{name}" for name in block_names)
-        groups.extend([group] * len(block_names))
-    return Columns(tuple(names), tuple(groups))
-
-
-def assemble(blocks: Sequence[Block], columns: Columns) -> FeatureMatrix:
-    """Concatenate blocks horizontally, in the order given, into one validated matrix.
-
-    ``columns`` is :func:`assembled_columns` of these blocks, derived
-    once by a caller that assembles blocks of the same columns
-    repeatedly. Blocks of another row count or total width than
-    ``columns``, or no blocks at all, raise ShapeError.
+    The blocks come in ``GROUPS`` order, at most one per group, and give
+    the matrix its group widths. ``names`` is derived once by a caller
+    that assembles blocks of the same columns repeatedly. Blocks out of
+    that order, of another row count or total width than ``names``, or
+    no blocks at all, raise ShapeError.
     """
     if not blocks:
         raise ShapeError("assemble needs at least one block")
+    groups = [b.group for b in blocks]
+    if groups != [g for g in GROUPS if g in groups]:
+        raise ShapeError(f"blocks must come in {GROUPS} order, at most one per group; got {groups}")
     n = blocks[0].n_rows
     for b in blocks[1:]:
         if b.n_rows != n:
             raise ShapeError(f"row count mismatch: {n} vs {b.n_rows}")
-    width = sum(b.n_cols for b in blocks)
-    if width != len(columns.names):
-        raise ShapeError(f"blocks have {width} columns but the layout has {len(columns.names)}")
-    return FeatureMatrix(sp.hstack([b.data for b in blocks], format="csr"), columns.names, columns.groups)
+    widths = tuple(sum(b.n_cols for b in blocks if b.group == g) for g in GROUPS)
+    return FeatureMatrix(sp.hstack([b.data for b in blocks], format="csr"), tuple(names), widths)
 
 
 # ---------------------------------------------------------------------------

@@ -25,13 +25,12 @@ from .config import DEFAULTS, _is_int, _is_number
 from .corpus import DisclosureRecord, decode_utf8
 from .errors import ConfigError, ShapeError, TriageError
 from .features import (
-    Columns,
+    GROUPS,
     FeatureMatrix,
     KeywordLexicon,
     TfidfModel,
     VendorEncoder,
     assemble,
-    assembled_columns,
     fit_tfidf,
     fit_vendor,
     indicator_block,
@@ -45,10 +44,10 @@ from .seeds import substream
 class FeatureBuilder:
     """Vendor one-hot + indicator + TF-IDF blocks, fit on training records.
 
-    ``tfidf`` is the config tree's ``tfidf`` section. ``columns`` (the
-    assembled names and groups) is fixed when the builder is fitted
-    or loaded; ``transform`` tokenizes each description once and shares
-    the tokens between the indicator and text blocks.
+    ``tfidf`` is the config tree's ``tfidf`` section. ``names`` (the
+    assembled column names, each prefixed ``group__``) is fixed when the
+    builder is fitted or loaded; ``transform`` tokenizes each description
+    once and shares the tokens between the indicator and text blocks.
     """
 
     def __init__(self, lexicon: KeywordLexicon | None = None, tfidf: Mapping = DEFAULTS["tfidf"]):
@@ -56,7 +55,7 @@ class FeatureBuilder:
         self.tfidf = tfidf
         self.tfidf_model: TfidfModel | None = None
         self.vendor_encoder: VendorEncoder | None = None
-        self.columns: Columns | None = None
+        self.names: tuple[str, ...] | None = None
 
     def fit(self, records: Sequence[DisclosureRecord]) -> "FeatureBuilder":
         tfidf_model = fit_tfidf(
@@ -67,19 +66,14 @@ class FeatureBuilder:
         return self.set_fitted(tfidf_model, fit_vendor(records))
 
     def set_fitted(self, tfidf_model: TfidfModel, vendor_encoder: VendorEncoder) -> "FeatureBuilder":
-        """Take the fitted TF-IDF model and vendor encoder, and fix the columns they make; returns self."""
+        """Take the fitted TF-IDF model and vendor encoder, and fix the column names they make; returns self."""
         self.tfidf_model, self.vendor_encoder = tfidf_model, vendor_encoder
-        self.columns = assembled_columns(
-            [
-                (self.vendor_encoder.categories, "vendor"),
-                (indicator_names(self.lexicon), "indicator"),
-                (self.tfidf_model.names, "text"),
-            ]
-        )
+        parts = (vendor_encoder.categories, indicator_names(self.lexicon), tfidf_model.names)
+        self.names = tuple(f"{group}__{name}" for group, names in zip(GROUPS, parts) for name in names)
         return self
 
     def transform(self, records: Sequence[DisclosureRecord]) -> FeatureMatrix:
-        if self.columns is None:
+        if self.names is None:
             raise ConfigError("FeatureBuilder.transform called before fit")
         tokens = [features.tokenize(r.description) for r in records]
         return assemble(
@@ -88,7 +82,7 @@ class FeatureBuilder:
                 indicator_block(records, self.lexicon, tokens),
                 text_block(self.tfidf_model, tokens),
             ],
-            self.columns,
+            self.names,
         )
 
 
@@ -283,9 +277,9 @@ class ScoringArtifact:
     model: classical.LogRegModel
 
     def __post_init__(self):
-        if self.builder.columns is None:
+        if self.builder.names is None:
             raise ConfigError("scoring artifact needs a fitted FeatureBuilder")
-        built, expected = len(self.builder.columns.names), self.model.n_features
+        built, expected = len(self.builder.names), self.model.n_features
         if built != expected:
             raise ShapeError(f"artifact's featurizer makes {built} columns but its LogRegModel expects {expected}")
 

@@ -4,19 +4,26 @@
 as one more worker. Each worker takes the next job not yet started.
 Children inherit ``fn`` and the jobs through fork and send back each
 job's ``(index, result)``; the results come back in job order, so they
-are the same for any number of workers. Nested calls run serially.
+are the same for any number of workers. Nested calls run serially. A
+child's exception is raised in the caller from a :class:`ChildTraceback`
+holding the child's formatted traceback, as ``concurrent.futures`` does.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import traceback
 from multiprocessing.connection import wait
 from typing import Callable, Sequence
 
 from .errors import FitError
 
 _in_worker = False  # set in forked children, and in the parent while it works as a worker
+
+
+class ChildTraceback(Exception):
+    """The cause of an exception raised in a forked child; its text is the child's traceback."""
 
 
 def usable_cpus() -> int:
@@ -46,15 +53,17 @@ def _child(fn, jobs, counter, owner, worker: int, conn) -> None:
     _in_worker = True
     try:
         while (i := _take(counter, owner, worker)) < len(jobs):
-            conn.send((i, fn(jobs[i])))
+            conn.send((i, fn(jobs[i]), None))
     except Exception as exc:
-        conn.send((i, exc))  # one that does not pickle kills the child, which the parent reports
+        # an exception that does not pickle kills the child, which the parent reports
+        conn.send((i, exc, traceback.format_exc()))
 
 
 def map_jobs(fn: Callable, jobs: Sequence) -> list:
     """``[fn(job) for job in jobs]``, with the jobs spread over every usable CPU.
 
-    A job's exception reaches the caller with its type; a child that exits
+    A job's exception reaches the caller with its type, and from a child
+    with the child's traceback as its ``__cause__``; a child that exits
     without sending is a ``FitError`` naming the jobs it had. On any error
     the other children are terminated, and every child is joined.
     """
@@ -69,15 +78,15 @@ def map_jobs(fn: Callable, jobs: Sequence) -> list:
     def receive(timeout):
         for recv in wait(list(pending), timeout):
             try:
-                i, result = recv.recv()
+                i, result, child_traceback = recv.recv()
             except EOFError:
                 worker = pending.pop(recv)
                 lost = [str(j) for j in range(len(jobs)) if owner[j] == worker and j not in results]
                 if lost:
                     raise FitError(f"a worker exited without sending jobs {', '.join(lost)}") from None
                 continue
-            if isinstance(result, Exception):
-                raise result
+            if child_traceback is not None:
+                raise result from ChildTraceback(child_traceback)
             results[i] = result
 
     try:

@@ -102,7 +102,7 @@ def grouped_matrix(*parts):
     from sevtriage import features  # not at the top: scripts import this module without the package on the path
 
     blocks = [features.Block(sp.csr_matrix(m, dtype=np.float64), tuple(names), group) for m, names, group in parts]
-    return features.assemble(blocks, features.assembled_columns([(b.names, b.group) for b in blocks]))
+    return features.assemble(blocks, tuple(f"{b.group}__{name}" for b in blocks for name in b.names))
 
 
 @pytest.fixture(scope="session")

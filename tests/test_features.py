@@ -268,10 +268,20 @@ class TestAssemble:
     def test_blocks_that_do_not_fill_the_columns_raise(self, layout):
         a = features.Block(sp.csr_matrix(np.ones((3, 2))), ("a0", "a1"), "vendor")
         b = features.Block(sp.csr_matrix(np.ones((3, 3))), ("b0", "b1", "b2"), "indicator")
-        columns = features.assembled_columns([(a.names, a.group), (b.names, b.group)])
+        names = a.names + b.names
         blocks = {"wider": [a], "narrower": [a, b, b], "no_blocks": []}[layout]
         with pytest.raises(ShapeError):
-            features.assemble(blocks, columns)
+            features.assemble(blocks, names)
+
+    def test_blocks_out_of_group_order_or_wider_than_the_names_raise(self):
+        a = features.Block(sp.csr_matrix(np.ones((3, 2))), ("a0", "a1"), "vendor")
+        b = features.Block(sp.csr_matrix(np.ones((3, 3))), ("b0", "b1", "b2"), "indicator")
+        for blocks in ([b, a], [a, a]):
+            with pytest.raises(ShapeError, match="order"):
+                features.assemble(blocks, a.names + b.names)
+        with pytest.raises(ShapeError, match="5 columns but 2 names"):
+            features.assemble([a, b], a.names)
+        assert features.assemble([a, b], a.names + b.names).widths == (2, 3, 0)
 
 
 class TestFeatureMatrix:
@@ -283,12 +293,12 @@ class TestFeatureMatrix:
         # triplet constructor keeps explicitly-supplied zeros
         mat = sp.csr_matrix(([0.0, 1.0], ([0, 0], [0, 1])), shape=(2, 2))
         assert mat.nnz == 2
-        fm = FeatureMatrix(mat, ("a", "b"), ("indicator", "indicator"))
+        fm = FeatureMatrix(mat, ("a", "b"), (0, 2, 0))
         assert fm.data.nnz == 1
 
     def test_caller_matrix_not_mutated(self):
         mat = sp.csr_matrix(([0.0, 1.0], ([0, 0], [0, 1])), shape=(2, 2))
-        fm = FeatureMatrix(mat, ("a", "b"), ("indicator", "indicator"))
+        fm = FeatureMatrix(mat, ("a", "b"), (0, 2, 0))
         assert fm.data.nnz == 1
         assert mat.nnz == 2
         assert mat.data.tolist() == [0.0, 1.0]
@@ -297,6 +307,21 @@ class TestFeatureMatrix:
         fm = grouped_matrix((np.eye(2), ["a", "b"], "vendor"))
         with pytest.raises(ConfigError):
             fm.select_groups(["text"])
+
+    def test_select_groups_not_adjacent_raises(self):
+        fm = grouped_matrix(
+            (np.eye(2), ["a", "b"], "vendor"), (np.eye(2), ["c", "d"], "indicator"), (np.eye(2), ["e", "f"], "text")
+        )
+        with pytest.raises(ConfigError, match="not adjacent"):
+            fm.select_groups(["vendor", "text"])
+
+    def test_text_norm_checked_on_the_text_range_only(self):
+        vendor = (np.eye(2), ["v0", "v1"], "vendor")
+        indicator = (np.array([[3.0], [0.0]]), ["k"], "indicator")  # not a text column: any value passes
+        fm = grouped_matrix(vendor, indicator, (np.array([[0.6, 0.8], [0.0, 1.0]]), ["t0", "t1"], "text"))
+        assert fm.widths == (2, 1, 2)
+        with pytest.raises(ShapeError, match="L2 norm"):
+            grouped_matrix(vendor, indicator, (np.array([[0.0, 0.0], [0.6, 0.9]]), ["t0", "t1"], "text"))
 
 
 class TestIndicatorBlock:
@@ -427,7 +452,7 @@ class TestOnePassTransform:
             dict(builder.tfidf_model.vocabulary),
             builder.tfidf_model.idf.copy(),
             builder.vendor_encoder.categories,
-            builder.columns,
+            builder.names,
         )
         X = builder.transform(test)
         dense, names, groups = _reference_matrix(builder, test)
@@ -439,7 +464,7 @@ class TestOnePassTransform:
         assert (lexicon.phrases, lexicon.tokens) == before[1:3]
         assert builder.tfidf_model.vocabulary == before[3]
         assert np.array_equal(builder.tfidf_model.idf, before[4])
-        assert (builder.vendor_encoder.categories, builder.columns) == before[5:]
+        assert (builder.vendor_encoder.categories, builder.names) == before[5:]
 
     def test_overlapping_and_repeated_phrases(self):
         lexicon = KeywordLexicon(("aa bb", "bb cc", "aa bb cc dd", "cc"))
@@ -451,7 +476,7 @@ class TestOnePassTransform:
     def test_empty_batch(self):
         builder = FeatureBuilder().fit([_rec(description="remote code execution")])
         X = builder.transform([])
-        assert X.n_rows == 0 and X.names == builder.columns.names
+        assert X.n_rows == 0 and X.names == builder.names
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +543,64 @@ class TestBatchHelpersMatchTheirOracles:
         hits = features.keyword_hits(tokens, lexicon)
         assert hits == [i for i, p in enumerate(lexicon.tokens) if _scan_contains(tokens, p)]
         assert hits == _kgram_set_hits(tokens, lexicon)
+
+
+def _select_groups_by_column(X: FeatureMatrix, wanted):
+    """Group selection before the matrix recorded group widths: an index list over every column's group."""
+    wanted = set(wanted)
+    missing = wanted - set(X.groups)
+    if missing:
+        raise ConfigError(f"matrix has no columns in group(s) {sorted(missing)}")
+    idx = [j for j, g in enumerate(X.groups) if g in wanted]
+    return sp.csr_matrix(X.data[:, idx]), tuple(X.names[j] for j in idx), tuple(X.groups[j] for j in idx)
+
+
+def _select_rows_by_column(X: FeatureMatrix, indices):
+    """Row selection before the matrix recorded group widths, which carried the per-column groups along."""
+    return sp.csr_matrix(X.data[indices]), X.names, X.groups
+
+
+def _parts(X) -> tuple:
+    """The CSR arrays with their dtypes, then the names and groups."""
+    if isinstance(X, FeatureMatrix):
+        X = (X.data, X.names, X.groups)
+    mat, names, groups = X
+    arrays = tuple((str(a.dtype), a.tobytes()) for a in (mat.indptr, mat.indices, mat.data))
+    return mat.shape, arrays, names, groups
+
+
+@st.composite
+def _grouped_matrices(draw):
+    """A matrix of up to 6 rows over group widths of 0-3 columns, its text rows L2-normalized."""
+    widths = tuple(draw(st.lists(st.integers(0, 3), min_size=3, max_size=3)))
+    n, d = draw(st.integers(0, 6)), sum(widths)
+    dense = np.array(draw(st.lists(st.sampled_from((0.0, 0.0, 1.0, 2.5)), min_size=n * d, max_size=n * d))).reshape(n, d)
+    text = dense[:, d - widths[2] :]
+    norms = np.linalg.norm(text, axis=1, keepdims=True)
+    text /= np.where(norms == 0, 1.0, norms)
+    names = tuple(f"{g}__c{j}" for g, w in zip(features.GROUPS, widths) for j in range(w))
+    return FeatureMatrix(sp.csr_matrix(dense), names, widths)
+
+
+class TestSelectionMatchesItsOracle:
+    @given(
+        X=_grouped_matrices(),
+        wanted=st.sampled_from([("vendor",), ("indicator",), ("text",), ("vendor", "indicator"), ("indicator", "text"), features.GROUPS]),
+        rows=st.lists(st.integers(0, 5), max_size=8),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_range_selection_equals_the_per_column_selection(self, X, wanted, rows):
+        rows = np.array([r for r in rows if r < X.n_rows], dtype=np.intp)
+        picked = X.select_rows(rows)
+        assert _parts(picked) == _parts(_select_rows_by_column(X, rows))
+        for M in (X, picked):
+            try:
+                want = _select_groups_by_column(M, wanted)
+            except ConfigError:
+                with pytest.raises(ConfigError):
+                    M.select_groups(wanted)
+                continue
+            assert _parts(M.select_groups(wanted)) == _parts(want)
 
 
 # Terms of a fitted vocabulary with idf weights that differ, so rows of more

@@ -147,7 +147,7 @@ class TestHeadsReadTheConfigTree:
             (
                 {"tfidf": {"max_features": 40}},
                 lambda cfg, s, f: pipelines.FeatureBuilder(tfidf=cfg["tfidf"]).fit(s[0]),
-                lambda builder: builder.columns.groups.count("text") <= 40,
+                lambda builder: sum(name.startswith("text__") for name in builder.names) <= 40,
             ),
         ],
         ids=["svd.k", "select.k", "tree.max_depth", "knn.k", "forest.n_trees", "tfidf.max_features"],
@@ -340,6 +340,6 @@ class TestScoringArtifact:
         payload = json.loads(path.read_text(encoding="utf-8"))
         payload["model"]["weights"] = payload["model"]["weights"][:-3]
         path.write_text(json.dumps(payload), encoding="utf-8")
-        width = len(fb.columns.names)
+        width = len(fb.names)
         with pytest.raises(ShapeError, match=f"makes {width} columns but its LogRegModel expects {width - 3}"):
             pipelines.ScoringArtifact.load(path)

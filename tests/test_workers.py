@@ -11,7 +11,7 @@ import pytest
 
 from sevtriage import ensembles, evaluation, workers
 from sevtriage.config import load_config
-from sevtriage.errors import ConfigError, FitError, ShapeError
+from sevtriage.errors import ConfigError, FitError, RowError, ShapeError
 from sevtriage.pipelines import FeatureBuilder, model_benchmark_pipelines
 from tests.test_ensembles import config as ensemble_config
 from tests.test_ensembles import make_grouped_data
@@ -91,6 +91,39 @@ class TestMapJobs:
         with pytest.raises(error, match=r"^bad job \d$") as excinfo:
             workers.map_jobs(job, range(4))
         assert type(excinfo.value) is error
+
+    def test_child_error_carries_the_child_traceback(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+        parent = os.getpid()
+
+        def job(j):
+            time.sleep(0.05)
+            if _in("child", parent):
+                raise ShapeError(f"bad job {j}")  # the line the cause must name
+            return j
+
+        with pytest.raises(ShapeError) as excinfo:
+            workers.map_jobs(job, range(4))
+        cause = excinfo.value.__cause__
+        assert type(cause) is workers.ChildTraceback
+        raising_line = job.__code__.co_firstlineno + 3
+        assert f'line {raising_line}, in job\n    raise ShapeError(f"bad job {{j}}")' in str(cause)
+
+    def test_row_error_pickles_and_crosses_from_a_child(self, monkeypatch):
+        copy = pickle.loads(pickle.dumps(RowError(3, "bad")))
+        assert (type(copy), str(copy), copy.line_no) == (RowError, "line 3: bad", 3)
+        _cpus(monkeypatch, 2)
+        parent = os.getpid()
+
+        def job(j):
+            time.sleep(0.05)
+            if _in("child", parent):
+                raise RowError(j, "bad row")
+            return j
+
+        with pytest.raises(RowError, match=r"^line \d: bad row$") as excinfo:
+            workers.map_jobs(job, range(4))
+        assert str(excinfo.value) == f"line {excinfo.value.line_no}: bad row"
 
     def test_exception_that_does_not_pickle_is_a_fit_error(self, monkeypatch):
         _cpus(monkeypatch, 2)
