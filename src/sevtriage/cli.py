@@ -175,13 +175,12 @@ def cmd_benchmark_models(cfg: dict) -> int:
     pipes = model_benchmark_pipelines(config=cfg)
     table = evaluation.benchmark(pipes, dataset, train_X, test_X)
     all_failed = all(row.report is None for row in table.rows)
-    rows = list(table.rows) + [evaluation.BenchmarkRow("lstm", None, note="out of scope")]
+    rows = list(table.rows) + [evaluation.BenchmarkRow("lstm", None, status="out of scope")]
     table = evaluation.BenchmarkTable(tuple(rows), table.support)
     _write_table(out, "models_table", table)
     if all_failed:
         return _fail("every model pipeline failed; see models_table.txt")
 
-    test_labels = dataset.test_labels()
     test_records = dataset.test_records()
     trained = {row.name: row.head for row in table.rows if row.head is not None}
     for row in table.rows:
@@ -192,7 +191,7 @@ def cmd_benchmark_models(cfg: dict) -> int:
             out / f"confusion_{row.name}.csv",
             _csv_lines(["", "pred_0", "pred_1"], [("true_0", cm.tn, cm.fp), ("true_1", cm.fn, cm.tp)]),
         )
-        roc = evaluation.roc_auc(test_labels, row.probabilities)
+        roc = row.report.roc
         _write(
             out / f"roc_{row.name}.csv",
             _csv_lines(["fpr", "tpr"], [(f"{f:.6f}", f"{t:.6f}") for f, t in zip(roc.fpr, roc.tpr)]),

@@ -118,6 +118,7 @@ _RULES = {
         lambda v: v is None or v == "sqrt" or (_is_number(v) and 0 < v <= 1),
         "'sqrt', null or a number in (0, 1]",
     ),
+    "ensemble.sample_fraction": (lambda v: _is_number(v) and v > 0, "a number > 0"),
 }
 
 

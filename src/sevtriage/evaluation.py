@@ -65,7 +65,11 @@ class EvalReport:
     recall_macro: float
     f1_macro: float
     confusion: ConfusionMatrix
-    auc: float | None = None
+    roc: RocCurve | None = None  # from the probabilities, when the report was given them
+
+    @property
+    def auc(self) -> float | None:
+        return None if self.roc is None else self.roc.auc
 
     def render(self) -> str:
         """Aligned plain-text classification report."""
@@ -83,14 +87,13 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def _check_binary(values, name: str) -> list[int]:
-    out = []
-    for v in values:
-        iv = int(v)
-        if iv not in (0, 1):
-            raise DomainError(f"{name} must be binary, found {v!r}")
-        out.append(iv)
-    return out
+def _check_binary(values, name: str) -> np.ndarray:
+    """``values`` as int64, unless one is not exactly 0 or 1: then DomainError naming it."""
+    v = np.asarray(values)
+    bad = (v != 0) & (v != 1)
+    if bad.any():
+        raise DomainError(f"{name} must be binary, found {v[bad].tolist()[0]!r}")
+    return v.astype(np.int64)
 
 
 def confusion(y_true: Sequence[int], y_pred: Sequence[int]) -> ConfusionMatrix:
@@ -99,19 +102,7 @@ def confusion(y_true: Sequence[int], y_pred: Sequence[int]) -> ConfusionMatrix:
     yp = _check_binary(y_pred, "y_pred")
     if len(yt) != len(yp):
         raise ShapeError(f"length mismatch: {len(yt)} vs {len(yp)}")
-    tn = fp = fn = tp = 0
-    for t, p in zip(yt, yp):
-        if t == 1:
-            if p == 1:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if p == 1:
-                fp += 1
-            else:
-                tn += 1
-    return ConfusionMatrix(tn=tn, fp=fp, fn=fn, tp=tp)
+    return ConfusionMatrix(*np.bincount(2 * yt + yp, minlength=4).tolist())
 
 
 def _safe_div(num: float, den: float) -> float:
@@ -131,11 +122,11 @@ def report(y_true, y_pred, probs=None) -> EvalReport:
         recall = _safe_div(tp_c, tp_c + fn_c)
         f1 = _safe_div(2 * precision * recall, precision + recall)
         per_class[c] = ClassMetrics(precision, recall, f1, support)
-    auc = None
+    roc = None
     if probs is not None:
         if len(probs) != cm.total:
             raise ShapeError(f"{len(probs)} probabilities for {cm.total} samples")
-        auc = roc_auc(y_true, probs).auc
+        roc = roc_auc(y_true, probs)
     return EvalReport(
         accuracy=_safe_div(cm.tp + cm.tn, cm.total),
         per_class=per_class,
@@ -143,7 +134,7 @@ def report(y_true, y_pred, probs=None) -> EvalReport:
         recall_macro=(per_class[0].recall + per_class[1].recall) / 2,
         f1_macro=(per_class[0].f1 + per_class[1].f1) / 2,
         confusion=cm,
-        auc=auc,
+        roc=roc,
     )
 
 
@@ -153,7 +144,7 @@ def roc_auc(y_true, scores) -> RocCurve:
     The trapezoidal area equals the tie-aware probability that a random
     positive outranks a random negative (ties count half).
     """
-    yt = np.asarray(_check_binary(y_true, "y_true"), dtype=np.int64)
+    yt = _check_binary(y_true, "y_true")
     s = np.asarray(scores, dtype=np.float64)
     if len(s) != len(yt):
         raise ShapeError(f"length mismatch: {len(yt)} vs {len(s)}")
@@ -166,24 +157,14 @@ def roc_auc(y_true, scores) -> RocCurve:
 
     order = np.argsort(-s, kind="stable")
     s_sorted = s[order]
-    y_sorted = yt[order]
-    fpr = [0.0]
-    tpr = [0.0]
-    tp = fp = 0
-    i = 0
-    while i < len(s_sorted):
-        j = i
-        while j < len(s_sorted) and s_sorted[j] == s_sorted[i]:
-            tp += int(y_sorted[j])
-            fp += 1 - int(y_sorted[j])
-            j += 1
-        fpr.append(fp / n_neg)
-        tpr.append(tp / n_pos)
-        i = j
-    area = 0.0
-    for k in range(1, len(fpr)):
-        area += (fpr[k] - fpr[k - 1]) * (tpr[k] + tpr[k - 1]) / 2.0
-    return RocCurve(tuple(fpr), tuple(tpr), area)
+    group_ends = np.append(s_sorted[1:] != s_sorted[:-1], True)  # the last row of each tie group
+    tp = np.cumsum(yt[order])
+    fp = np.arange(1, len(tp) + 1) - tp
+    fpr = np.append(0.0, fp[group_ends] / n_neg)
+    tpr = np.append(0.0, tp[group_ends] / n_pos)
+    # np.cumsum adds the terms left to right; np.sum's pairwise order can move the last bit
+    area = np.cumsum((fpr[1:] - fpr[:-1]) * (tpr[1:] + tpr[:-1]) / 2.0)[-1]
+    return RocCurve(tuple(fpr.tolist()), tuple(tpr.tolist()), float(area))
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +175,7 @@ def roc_auc(y_true, scores) -> RocCurve:
 class BenchmarkRow:
     name: str
     report: EvalReport | None
-    error: str | None = None
-    note: str = ""
-    probabilities: np.ndarray | None = None  # test-fold P(class 1), kept for ROC files
+    status: str = "ok"  # an unscored row's reason: its error, or why it was not run
     head: object | None = field(default=None, repr=False, compare=False)  # the fitted pipeline; None for an error row
 
     def metric(self, column: str) -> float | None:
@@ -212,64 +191,41 @@ class BenchmarkTable:
     rows: tuple[BenchmarkRow, ...]
     support: int
 
-    def _best(self, column: str) -> float | None:
-        values = [r.metric(column) for r in self.rows if r.metric(column) is not None]
-        return max(values) if values else None
+    def _cells(self, plain: str, best: str, missing: str):
+        """Each row with its metric cells (None without a report): ``missing`` for
+        no value, else the value formatted by ``best`` if it is its column's best, else by ``plain``."""
+        values = [[r.metric(c) for c in BENCHMARK_COLUMNS[1:]] for r in self.rows]
+        bests = [max((v for v in column if v is not None), default=None) for column in zip(*values)]
+        for r, row_values in zip(self.rows, values):
+            cells = [missing if v is None else (best if v == b else plain).format(v) for v, b in zip(row_values, bests)]
+            yield r, None if r.report is None else cells
 
     def render_text(self) -> str:
         widths = [28, 10, 16, 13, 10, 9]
         header = "".join(f"{c:<{w}}" for c, w in zip(BENCHMARK_COLUMNS, widths))
         lines = [f"benchmark (test support: {self.support})", header, "-" * len(header)]
-        for r in self.rows:
-            if r.report is None:
-                status = r.error or r.note or "n/a"
-                lines.append(f"{r.name:<28}{status}")
-                continue
-            cells = [f"{r.name:<28}"]
-            for col, w in zip(BENCHMARK_COLUMNS[1:], widths[1:]):
-                v = r.metric(col)
-                flag = "*" if v is not None and v == self._best(col) else " "
-                cells.append(f"{v:.4f}{flag}".ljust(w) if v is not None else "-".ljust(w))
-            lines.append("".join(cells))
+        for r, cells in self._cells("{:.4f} ", "{:.4f}*", "-"):
+            metrics = r.status if cells is None else "".join(c.ljust(w) for c, w in zip(cells, widths[1:]))
+            lines.append(f"{r.name:<28}{metrics}")
         return "\n".join(lines) + "\n"
 
     def render_csv(self) -> str:
         """One unquoted line per row, the status cell last.
 
-        An error's commas become semicolons and its line breaks spaces, so
-        the status is one cell both to ``csv.reader`` and to a reader that
-        splits each line on its first six commas.
+        A status's commas become semicolons and its line breaks spaces, so
+        it is one cell both to ``csv.reader`` and to a reader that splits
+        each line on its first six commas.
         """
         lines = [",".join(BENCHMARK_COLUMNS + ("status",))]
-        for r in self.rows:
-            if r.report is None:
-                status = " ".join((r.error or r.note or "").replace(",", ";").splitlines())
-                lines.append(",".join([r.name, "", "", "", "", "", status]))
-            else:
-                cells = [r.name]
-                for col in BENCHMARK_COLUMNS[1:]:
-                    v = r.metric(col)
-                    cells.append(f"{v:.6f}" if v is not None else "")
-                cells.append("ok")
-                lines.append(",".join(cells))
+        for r, cells in self._cells("{:.6f}", "{:.6f}", ""):
+            status = " ".join(r.status.replace(",", ";").splitlines())
+            lines.append(",".join([r.name, *(cells or [""] * 5), status]))
         return "\n".join(lines) + "\n"
 
     def render_markdown(self) -> str:
         lines = ["| " + " | ".join(BENCHMARK_COLUMNS) + " |", "|" + "---|" * len(BENCHMARK_COLUMNS)]
-        for r in self.rows:
-            if r.report is None:
-                lines.append(f"| {r.name} | " + " | ".join([r.error or r.note or "-"] * 5) + " |")
-                continue
-            cells = [r.name]
-            for col in BENCHMARK_COLUMNS[1:]:
-                v = r.metric(col)
-                if v is None:
-                    cells.append("-")
-                elif v == self._best(col):
-                    cells.append(f"**{v:.4f}**")
-                else:
-                    cells.append(f"{v:.4f}")
-            lines.append("| " + " | ".join(cells) + " |")
+        for r, cells in self._cells("{:.4f}", "**{:.4f}**", "-"):
+            lines.append("| " + " | ".join([r.name, *(cells or [r.status] * 5)]) + " |")
         return "\n".join(lines) + "\n"
 
 
@@ -281,9 +237,10 @@ def benchmark(pipelines: Sequence[tuple[str, object]], dataset, train_X, test_X)
     exposes ``fit(X, records, labels)`` and ``predict_proba(X, records)``.
     Each pipeline is one ``workers.map_jobs`` job that fits a copy, so the
     pipelines passed in stay unfitted. Each scored row keeps the fitted
-    copy as its ``head`` and its test probabilities, so callers never
-    predict twice. Per-pipeline failures become error rows, with no head,
-    naming the exception type and the innermost frame.
+    copy as its ``head``, and its report keeps the test fold's ROC curve,
+    so callers never predict or sweep thresholds twice. Per-pipeline
+    failures become error rows, with no report and no head, whose status
+    names the exception type and the innermost frame.
     """
     train_records = dataset.train_records()
     train_labels = dataset.train_labels()
@@ -296,10 +253,10 @@ def benchmark(pipelines: Sequence[tuple[str, object]], dataset, train_X, test_X)
             head = copy.deepcopy(pipe)
             head.fit(train_X, train_records, train_labels)
             probs = np.asarray(head.predict_proba(test_X, test_records), dtype=np.float64)
-            return BenchmarkRow(name, report(test_labels, predicted_labels(probs), probs), probabilities=probs, head=head)
+            return BenchmarkRow(name, report(test_labels, predicted_labels(probs), probs), head=head)
         except Exception as exc:  # noqa: BLE001 - error rows are part of the contract
             where = traceback.extract_tb(exc.__traceback__)[-1]  # the frame that raised
             error = f"error: {type(exc).__name__}: {exc} ({os.path.basename(where.filename)}:{where.lineno} in {where.name})"
-            return BenchmarkRow(name, None, error=error)
+            return BenchmarkRow(name, None, status=error)
 
     return BenchmarkTable(tuple(map_jobs(fit_and_score, pipelines)), support=len(test_records))

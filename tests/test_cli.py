@@ -567,10 +567,13 @@ class TestConfigFile:
             ("benchmark-models", {"net": {"merge": [64.5, 32]}}),
             ("benchmark-features", {"tfidf": {"max_features": -5}}),
             ("benchmark-features", {"tfidf": {"max_features": 0}}),
+            ("ensembles", {"ensemble": {"sample_fraction": -0.5}}),
+            ("ensembles", {"ensemble": {"sample_fraction": 0}}),
         ],
         ids=[
             "tfidf.max_features", "svd.k", "ensemble.members", "knn.k", "forest.features_per_split",
             "tree.max_depth", "net.merge", "tfidf.max_features-negative", "tfidf.max_features-zero",
+            "ensemble.sample_fraction-negative", "ensemble.sample_fraction-zero",
         ],
     )
     def test_wrongly_typed_section_value_names_its_key(self, tmp_path, synthetic_csv, capsys, command, values):

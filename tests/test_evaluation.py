@@ -3,6 +3,7 @@
 import csv
 import io
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -59,6 +60,149 @@ def oracle_auc_pairwise(y_true, scores):
             elif sp == sn:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+# ---------------------------------------------------------------------------
+# Byte oracles: the per-value loops and per-table renderers that the
+# whole-array metrics and the shared cell pass replaced, kept to pin them.
+
+
+def oracle_check_binary(values, name):
+    out = []
+    for v in values:
+        iv = int(v)
+        if iv not in (0, 1):
+            raise DomainError(f"{name} must be binary, found {v!r}")
+        out.append(iv)
+    return out
+
+
+def oracle_confusion(y_true, y_pred):
+    yt = oracle_check_binary(y_true, "y_true")
+    yp = oracle_check_binary(y_pred, "y_pred")
+    if len(yt) != len(yp):
+        raise ShapeError(f"length mismatch: {len(yt)} vs {len(yp)}")
+    tn = fp = fn = tp = 0
+    for t, p in zip(yt, yp):
+        if t == 1:
+            if p == 1:
+                tp += 1
+            else:
+                fn += 1
+        else:
+            if p == 1:
+                fp += 1
+            else:
+                tn += 1
+    return evaluation.ConfusionMatrix(tn=tn, fp=fp, fn=fn, tp=tp)
+
+
+def oracle_roc_auc(y_true, scores):
+    yt = np.asarray(oracle_check_binary(y_true, "y_true"), dtype=np.int64)
+    s = np.asarray(scores, dtype=np.float64)
+    if len(s) != len(yt):
+        raise ShapeError(f"length mismatch: {len(yt)} vs {len(s)}")
+    if not np.all(np.isfinite(s)):
+        raise DomainError("scores must be finite")
+    n_pos = int(yt.sum())
+    n_neg = len(yt) - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise DomainError("AUC is undefined with a single class")
+    order = np.argsort(-s, kind="stable")
+    s_sorted = s[order]
+    y_sorted = yt[order]
+    fpr = [0.0]
+    tpr = [0.0]
+    tp = fp = 0
+    i = 0
+    while i < len(s_sorted):
+        j = i
+        while j < len(s_sorted) and s_sorted[j] == s_sorted[i]:
+            tp += int(y_sorted[j])
+            fp += 1 - int(y_sorted[j])
+            j += 1
+        fpr.append(fp / n_neg)
+        tpr.append(tp / n_pos)
+        i = j
+    area = 0.0
+    for k in range(1, len(fpr)):
+        area += (fpr[k] - fpr[k - 1]) * (tpr[k] + tpr[k - 1]) / 2.0
+    return evaluation.RocCurve(tuple(fpr), tuple(tpr), area)
+
+
+@dataclass(frozen=True)
+class OracleRow:
+    """A benchmark row as the oracle renderers read it: an error or a note instead of one status."""
+
+    name: str
+    report: object
+    error: str | None = None
+    note: str = ""
+
+    def metric(self, column):
+        if self.report is None:
+            return None
+        if column == "roc_auc":
+            return self.report.auc
+        return getattr(self.report, column)
+
+
+def oracle_best(rows, column):
+    values = [r.metric(column) for r in rows if r.metric(column) is not None]
+    return max(values) if values else None
+
+
+def oracle_render_text(rows, support):
+    widths = [28, 10, 16, 13, 10, 9]
+    header = "".join(f"{c:<{w}}" for c, w in zip(evaluation.BENCHMARK_COLUMNS, widths))
+    lines = [f"benchmark (test support: {support})", header, "-" * len(header)]
+    for r in rows:
+        if r.report is None:
+            status = r.error or r.note or "n/a"
+            lines.append(f"{r.name:<28}{status}")
+            continue
+        cells = [f"{r.name:<28}"]
+        for col, w in zip(evaluation.BENCHMARK_COLUMNS[1:], widths[1:]):
+            v = r.metric(col)
+            flag = "*" if v is not None and v == oracle_best(rows, col) else " "
+            cells.append(f"{v:.4f}{flag}".ljust(w) if v is not None else "-".ljust(w))
+        lines.append("".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def oracle_render_csv(rows):
+    lines = [",".join(evaluation.BENCHMARK_COLUMNS + ("status",))]
+    for r in rows:
+        if r.report is None:
+            status = " ".join((r.error or r.note or "").replace(",", ";").splitlines())
+            lines.append(",".join([r.name, "", "", "", "", "", status]))
+        else:
+            cells = [r.name]
+            for col in evaluation.BENCHMARK_COLUMNS[1:]:
+                v = r.metric(col)
+                cells.append(f"{v:.6f}" if v is not None else "")
+            cells.append("ok")
+            lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def oracle_render_markdown(rows):
+    lines = ["| " + " | ".join(evaluation.BENCHMARK_COLUMNS) + " |", "|" + "---|" * len(evaluation.BENCHMARK_COLUMNS)]
+    for r in rows:
+        if r.report is None:
+            lines.append(f"| {r.name} | " + " | ".join([r.error or r.note or "-"] * 5) + " |")
+            continue
+        cells = [r.name]
+        for col in evaluation.BENCHMARK_COLUMNS[1:]:
+            v = r.metric(col)
+            if v is None:
+                cells.append("-")
+            elif v == oracle_best(rows, col):
+                cells.append(f"**{v:.4f}**")
+            else:
+                cells.append(f"{v:.4f}")
+        lines.append("| " + " | ".join(cells) + " |")
+    return "\n".join(lines) + "\n"
 
 
 class TestConfusion:
@@ -196,6 +340,112 @@ class TestRocAuc:
         assert base.tpr == squashed.tpr
 
 
+class TestLabelsMustBeExactlyBinary:
+    @pytest.mark.parametrize("container", [list, np.asarray])
+    @pytest.mark.parametrize("value", [0.7, 2])
+    @pytest.mark.parametrize(
+        "function,argument",
+        [("confusion", "y_true"), ("confusion", "y_pred"), ("report", "y_true"), ("report", "y_pred"), ("roc_auc", "y_true")],
+    )
+    def test_a_label_other_than_0_or_1_raises_naming_its_plain_value(self, function, argument, value, container):
+        good, bad = container([1, 1, 0]), container([value, 1, 0])
+        if function == "roc_auc":
+            args = (bad, [0.9, 0.4, 0.2])
+        else:
+            args = (bad, good) if argument == "y_true" else (good, bad)
+        with pytest.raises(DomainError) as info:
+            getattr(evaluation, function)(*args)
+        assert str(info.value) == f"{argument} must be binary, found {value}"
+
+    def test_bools_and_whole_floats_are_accepted(self):
+        y_true, y_pred = [True, False, 1.0, 0.0, -0.0], [1.0, True, False, 0, False]
+        assert evaluation.confusion(y_true, y_pred) == evaluation.ConfusionMatrix(tn=2, fp=1, fn=1, tp=1)
+        assert evaluation.report(y_true, y_pred, [0.9, 0.4, 0.5, 0.1, 0.2]).auc == 1.0
+        assert evaluation.roc_auc([True, False, 1.0], [0.9, 0.1, 0.5]).auc == 1.0
+
+
+@st.composite
+def labelled_scores(draw):
+    """Both classes among 2-80 rows, with distinct, tied, signed-zero or all-equal scores."""
+    labels = draw(st.permutations([1, 0] + draw(st.lists(st.integers(0, 1), max_size=78))))
+    n = len(labels)
+    kind = draw(st.sampled_from(["distinct", "ties", "equal"]))
+    if kind == "equal":
+        return labels, [draw(st.sampled_from([0.0, -0.0, 0.3]))] * n
+    element = st.floats(-1.0, 1.0) if kind == "distinct" else st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0])
+    return labels, draw(st.lists(element, min_size=n, max_size=n))
+
+
+_LABEL = st.sampled_from([0, 1, True, False, 0.0, 1.0, -0.0])
+_METRIC = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 2 / 3, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def benchmark_rows(draw):
+    """The same random table as benchmark rows and as oracle rows."""
+    rows, oracle_rows = [], []
+    for kind in draw(st.lists(st.sampled_from(["scored", "error", "out of scope"]), max_size=6)):
+        name = draw(st.text(alphabet="ab_", min_size=1, max_size=30))
+        if kind == "scored":
+            auc = draw(st.none() | _METRIC)
+            rep = evaluation.EvalReport(
+                accuracy=draw(_METRIC),
+                per_class={},
+                precision_macro=draw(_METRIC),
+                recall_macro=draw(_METRIC),
+                f1_macro=draw(_METRIC),
+                confusion=evaluation.ConfusionMatrix(0, 0, 0, 0),
+                roc=None if auc is None else evaluation.RocCurve((0.0, 1.0), (0.0, 1.0), auc),
+            )
+            rows.append(evaluation.BenchmarkRow(name, rep))
+            oracle_rows.append(OracleRow(name, rep))
+        elif kind == "error":
+            error = "error: " + draw(st.text(alphabet='ab ,;"|()\n\r', max_size=20))
+            rows.append(evaluation.BenchmarkRow(name, None, status=error))
+            oracle_rows.append(OracleRow(name, None, error=error))
+        else:
+            rows.append(evaluation.BenchmarkRow(name, None, status="out of scope"))
+            oracle_rows.append(OracleRow(name, None, note="out of scope"))
+    return tuple(rows), oracle_rows
+
+
+class TestMatchesTheLoopOracles:
+    @given(labelled_scores())
+    @settings(max_examples=300, deadline=None)
+    def test_roc_auc(self, data):
+        labels, scores = data
+        got, want = evaluation.roc_auc(labels, scores), oracle_roc_auc(labels, scores)
+        assert got.fpr == want.fpr
+        assert got.tpr == want.tpr
+        assert got.auc == want.auc
+        assert repr(got) == repr(want)  # the same Python floats, signs of zero included
+
+    @given(st.lists(st.tuples(_LABEL, _LABEL), max_size=40))
+    @settings(max_examples=150, deadline=None)
+    def test_confusion(self, pairs):
+        y_true, y_pred = [t for t, _ in pairs], [p for _, p in pairs]
+        got = evaluation.confusion(y_true, y_pred)
+        assert got == oracle_confusion(y_true, y_pred)
+        assert repr(got) == repr(oracle_confusion(y_true, y_pred))
+
+    @given(benchmark_rows(), st.integers(0, 500))
+    @settings(max_examples=200, deadline=None)
+    def test_renderers(self, tables, support):
+        rows, oracle_rows = tables
+        table = evaluation.BenchmarkTable(rows, support)
+        assert table.render_text() == oracle_render_text(oracle_rows, support)
+        assert table.render_csv() == oracle_render_csv(oracle_rows)
+        assert table.render_markdown() == oracle_render_markdown(oracle_rows)
+
+    def test_report_keeps_its_roc_curve(self):
+        y, probs = [1, 0, 1, 0], [0.9, 0.8, 0.7, 0.2]
+        rep = evaluation.report(y, evaluation.predicted_labels(probs), probs)
+        assert rep.roc == oracle_roc_auc(y, probs)
+        assert rep.auc == rep.roc.auc
+        assert evaluation.report(y, y).roc is None
+        assert evaluation.report(y, y).auc is None
+
+
 class _StubPipeline:
     def __init__(self, probs=None, fail=False):
         self._probs = probs
@@ -227,6 +477,8 @@ class TestBenchmark:
         table = evaluation.benchmark([("good", good)], ds, None, None)
         assert table.rows[0].name == "good"
         assert table.rows[0].report.accuracy == 1.0
+        assert table.rows[0].status == "ok"
+        assert table.rows[0].report.roc == evaluation.roc_auc(ds.test_labels(), good.predict_proba(None, ds.test_records()))
         csv_head = table.render_csv().splitlines()[0]
         assert csv_head.startswith("model,accuracy,precision_macro,recall_macro,f1_macro,roc_auc")
 
@@ -235,14 +487,14 @@ class TestBenchmark:
         table = evaluation.benchmark(
             [("bad", _StubPipeline(fail=True)), ("good", _StubPipeline(probs=[0.9] * 5))], ds, None, None
         )
-        assert table.rows[0].error is not None
+        assert table.rows[0].status != "ok"
         assert table.rows[1].report is not None
         assert "error: RuntimeError: training exploded (test_evaluation.py:" in table.render_text()
-        assert table.rows[0].error.endswith(" in fit)")
+        assert table.rows[0].status.endswith(" in fit)")
 
     def test_csv_error_row_with_commas_keeps_the_header_width(self):
         error = 'error: ValueError: shapes (3,4) and (5,) not aligned, see "x"\nsecond line (x.py:1 in f)'
-        text = evaluation.BenchmarkTable((evaluation.BenchmarkRow("m", None, error=error),), support=1).render_csv()
+        text = evaluation.BenchmarkTable((evaluation.BenchmarkRow("m", None, status=error),), support=1).render_csv()
         rows = list(csv.reader(io.StringIO(text)))
         assert [len(r) for r in rows] == [7, 7]
         assert rows[1][-1] == 'error: ValueError: shapes (3;4) and (5;) not aligned; see "x" second line (x.py:1 in f)'
