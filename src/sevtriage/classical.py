@@ -2,6 +2,8 @@
 
 All four models share the same surface: a train_* function returning an
 immutable model whose ``predict_proba`` gives P(class 1) per row. The
+trainers take labels through ``features.as_labels`` and the predictors
+check widths through ``features.check_width``, as every learner does. The
 logistic regression trains by full-batch gradient descent with a
 backtracking line search, so its loss never increases; each accepted
 point's logits are reused by the next gradient. Trees search midpoint
@@ -37,7 +39,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, FitError, ShapeError
-from .features import as_matrix
+from .features import as_labels, as_matrix, check_width
 from .seeds import substream
 from .workers import map_jobs
 
@@ -46,11 +48,6 @@ def _as_dense(X, order: str | None = None) -> np.ndarray:
     """``X`` as a dense array, copied only to densify it or to give it ``order``."""
     mat = as_matrix(X)
     return mat.toarray(order=order) if sp.issparse(mat) else np.asarray(mat, order=order)
-
-
-def _check_width(X, expected: int):
-    if X.shape[1] != expected:
-        raise ShapeError(f"matrix width {X.shape[1]} != training width {expected}")
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -79,7 +76,7 @@ class LogRegModel:
 
     def predict_proba(self, X) -> np.ndarray:
         mat = as_matrix(X)
-        _check_width(mat, self.n_features)
+        check_width(mat, self.n_features)
         return _sigmoid(np.asarray(mat @ self.weights).ravel() + self.bias)
 
 
@@ -125,9 +122,7 @@ def train_logreg(X, y, C: float = 1.0, max_iter: int = 1000, tol: float = 1e-6) 
     if C <= 0:
         raise ConfigError(f"C must be positive, got {C}")
     mat = as_matrix(X)
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if mat.shape[0] != len(y):
-        raise ShapeError(f"{mat.shape[0]} rows but {len(y)} labels")
+    y = as_labels(y, mat.shape[0]).astype(np.float64)
     if len(np.unique(y)) < 2:
         raise FitError("logistic regression needs both classes present")
 
@@ -201,7 +196,7 @@ class TreeModel:
     def predict_proba(self, X) -> np.ndarray:
         """Route all rows together, one tree level per step."""
         mat = _as_dense(X)
-        _check_width(mat, self.n_features)
+        check_width(mat, self.n_features)
         feature, threshold, left, right, leaf, prob = self.routing
         at = np.zeros(mat.shape[0], dtype=np.intp)
         active = np.flatnonzero(~leaf[at])
@@ -304,9 +299,7 @@ def train_tree(
     matrix, which is a view without a copy when ``X`` is column-major.
     """
     mat = _as_dense(X)
-    y = np.asarray(y, dtype=np.int64).ravel()
-    if mat.shape[0] != len(y):
-        raise ShapeError(f"{mat.shape[0]} rows but {len(y)} labels")
+    y = as_labels(y, mat.shape[0])
     rows = np.arange(len(y)) if _rows is None else _rows
     if len(rows) < 1:
         raise FitError("cannot fit a tree on an empty dataset")
@@ -331,6 +324,7 @@ class ForestModel:
 
     def predict_proba(self, X) -> np.ndarray:
         mat = _as_dense(X)
+        check_width(mat, self.n_features)
         per_tree = np.stack([t.predict_proba(mat) for t in self.trees])
         return per_tree.mean(axis=0)
 
@@ -371,10 +365,8 @@ def train_forest(
     if n_trees < 1:
         raise ConfigError(f"n_trees must be >= 1, got {n_trees}")
     mat = _as_dense(X, order="F")
-    y = np.asarray(y, dtype=np.int64).ravel()
     n, d = mat.shape
-    if n != len(y):
-        raise ShapeError(f"{n} rows but {len(y)} labels")
+    y = as_labels(y, n)
     if n < 1:
         raise FitError("cannot fit a tree on an empty dataset")
     mtry = _mtry(features_per_split, d)
@@ -405,7 +397,7 @@ class KnnModel:
 
     def predict_proba(self, X) -> np.ndarray:
         mat = _as_dense(X)
-        _check_width(mat, self.n_features)
+        check_width(mat, self.n_features)
         n = self.X_train.shape[0]
         out = np.empty(mat.shape[0])
         for i, q in enumerate(mat):
@@ -418,9 +410,7 @@ class KnnModel:
 def train_knn(X, y, k: int = 5) -> KnnModel:
     """Memorize the training set for majority voting over the k nearest rows."""
     mat = _as_dense(X)
-    y = np.asarray(y, dtype=np.int64).ravel()
-    if mat.shape[0] != len(y):
-        raise ShapeError(f"{mat.shape[0]} rows but {len(y)} labels")
+    y = as_labels(y, mat.shape[0])
     if not 1 <= k <= mat.shape[0]:
         raise ConfigError(f"k={k} must be in [1, {mat.shape[0]}]")
     return KnnModel(mat, y, k)

@@ -27,7 +27,6 @@ from .pipelines import (
     ScoringArtifact,
     feature_benchmark_pipelines,
     model_benchmark_pipelines,
-    net_tabular,
 )
 
 
@@ -214,8 +213,8 @@ def _export_activations(out: Path, trained: dict, test_X, test_records) -> None:
         pipe = trained.get(name)
         if pipe is None:
             continue
-        seqs = neural.apply_sequences(pipe.sequences, [test_records[0].description])
-        sample = (seqs.ids[0], net_tabular(test_X.select_rows([0]))[0])
+        ids, tabular = pipe.inputs(test_X.select_rows([0]), test_records[:1])
+        sample = (ids[0], tabular[0])
         dense64 = neural.activations(pipe.net, "merge_0", sample)
         _write(
             out / f"activations_{name}_merge64.csv",

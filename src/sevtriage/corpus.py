@@ -61,8 +61,8 @@ class LabeledDataset:
     test_idx: np.ndarray
 
     def __post_init__(self):
-        if len(self.labels) != len(self.records):
-            raise ShapeError(f"{len(self.records)} records but {len(self.labels)} labels")
+        from .features import as_labels  # features imports this module
+        object.__setattr__(self, "labels", as_labels(self.labels, len(self.records), "labels"))
         overlap = np.intersect1d(self.train_idx, self.test_idx)
         if overlap.size:
             raise ShapeError("train and test index sets overlap")
@@ -238,10 +238,9 @@ def stratified_split(
     """
     if not 0.0 < test_fraction < 1.0:
         raise StratificationError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    labels = np.asarray(labels)
+    from .features import as_labels  # features imports this module
     n = len(records)
-    if len(labels) != n:
-        raise ShapeError(f"{n} records but {len(labels)} labels")
+    labels = as_labels(labels, n, "labels")
     classes = np.unique(labels)
     if len(classes) < 2:
         raise StratificationError("both classes must be present to stratify")

@@ -18,7 +18,7 @@ from .classical import train_forest, train_knn, train_logreg  # noqa: F401  (loo
 from .config import DEFAULTS
 from .errors import ConfigError, FitError, StratificationError
 from .evaluation import THRESHOLD, predicted_labels  # noqa: F401  (THRESHOLD is re-exported)
-from .features import GROUPS, FeatureMatrix
+from .features import GROUPS, FeatureMatrix, as_labels
 from .seeds import substream
 from .workers import map_jobs
 
@@ -198,7 +198,7 @@ def run(train_X: FeatureMatrix, y_train, test_X: FeatureMatrix, config: Mapping 
     ``workers.map_jobs`` job, fit once on every usable CPU, and only its
     probabilities are kept.
     """
-    y = np.asarray(y_train, dtype=np.int64)
+    y = as_labels(y_train, train_X.n_rows, "y_train")
     plans = {
         "feature_split": _feature_split_members(train_X, config),
         "bootstrap": _bootstrap_members(y, config),

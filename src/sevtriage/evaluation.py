@@ -15,7 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError
+from .features import as_labels
 from .workers import map_jobs
 
 BENCHMARK_COLUMNS = ("model", "accuracy", "precision_macro", "recall_macro", "f1_macro", "roc_auc")
@@ -87,21 +88,10 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def _check_binary(values, name: str) -> np.ndarray:
-    """``values`` as int64, unless one is not exactly 0 or 1: then DomainError naming it."""
-    v = np.asarray(values)
-    bad = (v != 0) & (v != 1)
-    if bad.any():
-        raise DomainError(f"{name} must be binary, found {v[bad].tolist()[0]!r}")
-    return v.astype(np.int64)
-
-
 def confusion(y_true: Sequence[int], y_pred: Sequence[int]) -> ConfusionMatrix:
     """Count tn/fp/fn/tp for binary labels."""
-    yt = _check_binary(y_true, "y_true")
-    yp = _check_binary(y_pred, "y_pred")
-    if len(yt) != len(yp):
-        raise ShapeError(f"length mismatch: {len(yt)} vs {len(yp)}")
+    yt = as_labels(y_true, name="y_true")
+    yp = as_labels(y_pred, len(yt), "y_pred")
     return ConfusionMatrix(*np.bincount(2 * yt + yp, minlength=4).tolist())
 
 
@@ -122,11 +112,6 @@ def report(y_true, y_pred, probs=None) -> EvalReport:
         recall = _safe_div(tp_c, tp_c + fn_c)
         f1 = _safe_div(2 * precision * recall, precision + recall)
         per_class[c] = ClassMetrics(precision, recall, f1, support)
-    roc = None
-    if probs is not None:
-        if len(probs) != cm.total:
-            raise ShapeError(f"{len(probs)} probabilities for {cm.total} samples")
-        roc = roc_auc(y_true, probs)
     return EvalReport(
         accuracy=_safe_div(cm.tp + cm.tn, cm.total),
         per_class=per_class,
@@ -134,7 +119,7 @@ def report(y_true, y_pred, probs=None) -> EvalReport:
         recall_macro=(per_class[0].recall + per_class[1].recall) / 2,
         f1_macro=(per_class[0].f1 + per_class[1].f1) / 2,
         confusion=cm,
-        roc=roc,
+        roc=None if probs is None else roc_auc(y_true, probs),
     )
 
 
@@ -144,10 +129,8 @@ def roc_auc(y_true, scores) -> RocCurve:
     The trapezoidal area equals the tie-aware probability that a random
     positive outranks a random negative (ties count half).
     """
-    yt = _check_binary(y_true, "y_true")
     s = np.asarray(scores, dtype=np.float64)
-    if len(s) != len(yt):
-        raise ShapeError(f"length mismatch: {len(yt)} vs {len(s)}")
+    yt = as_labels(y_true, len(s), "y_true")
     if not np.all(np.isfinite(s)):
         raise DomainError("scores must be finite")
     n_pos = int(yt.sum())

@@ -36,7 +36,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .corpus import DisclosureRecord, decode_utf8
-from .errors import ConfigError, FitError, RowError, ShapeError
+from .errors import ConfigError, DomainError, FitError, RowError, ShapeError
 
 GROUPS = ("vendor", "indicator", "text")
 
@@ -148,6 +148,31 @@ def as_matrix(X):
     if sp.issparse(X):
         return sp.csr_matrix(X, dtype=np.float64)
     return np.atleast_2d(np.asarray(X, dtype=np.float64))
+
+
+# ---------------------------------------------------------------------------
+# The one definition of a valid learner input
+
+
+def as_labels(y, rows: int | None = None, name: str = "y") -> np.ndarray:
+    """``y`` as a new 1-D int64 array: the one label check of every learner, selector, metric and split.
+
+    A value other than exactly 0 or 1 (``True`` and ``1.0`` are) raises
+    DomainError naming it; a count other than ``rows``, if given, ShapeError.
+    """
+    v = np.asarray(y).ravel()
+    bad = (v != 0) & (v != 1)
+    if bad.any():
+        raise DomainError(f"{name} must be binary, found {v[bad].tolist()[0]!r}")
+    if rows is not None and len(v) != rows:
+        raise ShapeError(f"{rows} rows but {len(v)} labels")
+    return v.astype(np.int64)
+
+
+def check_width(mat, expected: int) -> None:
+    """ShapeError unless ``mat`` has the ``expected`` number of columns, the width a model was fitted on."""
+    if mat.shape[-1] != expected:
+        raise ShapeError(f"matrix width {mat.shape[-1]} != fitted width {expected}")
 
 
 # ---------------------------------------------------------------------------

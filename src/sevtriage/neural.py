@@ -23,7 +23,7 @@ import numpy as np
 
 from .classical import _sigmoid
 from .errors import ConfigError, ShapeError, TrainingDivergedError
-from .features import tokenize
+from .features import as_labels, tokenize
 from .seeds import substream
 
 
@@ -302,9 +302,9 @@ def train(spec: NetSpec, sequences: PaddedSequences, tabular: np.ndarray, y, con
     """
     ids = np.asarray(sequences.ids, dtype=np.int64)
     tab = np.asarray(tabular, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if not (ids.shape[0] == tab.shape[0] == len(y)):
-        raise ShapeError(f"row counts differ: {ids.shape[0]}, {tab.shape[0]}, {len(y)}")
+    if ids.shape[0] != tab.shape[0]:
+        raise ShapeError(f"row counts differ: {ids.shape[0]} sequences, {tab.shape[0]} tabular")
+    y = as_labels(y, ids.shape[0]).astype(np.float64)
 
     params = init_params(spec, sequences.vocab_size, tab.shape[1])
     shuffle_rng = np.random.default_rng(substream(spec.seed, "shuffle"))

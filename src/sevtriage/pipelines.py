@@ -150,8 +150,8 @@ class LrFeaturePipeline:
     # -- pipeline surface ----------------------------------------------------
 
     def fit(self, X: FeatureMatrix, records, labels):
-        X = self._reduced_assembly(X, fit=True, labels=np.asarray(labels))
-        X = self._project(X, fit=True, labels=np.asarray(labels))
+        X = self._reduced_assembly(X, fit=True, labels=labels)
+        X = self._project(X, fit=True, labels=labels)
         self.model = classical.train_logreg(X, labels, **self.logreg)
         return self
 
@@ -230,9 +230,13 @@ class NeuralPipeline:
         self.net = neural.train(self.spec, self.sequences, net_tabular(X), labels, self.train_config)
         return self
 
-    def predict_proba(self, X: FeatureMatrix, records):
+    def inputs(self, X: FeatureMatrix, records) -> tuple[np.ndarray, np.ndarray]:
+        """The fitted net's ``(ids, tabular)`` input for the rows of ``X`` and their records."""
         seqs = neural.apply_sequences(self.sequences, [r.description for r in records])
-        return self.net.predict_proba(seqs.ids, net_tabular(X))
+        return seqs.ids, net_tabular(X)
+
+    def predict_proba(self, X: FeatureMatrix, records):
+        return self.net.predict_proba(*self.inputs(X, records))
 
 
 def feature_benchmark_pipelines(config: Mapping = DEFAULTS) -> list[tuple[str, LrFeaturePipeline]]:

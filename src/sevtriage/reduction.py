@@ -2,7 +2,8 @@
 
 The SVD runs on the sparse text block; PCA and LDA expect the densified
 assembled matrix. Fitted models are immutable; independent fits may run
-concurrently.
+concurrently. LDA takes labels through ``features.as_labels`` and each
+projection checks widths through ``features.check_width``, as every learner does.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import FitError, RankError, ShapeError
-from .features import as_matrix
+from .features import as_labels, as_matrix, check_width
 
 # Exact dense SVD below this size; randomized range finder above it.
 _EXACT_SVD_LIMIT = 512
@@ -102,8 +103,7 @@ def fit_truncated_svd(X, k: int = 100, seed: int = 0) -> SvdModel:
 
 def project_svd(svd: SvdModel, X) -> np.ndarray:
     mat = as_matrix(X)
-    if mat.shape[1] != svd.components.shape[1]:
-        raise ShapeError(f"matrix width {mat.shape[1]} != fitted width {svd.components.shape[1]}")
+    check_width(mat, svd.components.shape[1])
     return np.asarray(mat @ svd.components.T)
 
 
@@ -162,8 +162,7 @@ def fit_pca(X: np.ndarray, k: int) -> PcaModel:
 
 def project_pca(pca: PcaModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
-    if X.shape[-1] != pca.components.shape[1]:
-        raise ShapeError(f"matrix width {X.shape[-1]} != fitted width {pca.components.shape[1]}")
+    check_width(X, pca.components.shape[1])
     return (X - pca.mean) @ pca.components.T
 
 
@@ -184,9 +183,7 @@ def fit_lda(X: np.ndarray, y) -> LdaModel:
     the solve stays finite in high dimensions or with degenerate classes.
     """
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if X.shape[0] != len(y):
-        raise ShapeError(f"{X.shape[0]} rows but {len(y)} labels")
+    y = as_labels(y, X.shape[0])
     if len(np.unique(y)) < 2:
         raise FitError("LDA needs both classes present")
     d = X.shape[1]
@@ -210,6 +207,5 @@ def fit_lda(X: np.ndarray, y) -> LdaModel:
 
 def project_lda(lda: LdaModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
-    if X.shape[-1] != lda.projection.shape[1]:
-        raise ShapeError(f"matrix width {X.shape[-1]} != fitted width {lda.projection.shape[1]}")
+    check_width(X, lda.projection.shape[1])
     return X @ lda.projection.T

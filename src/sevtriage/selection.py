@@ -3,7 +3,8 @@
 Chi-square compares per-class feature mass against class-prior
 expectations; mutual information binarizes each feature by nonzero
 presence and measures the information its presence carries about the
-label. Both are deterministic and trivially parallel per feature.
+label. Both are deterministic, trivially parallel per feature, and take
+labels through ``features.as_labels``, as every learner does.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DomainError, ShapeError
-from .features import FeatureMatrix, as_matrix
+from .features import FeatureMatrix, as_labels, as_matrix
 
 
 @dataclass(frozen=True)
@@ -44,9 +45,7 @@ def chi2_scores(X, y) -> FeatureScores:
     mat, names = _csr_and_names(X)
     if mat.nnz and mat.data.min() < 0:
         raise DomainError("chi-square requires non-negative features")
-    y = np.asarray(y, dtype=np.int64)
-    if len(y) != mat.shape[0]:
-        raise ShapeError(f"{mat.shape[0]} rows but {len(y)} labels")
+    y = as_labels(y, mat.shape[0])
     n = len(y)
     scores = np.zeros(mat.shape[1], dtype=np.float64)
     total = np.asarray(mat.sum(axis=0)).ravel()
@@ -67,9 +66,7 @@ def mutual_info_scores(X, y) -> FeatureScores:
     from the empirical 2x2 joint, with 0*ln(0) taken as 0.
     """
     mat, names = _csr_and_names(X)
-    y = np.asarray(y, dtype=np.int64)
-    if len(y) != mat.shape[0]:
-        raise ShapeError(f"{mat.shape[0]} rows but {len(y)} labels")
+    y = as_labels(y, mat.shape[0])
     n = len(y)
     present = mat.copy()
     present.eliminate_zeros()
