@@ -1,9 +1,11 @@
 """From-scratch classical classifiers with probability outputs.
 
 All four models share the same surface: a train_* function returning an
-immutable model whose ``predict_proba`` gives P(class 1) per row. The
-trainers take labels through ``features.as_labels`` and the predictors
-check widths through ``features.check_width``, as every learner does. The
+immutable model whose ``predict_proba`` gives P(class 1) per row. As for
+every learner, matrices go through ``features.as_matrix`` (the logistic
+regression's, CSR or dense as given) or ``features.as_dense`` (the tree,
+forest and KNN), labels through ``features.as_labels`` and widths
+through ``features.check_width``. The
 logistic regression trains by full-batch gradient descent with a
 backtracking line search, so its loss never increases; each accepted
 point's logits are reused by the next gradient. Trees search midpoint
@@ -36,18 +38,11 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError, FitError, ShapeError
-from .features import as_labels, as_matrix, check_width
+from .features import as_dense, as_labels, as_matrix, check_width
 from .seeds import substream
 from .workers import map_jobs
-
-
-def _as_dense(X, order: str | None = None) -> np.ndarray:
-    """``X`` as a dense array, copied only to densify it or to give it ``order``."""
-    mat = as_matrix(X)
-    return mat.toarray(order=order) if sp.issparse(mat) else np.asarray(mat, order=order)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -103,11 +98,12 @@ def _gradient(z: np.ndarray, weights: np.ndarray, XT, y: np.ndarray, C: float) -
 
 def logreg_loss(weights: np.ndarray, bias: float, X, y: np.ndarray, C: float) -> float:
     """Mean binary cross-entropy plus ||w||^2 / (2 C n); bias unpenalized."""
-    return _loss(_logits(weights, bias, X), weights, y, C)
+    return _loss(_logits(weights, bias, as_matrix(X)), weights, y, C)
 
 
 def logreg_gradient(weights: np.ndarray, bias: float, X, y: np.ndarray, C: float) -> tuple[np.ndarray, float]:
-    return _gradient(_logits(weights, bias, X), weights, X.T, y, C)
+    mat = as_matrix(X)
+    return _gradient(_logits(weights, bias, mat), weights, mat.T, y, C)
 
 
 def train_logreg(X, y, C: float = 1.0, max_iter: int = 1000, tol: float = 1e-6) -> LogRegModel:
@@ -195,7 +191,7 @@ class TreeModel:
 
     def predict_proba(self, X) -> np.ndarray:
         """Route all rows together, one tree level per step."""
-        mat = _as_dense(X)
+        mat = as_dense(X)
         check_width(mat, self.n_features)
         feature, threshold, left, right, leaf, prob = self.routing
         at = np.zeros(mat.shape[0], dtype=np.intp)
@@ -298,7 +294,7 @@ def train_tree(
     Plain trees ignore them. Growth reads the transposed (features x rows)
     matrix, which is a view without a copy when ``X`` is column-major.
     """
-    mat = _as_dense(X)
+    mat = as_dense(X)
     y = as_labels(y, mat.shape[0])
     rows = np.arange(len(y)) if _rows is None else _rows
     if len(rows) < 1:
@@ -323,7 +319,7 @@ class ForestModel:
         return self.trees[0].n_features
 
     def predict_proba(self, X) -> np.ndarray:
-        mat = _as_dense(X)
+        mat = as_dense(X)
         check_width(mat, self.n_features)
         per_tree = np.stack([t.predict_proba(mat) for t in self.trees])
         return per_tree.mean(axis=0)
@@ -364,7 +360,7 @@ def train_forest(
     """
     if n_trees < 1:
         raise ConfigError(f"n_trees must be >= 1, got {n_trees}")
-    mat = _as_dense(X, order="F")
+    mat = as_dense(X, order="F")
     n, d = mat.shape
     y = as_labels(y, n)
     if n < 1:
@@ -396,7 +392,7 @@ class KnnModel:
         return self.X_train.shape[1]
 
     def predict_proba(self, X) -> np.ndarray:
-        mat = _as_dense(X)
+        mat = as_dense(X)
         check_width(mat, self.n_features)
         n = self.X_train.shape[0]
         out = np.empty(mat.shape[0])
@@ -409,7 +405,7 @@ class KnnModel:
 
 def train_knn(X, y, k: int = 5) -> KnnModel:
     """Memorize the training set for majority voting over the k nearest rows."""
-    mat = _as_dense(X)
+    mat = as_dense(X)
     y = as_labels(y, mat.shape[0])
     if not 1 <= k <= mat.shape[0]:
         raise ConfigError(f"k={k} must be in [1, {mat.shape[0]}]")

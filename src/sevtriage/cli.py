@@ -21,7 +21,7 @@ import numpy as np
 from . import corpus, ensembles, evaluation, neural, plots, reduction, selection
 from .config import OUT_ENV_VAR, load_config
 from .errors import TriageError
-from .features import KeywordLexicon, keyword_frequencies
+from .features import KeywordLexicon, as_dense, keyword_frequencies
 from .pipelines import (
     FeatureBuilder,
     ScoringArtifact,
@@ -162,7 +162,7 @@ def cmd_benchmark_features(cfg: dict) -> int:
 
 def _pca_scatter_points(pca_pipe, test_X, ys):
     """First two principal coordinates of the test rows, with true labels."""
-    proj = pca_pipe.transform(test_X).toarray()
+    proj = as_dense(pca_pipe.transform(test_X))
     second = proj[:, 1] if proj.shape[1] > 1 else np.zeros(len(proj))
     return [(f"{proj[i, 0]:.6f}", f"{second[i]:.6f}", int(ys[i])) for i in range(len(proj))]
 
@@ -273,8 +273,7 @@ def cmd_predict(cfg: dict, model_path: str, input_path: str) -> int:
         if records:
             probs, labels = artifact.predict(records)
             for r, p, lab in zip(records, probs, labels):
-                d = r.to_dict()
-                writer.writerow([d[f] if d[f] is not None else "" for f in corpus.FIELDS] + [f"{p:.6f}", int(lab)])
+                writer.writerow(r.cells() + [f"{p:.6f}", int(lab)])
     print(f"wrote {target} ({len(records)} rows)")
     return 0
 

@@ -40,7 +40,7 @@ class DisclosureRecord:
     description: str
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "zdi_id": self.zdi_id,
             "cve_id": self.cve_id,
             "cvss": self.cvss,
@@ -48,7 +48,10 @@ class DisclosureRecord:
             "vendor": self.vendor,
             "description": self.description,
         }
-        return d
+
+    def cells(self) -> list:
+        """The record's CSV cells in ``FIELDS`` order, a missing value as an empty cell."""
+        return ["" if v is None else v for v in map(self.to_dict().get, FIELDS)]
 
 
 @dataclass(frozen=True)
@@ -279,9 +282,7 @@ def write_records_csv(records: Iterable[DisclosureRecord], path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(FIELDS)
-        for r in records:
-            d = r.to_dict()
-            writer.writerow([d[f] if d[f] is not None else "" for f in FIELDS])
+        writer.writerows(r.cells() for r in records)
 
 
 def write_records_jsonl(records: Iterable[DisclosureRecord], path) -> None:

@@ -20,6 +20,10 @@ validated; :func:`assemble` validates the one matrix it returns. It
 takes the blocks themselves, never an assembled matrix, and the column
 names their caller derived once (a fitted ``FeatureBuilder`` fixes them
 at fit and at load), so names are not rebuilt per call.
+
+Every learner reads its input through the rules here: a matrix through
+:func:`as_matrix` or its dense form :func:`as_dense`, labels through
+:func:`as_labels` and a fitted width through :func:`check_width`.
 """
 
 from __future__ import annotations
@@ -110,7 +114,7 @@ class FeatureMatrix:
         return self.data.shape[1]
 
     def to_dense(self) -> np.ndarray:
-        return np.asarray(self.data.todense(), dtype=np.float64)
+        return as_dense(self)
 
     def select_groups(self, wanted: Iterable[str]) -> "FeatureMatrix":
         """The columns of the ``wanted`` groups, which must be present with no other group's columns between them."""
@@ -138,20 +142,29 @@ def _text_row_norms(mat: sp.csr_matrix, text_start: int) -> np.ndarray:
     return np.sqrt(np.bincount(rows, weights=mat.data[text] ** 2, minlength=n))
 
 
-def as_matrix(X):
-    """Accept FeatureMatrix, scipy sparse, or array-like; return float64 csr or 2-D ndarray.
+# ---------------------------------------------------------------------------
+# The one definition of a valid learner input
 
-    A FeatureMatrix yields its own csr data without a copy.
+
+def as_matrix(X):
+    """``X`` as float64 CSR (a FeatureMatrix's own data, not copied) or as a 2-D float64 array.
+
+    A 1-D ``X`` is one row; more than two dimensions raise ShapeError.
     """
     if isinstance(X, FeatureMatrix):
         return X.data
     if sp.issparse(X):
         return sp.csr_matrix(X, dtype=np.float64)
-    return np.atleast_2d(np.asarray(X, dtype=np.float64))
+    mat = np.asarray(X, dtype=np.float64)
+    if mat.ndim > 2:
+        raise ShapeError(f"a matrix has at most 2 dimensions, got shape {mat.shape}")
+    return np.atleast_2d(mat)
 
 
-# ---------------------------------------------------------------------------
-# The one definition of a valid learner input
+def as_dense(X, order: str | None = None) -> np.ndarray:
+    """:func:`as_matrix` of ``X`` as a dense array, copied only to densify it or to give it ``order``."""
+    mat = as_matrix(X)
+    return mat.toarray(order=order) if sp.issparse(mat) else np.asarray(mat, order=order)
 
 
 def as_labels(y, rows: int | None = None, name: str = "y") -> np.ndarray:

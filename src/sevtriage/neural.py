@@ -23,7 +23,7 @@ import numpy as np
 
 from .classical import _sigmoid
 from .errors import ConfigError, ShapeError, TrainingDivergedError
-from .features import as_labels, tokenize
+from .features import as_dense, as_labels, check_width, tokenize
 from .seeds import substream
 
 
@@ -280,30 +280,31 @@ class TrainedNet:
     tab_dim: int
     max_len: int
 
-    def predict_proba(self, ids: np.ndarray, tab: np.ndarray) -> np.ndarray:
+    def predict_proba(self, ids: np.ndarray, tab) -> np.ndarray:
         """Inference forward pass: deterministic, dropout-free."""
-        ids = np.asarray(ids, dtype=np.int64)
-        tab = np.asarray(tab, dtype=np.float64)
-        if ids.shape[1] != self.max_len or tab.shape[1] != self.tab_dim:
-            raise ShapeError(
-                f"expected shapes (*, {self.max_len}) and (*, {self.tab_dim}), "
-                f"got {ids.shape} and {tab.shape}"
-            )
+        ids, tab = _inputs(ids, tab)
+        check_width(ids, self.max_len)
+        check_width(tab, self.tab_dim)
         probs, _ = _forward(self.params, self.spec, ids, tab, train=False)
         return probs
 
 
-def train(spec: NetSpec, sequences: PaddedSequences, tabular: np.ndarray, y, config: TrainConfig) -> TrainedNet:
+def _inputs(ids, tab) -> tuple[np.ndarray, np.ndarray]:
+    """The nets' two inputs by the matrix rule of ``features.as_dense``, the token ids as int64, with one row count."""
+    ids, tab = as_dense(ids).astype(np.int64), as_dense(tab)
+    if ids.shape[0] != tab.shape[0]:
+        raise ShapeError(f"row counts differ: {ids.shape[0]} sequences, {tab.shape[0]} tabular")
+    return ids, tab
+
+
+def train(spec: NetSpec, sequences: PaddedSequences, tabular, y, config: TrainConfig) -> TrainedNet:
     """Mini-batch adaptive-moment training on mean binary cross-entropy.
 
     Shuffling, dropout, and initialization each draw from a named
     substream of ``spec.seed``; two runs with the same seed produce
     bitwise-identical loss histories.
     """
-    ids = np.asarray(sequences.ids, dtype=np.int64)
-    tab = np.asarray(tabular, dtype=np.float64)
-    if ids.shape[0] != tab.shape[0]:
-        raise ShapeError(f"row counts differ: {ids.shape[0]} sequences, {tab.shape[0]} tabular")
+    ids, tab = _inputs(sequences.ids, tabular)
     y = as_labels(y, ids.shape[0]).astype(np.float64)
 
     params = init_params(spec, sequences.vocab_size, tab.shape[1])
@@ -350,9 +351,7 @@ def activations(net: TrainedNet, layer_id: str, sample: tuple[np.ndarray, np.nda
     the i-th merge layer's activation vector; ``conv_maps`` returns the
     per-filter ReLU feature maps (filters x positions, cnn only).
     """
-    ids_row, tab_row = sample
-    ids = np.asarray(ids_row, dtype=np.int64).reshape(1, -1)
-    tab = np.asarray(tab_row, dtype=np.float64).reshape(1, -1)
+    ids, tab = _inputs(*sample)
     _, cache = _forward(net.params, net.spec, ids, tab, train=False)
     if layer_id.startswith("merge_"):
         li = int(layer_id.split("_")[1])

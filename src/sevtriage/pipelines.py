@@ -137,15 +137,13 @@ class LrFeaturePipeline:
     def _project(self, X, fit: bool, labels=None):
         if self.mode not in ("pca", "lda"):
             return X
-        dense = X.toarray()
-        if self.mode == "pca":
-            if fit:
-                k = _clamped(self.pca_k, dense.shape[0] - 1, dense.shape[1])
-                self.projector = reduction.fit_pca(dense, k=k)
-            return sp.csr_matrix(reduction.project_pca(self.projector, dense))
-        if fit:
+        dense = features.as_dense(X)
+        if fit and self.mode == "pca":
+            self.projector = reduction.fit_pca(dense, k=_clamped(self.pca_k, dense.shape[0] - 1, dense.shape[1]))
+        elif fit:
             self.projector = reduction.fit_lda(dense, labels)
-        return sp.csr_matrix(reduction.project_lda(self.projector, dense))
+        project = reduction.project_pca if self.mode == "pca" else reduction.project_lda
+        return sp.csr_matrix(project(self.projector, dense))
 
     # -- pipeline surface ----------------------------------------------------
 
@@ -203,7 +201,7 @@ class ClassicalModelPipeline:
 
 def net_tabular(X: FeatureMatrix) -> np.ndarray:
     """The nets' tabular input: the vendor and indicator columns of ``X``, densified."""
-    return X.select_groups(["vendor", "indicator"]).to_dense()
+    return features.as_dense(X.select_groups(["vendor", "indicator"]))
 
 
 class NeuralPipeline:

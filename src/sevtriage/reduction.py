@@ -1,9 +1,9 @@
 """Fitted linear projections: truncated SVD, PCA, and Fisher LDA.
 
-The SVD runs on the sparse text block; PCA and LDA expect the densified
-assembled matrix. Fitted models are immutable; independent fits may run
-concurrently. LDA takes labels through ``features.as_labels`` and each
-projection checks widths through ``features.check_width``, as every learner does.
+The SVD reads its matrix through ``features.as_matrix``, keeping the text block sparse;
+PCA and LDA densify theirs through ``features.as_dense``. LDA takes labels through
+``features.as_labels`` and each projection checks widths through ``features.check_width``,
+as every learner does. Fitted models are immutable; independent fits may run concurrently.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import FitError, RankError, ShapeError
-from .features import as_labels, as_matrix, check_width
+from .features import as_dense, as_labels, as_matrix, check_width
 
 # Exact dense SVD below this size; randomized range finder above it.
 _EXACT_SVD_LIMIT = 512
@@ -42,7 +42,7 @@ def _variance_ratios(mat, components: np.ndarray) -> np.ndarray:
         mean_sq = np.asarray(mat.multiply(mat).mean(axis=0)).ravel()
         total_var = float(np.sum(mean_sq - mean**2))
     else:
-        total_var = float(np.asarray(mat).var(axis=0).sum())
+        total_var = float(mat.var(axis=0).sum())
     return comp_var / total_var if total_var > 0 else np.zeros(components.shape[0])
 
 
@@ -59,12 +59,6 @@ class SvdModel:
     @property
     def k(self) -> int:
         return self.components.shape[0]
-
-
-def _dense_top_k(X, k: int) -> tuple[np.ndarray, np.ndarray]:
-    dense = X.toarray() if sp.issparse(X) else np.asarray(X, dtype=np.float64)
-    _, s, vt = np.linalg.svd(dense, full_matrices=False)
-    return s[:k], vt[:k]
 
 
 def _randomized_top_k(X, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -94,11 +88,11 @@ def fit_truncated_svd(X, k: int = 100, seed: int = 0) -> SvdModel:
     if k > min(n, d):
         raise RankError(f"k={k} exceeds min(n, d)={min(n, d)}")
     if min(n, d) <= _EXACT_SVD_LIMIT:
-        s, vt = _dense_top_k(mat, k)
+        _, s, vt = np.linalg.svd(as_dense(mat), full_matrices=False)
     else:
         s, vt = _randomized_top_k(mat, k, seed)
-    vt = _sign_normalize(vt)
-    return SvdModel(vt, np.asarray(s, dtype=np.float64), _variance_ratios(mat, vt))
+    vt = _sign_normalize(vt[:k])
+    return SvdModel(vt, np.asarray(s[:k], dtype=np.float64), _variance_ratios(mat, vt))
 
 
 def project_svd(svd: SvdModel, X) -> np.ndarray:
@@ -144,11 +138,9 @@ class PcaModel:
         return self.components.shape[0]
 
 
-def fit_pca(X: np.ndarray, k: int) -> PcaModel:
+def fit_pca(X, k: int) -> PcaModel:
     """Mean-centered principal directions via SVD of the centered matrix."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ShapeError("PCA expects a dense 2-D matrix")
+    X = as_dense(X)
     n, d = X.shape
     if k > min(n - 1, d):
         raise RankError(f"k={k} exceeds min(n-1, d)={min(n - 1, d)}")
@@ -160,8 +152,8 @@ def fit_pca(X: np.ndarray, k: int) -> PcaModel:
     return PcaModel(mean, components, eigenvalues)
 
 
-def project_pca(pca: PcaModel, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
+def project_pca(pca: PcaModel, X) -> np.ndarray:
+    X = as_dense(X)
     check_width(X, pca.components.shape[1])
     return (X - pca.mean) @ pca.components.T
 
@@ -175,14 +167,13 @@ class LdaModel:
     projection: np.ndarray  # 1 x d unit vector, class-1 mean projects higher
 
 
-
-def fit_lda(X: np.ndarray, y) -> LdaModel:
+def fit_lda(X, y) -> LdaModel:
     """One Fisher discriminant: maximize between- over within-class scatter.
 
     The within-class scatter gets a small ridge (relative to its trace) so
     the solve stays finite in high dimensions or with degenerate classes.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = as_dense(X)
     y = as_labels(y, X.shape[0])
     if len(np.unique(y)) < 2:
         raise FitError("LDA needs both classes present")
@@ -205,7 +196,7 @@ def fit_lda(X: np.ndarray, y) -> LdaModel:
     return LdaModel(w.reshape(1, d))
 
 
-def project_lda(lda: LdaModel, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
+def project_lda(lda: LdaModel, X) -> np.ndarray:
+    X = as_dense(X)
     check_width(X, lda.projection.shape[1])
     return X @ lda.projection.T

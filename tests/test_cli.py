@@ -616,3 +616,19 @@ class TestConfigFile:
         monkeypatch.setenv("SEVTRIAGE_OUT", str(target))
         assert main(["ingest", "--data", str(synthetic_csv)]) == 0
         assert (target / "clean.csv").exists()
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    """README's "Library use" block runs as written, on a 120-row planted feed saved as its ``zdi.csv``."""
+    import re
+
+    from sevtriage.ensembles import STRATEGIES
+
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    (block,) = re.findall(r"```python\n(.*?)```", readme.read_text(), flags=re.S)
+    write_synthetic_csv(tmp_path / "zdi.csv", n=120, seed=9)
+    monkeypatch.chdir(tmp_path)
+    scope: dict = {}
+    exec(compile(block, str(readme), "exec"), scope)
+    assert len(scope["probs"]) == len(scope["split"].test_idx)
+    assert tuple(scope["results"]) == STRATEGIES

@@ -1,13 +1,17 @@
-"""One input check for every learner: each entry point that reads labels
-takes them through ``features.as_labels``, and each fitted predictor and
-projector checks its input width through ``features.check_width``."""
+"""One input check for every learner: each entry point that reads a matrix
+takes it through the one matrix rule, ``features.as_matrix`` or its dense
+form ``features.as_dense``; each that reads labels takes them through
+``features.as_labels``; and each fitted predictor and projector checks its
+input width through ``features.check_width``."""
 
 import copy
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from sevtriage import classical, corpus, ensembles, evaluation, features, neural, reduction, selection
+from sevtriage import classical, corpus, ensembles, evaluation, features, neural, pipelines, reduction, selection
+from sevtriage.cli import _pca_scatter_points
 from sevtriage.config import load_config
 from sevtriage.errors import DomainError, ShapeError
 from tests.conftest import grouped_matrix
@@ -111,3 +115,115 @@ def test_as_labels_returns_a_new_flat_int64_array():
     assert out.dtype == np.int64 and out.shape == (2,) and out.tolist() == [1, 0]
     out[0] = 0
     assert y[0, 0] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# The matrix rule
+
+NAMES = ["c0", "c1", "c2"]
+# the same matrix in each form a learner accepts
+FORMS = {
+    "array": lambda M: M,
+    "list": lambda M: M.tolist(),
+    "csr": sp.csr_matrix,
+    "FeatureMatrix": lambda M: grouped_matrix((M, NAMES, "indicator")),
+}
+W, Y = np.array([0.3, -0.2, 0.1]), np.array(LABELS, dtype=np.float64)
+NET_CONFIG = neural.TrainConfig(epochs=1, batch=N)
+
+# Each matrix-reading entry point as a call on a matrix of N rows and 3
+# columns, fitted on ``X`` where it needs a fitted model. The dense learners
+# compute on the dense array ``features.as_dense`` makes.
+DENSE_ENTRY_POINTS = {
+    "train_tree": lambda M: classical.train_tree(M, LABELS).predict_proba(X),
+    "TreeModel": lambda M: classical.train_tree(X, LABELS).predict_proba(M),
+    "train_forest": lambda M: classical.train_forest(M, LABELS, n_trees=2).predict_proba(X),
+    "ForestModel": lambda M: classical.train_forest(X, LABELS, n_trees=2).predict_proba(M),
+    "train_knn": lambda M: classical.train_knn(M, LABELS, k=1).predict_proba(X),
+    "KnnModel": lambda M: classical.train_knn(X, LABELS, k=1).predict_proba(M),
+    "fit_pca": lambda M: reduction.fit_pca(M, k=2).components,
+    "project_pca": lambda M: reduction.project_pca(reduction.fit_pca(X, k=2), M),
+    "fit_lda": lambda M: reduction.fit_lda(M, LABELS).projection,
+    "project_lda": lambda M: reduction.project_lda(reduction.fit_lda(X, LABELS), M),
+    "LrFeaturePipeline._project(pca)": lambda M: pipelines.LrFeaturePipeline("pca")._project(M, fit=True).toarray(),
+    "LrFeaturePipeline._project(lda)": lambda M: pipelines.LrFeaturePipeline("lda")._project(M, True, LABELS).toarray(),
+    "neural.train": lambda M: np.array(neural.train(SPEC, SEQUENCES, M, LABELS, NET_CONFIG).loss_history),
+    "TrainedNet": lambda M: neural.train(SPEC, SEQUENCES, X, LABELS, NET_CONFIG).predict_proba(SEQUENCES.ids, M),
+}
+# The sparse learners compute on CSR when given it, and on a dense array otherwise.
+SPARSE_ENTRY_POINTS = {
+    "train_logreg": lambda M: classical.train_logreg(M, LABELS).weights,
+    "LogRegModel": lambda M: classical.train_logreg(X, LABELS).predict_proba(M),
+    "logreg_loss": lambda M: classical.logreg_loss(W, 0.1, M, Y, 1.0),
+    "logreg_gradient": lambda M: np.append(*classical.logreg_gradient(W, 0.1, M, Y, 1.0)),
+    "chi2_scores": lambda M: selection.chi2_scores(M, LABELS).scores,
+    "mutual_info_scores": lambda M: selection.mutual_info_scores(M, LABELS).scores,
+    "fit_truncated_svd": lambda M: reduction.fit_truncated_svd(M, k=2).components,
+    "project_svd": lambda M: reduction.project_svd(reduction.fit_truncated_svd(X, k=2), M),
+}
+MATRIX_ENTRY_POINTS = {**DENSE_ENTRY_POINTS, **SPARSE_ENTRY_POINTS}
+
+
+@pytest.mark.parametrize("entry", DENSE_ENTRY_POINTS)
+def test_a_dense_learner_gives_the_same_result_for_every_form(entry):
+    first, *rest = (DENSE_ENTRY_POINTS[entry](form(X)) for form in FORMS.values())
+    for result in rest:
+        assert np.array_equal(result, first)
+
+
+@pytest.mark.parametrize("entry", SPARSE_ENTRY_POINTS)
+def test_a_sparse_learner_reads_a_list_as_an_array_and_a_feature_matrix_as_its_csr(entry):
+    results = {name: SPARSE_ENTRY_POINTS[entry](form(X)) for name, form in FORMS.items()}
+    assert np.array_equal(results["list"], results["array"])
+    assert np.array_equal(results["FeatureMatrix"], results["csr"])
+
+
+@pytest.mark.parametrize("entry", MATRIX_ENTRY_POINTS)
+def test_a_3d_array_is_a_shape_error(entry):
+    with pytest.raises(ShapeError, match=r"at most 2 dimensions, got shape \(4, 3, 1\)$"):
+        MATRIX_ENTRY_POINTS[entry](X[:, :, None])
+
+
+def test_fit_lda_reads_a_1d_array_as_one_row():
+    with pytest.raises(ShapeError, match="1 rows but 3 labels"):
+        reduction.fit_lda(X[0], [0, 1, 0])
+
+
+def test_the_nets_check_their_two_inputs_alike():
+    net = neural.train(SPEC, SEQUENCES, X, LABELS, NET_CONFIG)
+    for call in (
+        lambda tab: net.predict_proba(SEQUENCES.ids, tab),
+        lambda tab: neural.train(SPEC, SEQUENCES, tab, LABELS, NET_CONFIG),
+    ):
+        with pytest.raises(ShapeError, match="row counts differ: 4 sequences, 2 tabular"):
+            call(X[:2])
+        with pytest.raises(ShapeError, match="row counts differ: 4 sequences, 1 tabular"):
+            call(X[0])
+    assert np.array_equal(net.predict_proba(SEQUENCES.ids[:1], X[0]), net.predict_proba(SEQUENCES.ids, X)[:1])
+    with pytest.raises(ShapeError, match="matrix width 2 != fitted width 3"):
+        net.predict_proba(SEQUENCES.ids, X[:, :2])
+    with pytest.raises(ShapeError, match="matrix width 3 != fitted width 4"):
+        net.predict_proba(SEQUENCES.ids[:, :3], X)
+
+
+def test_the_matrix_rule_copies_only_to_convert():
+    fm = FORMS["FeatureMatrix"](X)
+    assert features.as_matrix(fm) is fm.data
+    assert features.as_dense(X) is X
+    assert features.as_dense(X, order="F").flags.f_contiguous
+    assert features.as_matrix(X[0]).shape == features.as_dense(sp.csr_matrix(X[0])).shape == (1, 3)
+    assert features.as_dense(fm).dtype == features.as_matrix(X.tolist()).dtype == np.float64
+
+
+def test_the_feature_matrix_readers_densify_by_the_rule():
+    dense = features.as_dense(GROUPED)
+    assert np.array_equal(GROUPED.to_dense(), dense)
+    assert np.array_equal(pipelines.net_tabular(GROUPED), dense)  # GROUPED holds only vendor and indicator columns
+    text = grouped_matrix(
+        (np.ones((N, 1)), ["v0"], "vendor"), (X[:, :2], ["a", "b"], "indicator"),
+        (X / np.linalg.norm(X, axis=1)[:, None], NAMES, "text"),
+    )
+    pca = pipelines.LrFeaturePipeline("pca", load_config(overrides={"svd": {"k": 2}})).fit(text, RECORDS, LABELS)
+    proj = pca.transform(text).toarray()
+    rows = [(f"{a:.6f}", f"{b:.6f}", y) for (a, b, *_), y in zip(proj, LABELS)]
+    assert _pca_scatter_points(pca, text, LABELS) == rows
