@@ -4,14 +4,18 @@ The config file is a nested JSON object mirroring ``DEFAULTS``; unknown
 keys, and values that break their key's rule (the JSON type of the
 default unless the key has a rule of its own), are rejected early so
 mistakes fail loudly instead of silently using a default or crashing
-later. The output directory honors the SEVTRIAGE_OUT environment
-variable unless a flag pins it.
+later. Every number must be finite: NaN, Infinity and an integer beyond
+float range break every number rule. ``schema``'s keys must be field
+names, which the CSV parser checks. The same integer and number rules
+check the scoring artifact's entries. The output directory honors the
+SEVTRIAGE_OUT environment variable unless a flag pins it.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import math
 import os
 from pathlib import Path
 from typing import Any, Mapping
@@ -79,11 +83,21 @@ def _check(value, key: str, holds, rule: str) -> None:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """True for an int or float that a float64 holds finitely: no bool, NaN, ±Infinity or int beyond ±1.8e308."""
+    try:
+        return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+# The (holds, rule) pairs for JSON values, shared by the config and the scoring artifact.
+INTEGER = (_is_int, "an integer")
+NUMBER = (_is_number, "a finite number")
+NUMBERS = (lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of finite numbers")
 
 
 def _type_rule(default):
@@ -91,15 +105,15 @@ def _type_rule(default):
     if isinstance(default, bool):
         return lambda v: isinstance(v, bool), "true or false"
     if isinstance(default, int):
-        return _is_int, "an integer"
+        return INTEGER
     if isinstance(default, float):
-        return _is_number, "a number"
+        return NUMBER
     if isinstance(default, str):
         return lambda v: isinstance(v, str), "a string"
     if isinstance(default, list) and all(map(_is_int, default)):
         return lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"
     if isinstance(default, list):
-        return lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers"
+        return NUMBERS
     return lambda v: isinstance(v, dict), "an object"  # a section
 
 
@@ -133,6 +147,19 @@ def _checked(values: dict) -> dict:
     return values
 
 
+def read_object(path, what: str) -> dict:
+    """The JSON object in the UTF-8 file at ``path``; anything else raises ConfigError starting ``{what} {path}: ``."""
+    try:
+        value = json.loads(decode_utf8(Path(path).read_bytes()))
+    except RowError as exc:
+        raise ConfigError(f"{what} {path}: {exc}") from None
+    except ValueError as exc:  # not JSON, or an integer with too many digits for Python to read
+        raise ConfigError(f"{what} {path}: not valid JSON: {exc}") from None
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} {path}: must contain a JSON object")
+    return value
+
+
 def load_config(path: str | None = None, overrides: Mapping[str, Any] | None = None) -> dict[str, Any]:
     """The config tree: defaults, merged with an optional file, then overrides.
 
@@ -141,15 +168,7 @@ def load_config(path: str | None = None, overrides: Mapping[str, Any] | None = N
     """
     values = copy.deepcopy(DEFAULTS)
     if path is not None:
-        try:
-            file_values = json.loads(decode_utf8(Path(path).read_bytes()))
-        except RowError as exc:
-            raise ConfigError(f"config file {path}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}")
-        if not isinstance(file_values, dict):
-            raise ConfigError(f"config file {path} must contain a JSON object")
-        values = _checked(_merge(values, file_values))
+        values = _checked(_merge(values, read_object(path, "config file")))
     if overrides:
         values = _merge(values, {k: v for k, v in overrides.items() if v is not None})
     env_out = os.environ.get(OUT_ENV_VAR)

@@ -145,11 +145,15 @@ def parse_csv(
     unscored advisories) the CVSS column may be absent, and every record
     then has ``cvss=None``.
 
-    Raises SchemaError when a required header column is absent, RowError
-    (with the physical line on which the row starts) for bytes that are
-    not UTF-8, CSV syntax errors and malformed rows.
+    Raises SchemaError for a schema key that is not one of ``FIELDS`` or
+    when a required header column is absent, RowError (with the physical
+    line on which the row starts) for bytes that are not UTF-8, CSV syntax
+    errors and malformed rows.
     """
     schema = dict(schema or {})
+    for key in schema:
+        if key not in FIELDS:
+            raise SchemaError(f"schema key {key!r} is not a field; the fields are {', '.join(FIELDS)}")
     for field in FIELDS:
         schema.setdefault(field, field)
 

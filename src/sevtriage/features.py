@@ -83,6 +83,8 @@ class FeatureMatrix:
 
     ``widths`` holds one column count per ``GROUPS`` entry, 0 for a group
     the matrix lacks; the groups' columns follow each other in that order.
+    ``data`` is held as float64 CSR: any other matrix :func:`as_matrix`
+    accepts is converted.
     """
 
     data: sp.csr_matrix
@@ -90,6 +92,8 @@ class FeatureMatrix:
     widths: tuple[int, ...]
 
     def __post_init__(self):
+        if not (sp.issparse(self.data) and self.data.format == "csr" and self.data.dtype == np.float64):
+            object.__setattr__(self, "data", sp.csr_matrix(as_matrix(self.data)))
         n, d = self.data.shape
         if len(self.widths) != len(GROUPS) or min(self.widths) < 0 or sum(self.widths) != d or len(self.names) != d:
             raise ShapeError(f"matrix has {d} columns but {len(self.names)} names and group widths {self.widths}")
@@ -128,10 +132,10 @@ class FeatureMatrix:
         hi = starts[max(GROUPS.index(g) for g in wanted) + 1]
         if hi - lo != sum(widths):
             raise ConfigError(f"group(s) {sorted(wanted)} are not adjacent")
-        return FeatureMatrix(sp.csr_matrix(self.data[:, lo:hi]), self.names[lo:hi], widths)
+        return FeatureMatrix(self.data[:, lo:hi], self.names[lo:hi], widths)
 
     def select_rows(self, indices) -> "FeatureMatrix":
-        return FeatureMatrix(sp.csr_matrix(self.data[indices]), self.names, self.widths)
+        return FeatureMatrix(self.data[indices], self.names, self.widths)
 
 
 def _text_row_norms(mat: sp.csr_matrix, text_start: int) -> np.ndarray:

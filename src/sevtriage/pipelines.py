@@ -12,17 +12,15 @@ in the classifier; the nets also read the records' descriptions.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import classical, evaluation, features, neural, reduction, selection
-from .config import DEFAULTS, _is_int, _is_number
-from .corpus import DisclosureRecord, decode_utf8
+from .config import DEFAULTS, INTEGER, NUMBER, NUMBERS, _is_int, read_object
+from .corpus import DisclosureRecord
 from .errors import ConfigError, ShapeError, TriageError
 from .features import (
     GROUPS,
@@ -317,33 +315,32 @@ class ScoringArtifact:
 
     @classmethod
     def load(cls, path) -> "ScoringArtifact":
-        """The artifact saved at ``path``, each entry converted to its type.
+        """The artifact saved at ``path``, each entry checked against its rule in ``_ENTRIES``.
 
-        A file that is not an artifact, or an entry that does not convert,
+        A file that is not an artifact, or an entry that breaks its rule,
         raises ConfigError naming the file; a model whose width is not the
         featurizer's column count raises ShapeError naming the file.
         """
+        payload = read_object(path, "model artifact")
         try:
-            payload = json.loads(decode_utf8(Path(path).read_bytes()))
             kind, builder, model = payload["model_kind"], payload["builder"], payload["model"]
             if kind != "LogRegModel":
                 raise ConfigError(f"unsupported model kind {kind!r}")
             config, fitted = builder["tfidf_config"], builder["tfidf_model"]
-            lo, hi = _entry(config, "ngram_range", _ngram_range)
-            tfidf = {"ngram_lo": lo, "ngram_hi": hi, "max_features": _entry(config, "max_features", _integer)}
-            fb = FeatureBuilder(KeywordLexicon(_entry(builder, "lexicon", _strings)), tfidf)
+            lo, hi = _entry(config, "ngram_range")
+            tfidf = {"ngram_lo": lo, "ngram_hi": hi, "max_features": _entry(config, "max_features")}
+            fb = FeatureBuilder(KeywordLexicon(tuple(_entry(builder, "lexicon"))), tfidf)
+            idf = np.asarray(_entry(fitted, "idf"), dtype=np.float64)
             fb.set_fitted(
-                TfidfModel(_entry(fitted, "vocabulary", _vocabulary), _entry(fitted, "idf", _floats), (lo, hi)),
-                VendorEncoder(_entry(builder["vendor_encoder"], "categories", _strings)),
+                TfidfModel(_entry(fitted, "vocabulary"), idf, (lo, hi)),
+                VendorEncoder(tuple(_entry(builder["vendor_encoder"], "categories"))),
             )
             lr = classical.LogRegModel(
-                _entry(model, "weights", _floats),
-                _entry(model, "bias", _number),
-                _entry(model, "C", _number),
-                _entry(model, "n_iter", _integer),
+                np.asarray(_entry(model, "weights"), dtype=np.float64),
+                _entry(model, "bias"),
+                _entry(model, "C"),
+                _entry(model, "n_iter"),
             )
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"model artifact {path}: not valid JSON: {exc}") from None
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"model artifact {path}: missing or malformed entry {exc}") from None
         except TriageError as exc:
@@ -354,54 +351,28 @@ class ScoringArtifact:
             raise ShapeError(f"model artifact {path}: {exc}") from None
 
 
-# Converters for the artifact's entries: each returns the value as its type, or
-# raises ValueError naming the rule it breaks.
+# The rule of each entry the artifact holds, by name: (holds, rule), as in the config's rules.
+_STRINGS = (lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v), "a list of strings")
+_ENTRIES = {
+    "lexicon": _STRINGS,
+    "ngram_range": (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)), "two integers"),
+    "max_features": INTEGER,
+    "vocabulary": (
+        lambda v: isinstance(v, dict) and all(map(_is_int, v.values())) and set(v.values()) == set(range(len(v))),
+        "an object mapping each term to its column, 0 to n - 1",
+    ),
+    "idf": NUMBERS,
+    "categories": _STRINGS,
+    "weights": NUMBERS,
+    "bias": NUMBER,
+    "C": NUMBER,
+    "n_iter": INTEGER,
+}
 
 
-def _entry(entries: Mapping, key: str, convert):
-    """``entries[key]`` converted by ``convert``; ConfigError naming ``key`` when it does not convert."""
-    try:
-        return convert(entries[key])
-    except ValueError as exc:
-        raise ConfigError(f"entry {key!r} must be {exc}") from None
-
-
-def _integer(value) -> int:
-    if not _is_int(value):
-        raise ValueError("an integer")
-    return value
-
-
-def _number(value) -> float:
-    if not (_is_number(value) and math.isfinite(value)):
-        raise ValueError("a finite number")
-    return value
-
-
-def _ngram_range(value) -> tuple[int, int]:
-    if not (isinstance(value, list) and len(value) == 2 and all(map(_is_int, value))):
-        raise ValueError("two integers")
-    return tuple(value)
-
-
-def _floats(value) -> np.ndarray:
-    try:
-        arr = np.asarray(value if isinstance(value, list) else None)
-    except ValueError:  # a ragged nested list
-        arr = np.asarray(None)
-    if arr.ndim != 1 or arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
-        raise ValueError("a list of finite numbers")
-    return arr.astype(np.float64, copy=False)
-
-
-def _strings(value) -> tuple[str, ...]:
-    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-        raise ValueError("a list of strings")
-    return tuple(value)
-
-
-def _vocabulary(value) -> dict[str, int]:
-    columns = value.values() if isinstance(value, dict) else [None]
-    if set(map(type, columns)) - {int} or set(columns) != set(range(len(columns))):
-        raise ValueError("an object mapping each term to its column, 0 to n - 1")
-    return value
+def _entry(entries: Mapping, key: str):
+    """``entries[key]``; ConfigError naming ``key`` and its rule when the value breaks the rule."""
+    holds, rule = _ENTRIES[key]
+    if not holds(entries[key]):
+        raise ConfigError(f"entry {key!r} must be {rule}")
+    return entries[key]

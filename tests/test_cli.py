@@ -254,6 +254,8 @@ class TestPredict:
             (b"not json at all\n", "not valid JSON"),
             (b'{"builder": {}}', "missing or malformed entry"),
             (b'{"model_kind": "\xff"}', "not valid UTF-8"),
+            (b'["LogRegModel"]', "must contain a JSON object"),
+            (b'{"model_kind": ' + b"1" * 5000 + b"}", "not valid JSON"),
             (b'{"model_kind": "TreeModel", "builder": {}, "model": {"nodes": []}}', "unsupported model kind 'TreeModel'"),
             # the rest edit one entry of the artifact benchmark-models wrote
             (lambda p: p["builder"]["tfidf_config"].update(ngram_range=[1]), "entry 'ngram_range' must be two integers"),
@@ -267,11 +269,27 @@ class TestPredict:
                 "entry 'vocabulary' must be an object mapping each term to its column",
             ),
             (lambda p: p["model"].update(weights=p["model"]["weights"][:-3]), "columns but its LogRegModel expects"),
+            # one value of the wrong type for each entry without a case above
+            (lambda p: p["builder"]["tfidf_config"].update(ngram_range="1-2"), "entry 'ngram_range' must be two integers"),
+            (lambda p: p["builder"]["tfidf_config"].update(max_features="x"), "entry 'max_features' must be an integer"),
+            (lambda p: p["builder"]["tfidf_model"].update(vocabulary=["a"]), "entry 'vocabulary' must be an object"),
+            (lambda p: p["builder"]["tfidf_model"].update(idf={}), "entry 'idf' must be a list of finite numbers"),
+            (lambda p: p["builder"]["vendor_encoder"].update(categories="V"), "entry 'categories' must be a list of strings"),
+            (lambda p: p["model"].update(C=[1.0]), "entry 'C' must be a finite number"),
+            (lambda p: p["model"].update(n_iter=2.5), "entry 'n_iter' must be an integer"),
+            # numbers a float64 does not hold finitely
+            (lambda p: p["model"].update(bias=float("nan")), "entry 'bias' must be a finite number"),
+            (lambda p: p["model"].update(C=float("inf")), "entry 'C' must be a finite number"),
+            (lambda p: p["model"]["weights"].__setitem__(0, float("-inf")), "entry 'weights' must be a list of finite numbers"),
+            (lambda p: p["model"].update(bias=10**400), "entry 'bias' must be a finite number"),
+            (lambda p: p["builder"]["tfidf_model"]["idf"].__setitem__(0, -(10**400)), "entry 'idf' must be a list of finite"),
         ],
         ids=[
-            "not_json", "missing_keys", "not_utf8", "tree_kind", "ngram_range_one_entry", "weights_not_numbers",
+            "not_json", "missing_keys", "not_utf8", "not_an_object", "integer_too_long", "tree_kind", "ngram_range_one_entry", "weights_not_numbers",
             "bias_not_a_number", "idf_one_short", "lexicon_empty", "lexicon_not_strings", "vocabulary_column_out_of_range",
-            "weights_three_short",
+            "weights_three_short", "ngram_range_string", "max_features_string", "vocabulary_list", "idf_object",
+            "categories_string", "C_list", "n_iter_fraction", "bias_nan", "C_infinity", "weights_minus_infinity",
+            "bias_beyond_float", "idf_beyond_float",
         ],
     )
     def test_malformed_artifact_is_a_named_error(self, workdir, tmp_path, capsys, content, named):
@@ -465,6 +483,22 @@ class TestInputFiles:
         assert main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert f"config file {cfg}: line 2: not valid UTF-8 (byte 0xff)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content, named",
+        [
+            (b"[1]", "must contain a JSON object"),
+            (b'{"seed": ' + b"1" * 5000 + b"}", "not valid JSON"),  # more digits than Python reads as an int
+        ],
+        ids=["list", "integer_too_long"],
+    )
+    def test_config_that_is_not_an_object_names_file(self, tmp_path, capsys, content, named):
+        cfg = tmp_path / "run.json"
+        cfg.write_bytes(content)
+        assert main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {cfg}: {named}")
+        assert "Traceback" not in err
+
 
 class TestConfigFile:
     def test_readme_config_example_loads(self, tmp_path):
@@ -569,11 +603,20 @@ class TestConfigFile:
             ("benchmark-features", {"tfidf": {"max_features": 0}}),
             ("ensembles", {"ensemble": {"sample_fraction": -0.5}}),
             ("ensembles", {"ensemble": {"sample_fraction": 0}}),
+            # numbers a float64 does not hold finitely, which json reads as NaN, Infinity and big integers
+            ("benchmark-models", {"logreg": {"C": float("nan")}}),
+            ("ensembles", {"ensemble": {"sample_fraction": float("inf")}}),
+            ("benchmark-models", {"net": {"lr": float("-inf")}}),
+            ("benchmark-features", {"logreg": {"C": 10**400}}),
+            ("ensembles", {"ensemble": {"instance_c": [1.0, float("nan")]}}),
+            ("ensembles", {"forest": {"features_per_split": float("nan")}}),
         ],
         ids=[
             "tfidf.max_features", "svd.k", "ensemble.members", "knn.k", "forest.features_per_split",
             "tree.max_depth", "net.merge", "tfidf.max_features-negative", "tfidf.max_features-zero",
-            "ensemble.sample_fraction-negative", "ensemble.sample_fraction-zero",
+            "ensemble.sample_fraction-negative", "ensemble.sample_fraction-zero", "logreg.C-nan",
+            "ensemble.sample_fraction-infinity", "net.lr-minus-infinity", "logreg.C-beyond-float",
+            "ensemble.instance_c-nan", "forest.features_per_split-nan",
         ],
     )
     def test_wrongly_typed_section_value_names_its_key(self, tmp_path, synthetic_csv, capsys, command, values):

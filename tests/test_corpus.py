@@ -44,6 +44,11 @@ class TestParseCsv:
         (r,) = corpus.parse_csv(data.encode(), schema)
         assert r.zdi_id == "Z-1" and r.description == "hello"
 
+    def test_schema_key_that_is_not_a_field_is_schema_error(self):
+        data = "ZDI,cve_id,cvss,published,vendor,description\nZ-1,,5.0,2024-01-01,V,d\n"
+        with pytest.raises(SchemaError, match="schema key 'zdi' is not a field"):
+            corpus.parse_csv(data.encode(), {"zdi": "ZDI"})
+
     def test_missing_mapped_column_is_schema_error(self):
         with pytest.raises(SchemaError):
             corpus.parse_csv(b"zdi_id,cvss\nZ,5\n")

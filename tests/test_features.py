@@ -289,12 +289,25 @@ class TestFeatureMatrix:
         with pytest.raises(ShapeError):
             grouped_matrix((np.array([[2.0, 2.0]]), ["a", "b"], "text"))
 
-    def test_no_explicit_zeros(self):
-        # triplet constructor keeps explicitly-supplied zeros
-        mat = sp.csr_matrix(([0.0, 1.0], ([0, 0], [0, 1])), shape=(2, 2))
-        assert mat.nnz == 2
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda triplet: sp.csr_matrix(triplet, shape=(2, 2)),
+            lambda triplet: sp.csr_matrix(triplet, shape=(2, 2), dtype=np.int64),
+            lambda triplet: sp.coo_matrix(triplet, shape=(2, 2)),
+            lambda triplet: sp.coo_matrix(triplet, shape=(2, 2)).toarray(),
+        ],
+        ids=["csr_float64", "csr_int64", "coo", "dense"],
+    )
+    def test_no_explicit_zeros(self, make):
+        # triplet constructors keep explicitly-supplied zeros; every input is held as float64 CSR
+        mat = make(([0.0, 1.0], ([0, 0], [0, 1])))
         fm = FeatureMatrix(mat, ("a", "b"), (0, 2, 0))
+        assert fm.data.format == "csr" and fm.data.dtype == np.float64
         assert fm.data.nnz == 1
+        assert features.as_matrix(fm).dtype == np.float64
+        assert features.as_dense(fm).tolist() == [[0.0, 1.0], [0.0, 0.0]]
+        assert fm.select_rows([0]).data.nnz == 1 and fm.select_groups(["indicator"]).n_cols == 2
 
     def test_caller_matrix_not_mutated(self):
         mat = sp.csr_matrix(([0.0, 1.0], ([0, 0], [0, 1])), shape=(2, 2))
