@@ -23,12 +23,12 @@ the class counts of every cut. The lower feature index, then the lower
 threshold, wins a tie. Prediction routes all rows through a tree
 together, one level per step.
 
-The forest grows its trees as ``workers.map_jobs`` jobs, one per tree,
-on the CPUs in the process's affinity mask; a forest fitted inside
-another mapped job (a benchmark head or an ensemble member) grows
-serially. Every tree depends only on the data and its own seed, so the
-forest is the same bit for bit on any number of CPUs; restricting the
-process (for example ``taskset -c 0``) only makes it slower.
+The forest grows its trees one after another in the calling process.
+Parallel fits happen at one level only: each benchmark head and each
+distinct ensemble member is one job of the ``workers`` module, and
+every forest the CLI fits is inside one of those jobs. Every tree
+depends only on the data and its own seed, so the forest is the same
+bit for bit wherever it is grown.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ import numpy as np
 from .errors import ConfigError, FitError, ShapeError
 from .features import as_dense, as_labels, as_matrix, check_width
 from .seeds import substream
-from .workers import map_jobs
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -351,12 +350,8 @@ def train_forest(
     limit and leaves of at least one row. Every tree grows on the
     forest's one dense matrix, made once in column-major order so each
     tree reads its transpose without a copy, with its bootstrap indices
-    as the root's rows, so no tree copies its sample.
-
-    Trees are independent, so each is one ``map_jobs`` job: forked
-    workers inherit the matrix and send back only their trees, which
-    come back in tree order, so the forest is the same for any number
-    of workers.
+    as the root's rows, so no tree copies its sample. The trees grow in
+    tree order in the calling process.
     """
     if n_trees < 1:
         raise ConfigError(f"n_trees must be >= 1, got {n_trees}")
@@ -374,7 +369,7 @@ def train_forest(
         idx = rng.integers(0, n, size=n)
         return train_tree(mat, y, _rng=rng, _max_features=mtry if mtry < d else None, _rows=idx)
 
-    return ForestModel(tuple(map_jobs(grow, seeds)), seeds)
+    return ForestModel(tuple(map(grow, seeds)), seeds)
 
 
 # ---------------------------------------------------------------------------

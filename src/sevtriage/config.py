@@ -118,6 +118,7 @@ def _type_rule(default):
 
 
 _NULL_OR_STRING = (lambda v: v is None or isinstance(v, str), "null or a string")
+_POSITIVE_INTEGER = (lambda v: _is_int(v) and v > 0, "a positive integer")
 
 # Keys whose rule is not the JSON type of their default.
 _RULES = {
@@ -126,12 +127,19 @@ _RULES = {
     "lexicon": _NULL_OR_STRING,
     "seed": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
     "split": (lambda v: _is_number(v) and 0 < v < 1, "a number in (0, 1)"),
-    "tfidf.max_features": (lambda v: _is_int(v) and v > 0, "a positive integer"),
+    "tfidf.max_features": _POSITIVE_INTEGER,
+    "svd.k": _POSITIVE_INTEGER,
+    "pca.k": _POSITIVE_INTEGER,
+    "select.k": _POSITIVE_INTEGER,
+    "logreg.C": (lambda v: _is_number(v) and v > 0, "a positive number"),
     "tree.max_depth": (lambda v: v is None or _is_int(v), "null or an integer"),
     "forest.features_per_split": (
         lambda v: v is None or v == "sqrt" or (_is_number(v) and 0 < v <= 1),
         "'sqrt', null or a number in (0, 1]",
     ),
+    "forest.n_trees": _POSITIVE_INTEGER,
+    "knn.k": _POSITIVE_INTEGER,
+    "net.batch": _POSITIVE_INTEGER,
     "ensemble.sample_fraction": (lambda v: _is_number(v) and v > 0, "a number > 0"),
 }
 

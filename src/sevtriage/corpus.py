@@ -26,6 +26,8 @@ HIGH_SEVERITY_THRESHOLD = 7.0
 
 _DATE_FORMATS = ("%Y-%m-%d", "%B %d, %Y", "%b %d, %Y")
 _ISO_DAY_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+# a time of day after an ISO day and "T" or a space: HH[:MM[:SS[.ffffff]]], then Z or a +HH:MM offset
+_ISO_TIME_RE = re.compile(r"([01][0-9]|2[0-3])(:[0-5][0-9](:[0-5][0-9](\.[0-9]{1,6})?)?)?(Z|[+-]([01][0-9]|2[0-3]):[0-5][0-9])?")
 
 
 @dataclass(frozen=True)
@@ -100,12 +102,14 @@ def _parse_cvss(raw: str) -> float | None:
 
 
 def _parse_date(raw: str) -> date | None:
+    """The day of a date cell, or None; the same forms are accepted on every Python version."""
     raw = raw.strip()
     if not raw:
         return None
-    if _ISO_DAY_RE.fullmatch(raw):  # the first format's usual case, without strptime
+    if _ISO_DAY_RE.match(raw) and (len(raw) == 10 or (raw[10] in "T " and _ISO_TIME_RE.fullmatch(raw, 11))):
+        # an ISO day, alone (the first format's usual case, without strptime) or before a time of day
         try:
-            return date(int(raw[:4]), int(raw[5:7]), int(raw[8:]))
+            return date(int(raw[:4]), int(raw[5:7]), int(raw[8:10]))
         except ValueError:
             pass
     for fmt in _DATE_FORMATS:
@@ -113,11 +117,7 @@ def _parse_date(raw: str) -> date | None:
             return datetime.strptime(raw, fmt).date()
         except ValueError:
             continue
-    # ISO with a time component
-    try:
-        return datetime.fromisoformat(raw).date()
-    except ValueError:
-        return None
+    return None
 
 
 def decode_utf8(raw: bytes) -> str:
@@ -145,8 +145,9 @@ def parse_csv(
     unscored advisories) the CVSS column may be absent, and every record
     then has ``cvss=None``.
 
-    Raises SchemaError for a schema key that is not one of ``FIELDS`` or
-    when a required header column is absent, RowError (with the physical
+    Raises SchemaError for a schema key that is not one of ``FIELDS``,
+    when a required header column is absent or when a mapped column
+    appears more than once in the header, RowError (with the physical
     line on which the row starts) for bytes that are not UTF-8, CSV syntax
     errors and malformed rows.
     """
@@ -174,6 +175,8 @@ def _read_records(reader, schema: Mapping[str, str], require_cvss: bool) -> list
     positions = {}
     for field in FIELDS:
         column = schema[field]
+        if header.count(column) > 1:
+            raise SchemaError(f"column {column!r} (for field {field!r}) appears more than once in header")
         if column in col_index:
             positions[field] = col_index[column]
         elif field != "cvss" or require_cvss:

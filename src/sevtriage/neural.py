@@ -136,8 +136,11 @@ def _text_windows(emb: np.ndarray, width: int) -> np.ndarray:
     return np.concatenate([emb[:, i : i + p, :] for i in range(width)], axis=2)
 
 
-def _forward(params, spec: NetSpec, ids: np.ndarray, tab: np.ndarray, train: bool = False, drop_rng=None):
-    """Forward pass; returns (probs, cache) with everything backprop needs."""
+def _forward(params, spec: NetSpec, ids: np.ndarray, tab: np.ndarray, drop_rng=None):
+    """Forward pass; returns (probs, cache) with everything backprop needs.
+
+    Dropout runs exactly when ``drop_rng`` is given, drawing its masks from it.
+    """
     cache: dict = {"ids": ids, "tab": tab}
     emb = params["embed"][ids]  # (B, L, e)
     cache["emb"] = emb
@@ -163,7 +166,7 @@ def _forward(params, spec: NetSpec, ids: np.ndarray, tab: np.ndarray, train: boo
     for li in range(len(spec.merge)):
         z = x @ params[f"merge{li}_w"] + params[f"merge{li}_b"]
         a = np.maximum(z, 0.0)
-        if train and spec.dropout > 0.0:
+        if drop_rng is not None and spec.dropout > 0.0:
             keep = (drop_rng.random(a.shape) >= spec.dropout) / (1.0 - spec.dropout)
             a = a * keep
             cache[f"merge{li}_keep"] = keep
@@ -183,10 +186,10 @@ def bce_loss(probs_logits: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(np.logaddexp(0.0, z) - y * z))
 
 
-def loss_and_grads(params, spec: NetSpec, ids, tab, y, train: bool = False, drop_rng=None):
-    """Loss plus analytic gradients for every parameter (backpropagation)."""
+def loss_and_grads(params, spec: NetSpec, ids, tab, y, drop_rng=None):
+    """Loss plus analytic gradients for every parameter (backpropagation); dropout as in ``_forward``."""
     y = np.asarray(y, dtype=np.float64).ravel()
-    probs, cache = _forward(params, spec, ids, tab, train=train, drop_rng=drop_rng)
+    probs, cache = _forward(params, spec, ids, tab, drop_rng=drop_rng)
     n = len(y)
     loss = bce_loss(cache["logit"], y)
     grads = dict.fromkeys(params)  # every entry is assigned below, in this key order
@@ -285,7 +288,7 @@ class TrainedNet:
         ids, tab = _inputs(ids, tab)
         check_width(ids, self.max_len)
         check_width(tab, self.tab_dim)
-        probs, _ = _forward(self.params, self.spec, ids, tab, train=False)
+        probs, _ = _forward(self.params, self.spec, ids, tab)
         return probs
 
 
@@ -322,9 +325,7 @@ def train(spec: NetSpec, sequences: PaddedSequences, tabular, y, config: TrainCo
         epoch_losses = []
         for start in range(0, n, config.batch):
             batch = order[start : start + config.batch]
-            loss, grads = loss_and_grads(
-                params, spec, ids[batch], tab[batch], y[batch], train=True, drop_rng=drop_rng
-            )
+            loss, grads = loss_and_grads(params, spec, ids[batch], tab[batch], y[batch], drop_rng=drop_rng)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"non-finite loss at step {step}")
             epoch_losses.append(loss)
@@ -352,7 +353,7 @@ def activations(net: TrainedNet, layer_id: str, sample: tuple[np.ndarray, np.nda
     per-filter ReLU feature maps (filters x positions, cnn only).
     """
     ids, tab = _inputs(*sample)
-    _, cache = _forward(net.params, net.spec, ids, tab, train=False)
+    _, cache = _forward(net.params, net.spec, ids, tab)
     if layer_id.startswith("merge_"):
         li = int(layer_id.split("_")[1])
         key = f"merge{li}_a"

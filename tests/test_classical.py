@@ -3,7 +3,6 @@
 import hashlib
 import json
 import multiprocessing
-import os
 
 import numpy as np
 import pytest
@@ -408,75 +407,12 @@ class TestRandomForest:
         forest = classical.train_forest(X, y, n_trees=20, seed=5)
         assert len(set(forest.tree_seeds)) == 20
 
-
-def _cpus_and_trees_in_worker(X, y):
-    return workers.usable_cpus(), len(classical.train_forest(X, y, n_trees=4, seed=1).trees)
-
-
-class TestForestWorkers:
-    """Forests grown by 1, 2 or 3 processes, whatever the CPUs of the machine running the tests."""
-
-    @pytest.fixture(autouse=True)
-    def no_child_outlives_the_call(self):
-        yield
-        assert multiprocessing.active_children() == []
-
-    def _forest(self, monkeypatch, n_workers, n_trees=7, **kwargs):
-        monkeypatch.setattr(workers, "usable_cpus", lambda: n_workers)
-        X, y = TestRandomForest()._noisy_instance(seed=11, n=50)
-        return classical.train_forest(X, y, n_trees=n_trees, seed=3, **kwargs)
-
-    def _fail_in(self, monkeypatch, where, fail):
-        # a train_tree that fails in the parent only or in its children only
-        parent = os.getpid()
-        train_tree = classical.train_tree
-
-        def failing(*args, **kwargs):
-            if (os.getpid() == parent) == (where == "parent"):
-                fail()
-            return train_tree(*args, **kwargs)
-
-        monkeypatch.setattr(classical, "train_tree", failing)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [{}, {"n_trees": 2}],
-        ids=["bootstrap", "fewer-trees-than-workers"],
-    )
-    def test_same_trees_for_any_worker_count(self, monkeypatch, kwargs):
-        forests = [self._forest(monkeypatch, n_workers, **kwargs) for n_workers in (1, 2, 3)]
-        # repr keeps every threshold's bits
-        nodes = {repr([t.nodes for t in f.trees]) for f in forests}
-        assert len(nodes) == 1
-        assert len({f.tree_seeds for f in forests}) == 1
-        assert {t.n_features for f in forests for t in f.trees} == {4}
-
-    @pytest.mark.parametrize("where", ["child", "parent"])
-    @pytest.mark.parametrize("error", [ShapeError, ConfigError])
-    def test_error_while_growing_reaches_the_caller(self, monkeypatch, where, error):
-        def fail():
-            raise error("bad tree")
-
-        self._fail_in(monkeypatch, where, fail)
-        with pytest.raises(error, match="bad tree"):
-            self._forest(monkeypatch, 3)
-
-    def test_child_exiting_unsent_raises_fit_error(self, monkeypatch):
-        self._fail_in(monkeypatch, "child", lambda: os._exit(3))
-        with pytest.raises(FitError, match=r"^a worker exited without sending jobs [0-6]$"):
-            self._forest(monkeypatch, 3)
-
-    def test_daemonic_process_grows_alone(self, monkeypatch):
-        # a pool worker may not have children, so its forest grows serially on any number of CPUs
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        X, y = TestRandomForest()._noisy_instance()
-        with multiprocessing.get_context("fork").Pool(1) as pool:
-            assert pool.apply(_cpus_and_trees_in_worker, (X, y)) == (1, 4)
-        pool.join()
-
-    def test_set_up_errors_raise_before_any_fork(self, monkeypatch):
+    def test_grows_in_the_calling_process(self, monkeypatch):
+        # with CPUs to spare, neither a valid forest nor a set-up error forks
         monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
         monkeypatch.setattr(multiprocessing, "get_context", lambda method: pytest.fail("forked"))
+        X, y = self._noisy_instance()
+        assert len(classical.train_forest(X, y, n_trees=4, seed=1).trees) == 4
         with pytest.raises(ShapeError):
             classical.train_forest(np.ones((4, 2)), np.array([0, 1, 0]), n_trees=4)
         with pytest.raises(FitError):

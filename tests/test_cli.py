@@ -610,13 +610,22 @@ class TestConfigFile:
             ("benchmark-features", {"logreg": {"C": 10**400}}),
             ("ensembles", {"ensemble": {"instance_c": [1.0, float("nan")]}}),
             ("ensembles", {"forest": {"features_per_split": float("nan")}}),
+            # in range for their type, out of range for the learner
+            ("benchmark-models", {"logreg": {"C": -1}}),
+            ("benchmark-models", {"knn": {"k": -2}}),
+            ("benchmark-features", {"svd": {"k": 0}}),
+            ("benchmark-features", {"pca": {"k": -3}}),
+            ("benchmark-features", {"select": {"k": 0}}),
+            ("ensembles", {"forest": {"n_trees": 0}}),
+            ("benchmark-models", {"net": {"batch": 0}}),
         ],
         ids=[
             "tfidf.max_features", "svd.k", "ensemble.members", "knn.k", "forest.features_per_split",
             "tree.max_depth", "net.merge", "tfidf.max_features-negative", "tfidf.max_features-zero",
             "ensemble.sample_fraction-negative", "ensemble.sample_fraction-zero", "logreg.C-nan",
             "ensemble.sample_fraction-infinity", "net.lr-minus-infinity", "logreg.C-beyond-float",
-            "ensemble.instance_c-nan", "forest.features_per_split-nan",
+            "ensemble.instance_c-nan", "forest.features_per_split-nan", "logreg.C-negative", "knn.k-negative",
+            "svd.k-zero", "pca.k-negative", "select.k-zero", "forest.n_trees-zero", "net.batch-zero",
         ],
     )
     def test_wrongly_typed_section_value_names_its_key(self, tmp_path, synthetic_csv, capsys, command, values):

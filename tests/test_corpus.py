@@ -1,6 +1,7 @@
 """Parsing, cleaning, labeling, and stratified splitting."""
 
 import io
+import itertools
 from datetime import date, datetime
 
 import numpy as np
@@ -48,6 +49,14 @@ class TestParseCsv:
         data = "ZDI,cve_id,cvss,published,vendor,description\nZ-1,,5.0,2024-01-01,V,d\n"
         with pytest.raises(SchemaError, match="schema key 'zdi' is not a field"):
             corpus.parse_csv(data.encode(), {"zdi": "ZDI"})
+
+    def test_repeated_mapped_column_is_schema_error(self):
+        # an unmapped column may repeat; a mapped one is ambiguous
+        data = b"zdi_id,cve_id,cvss,published,vendor,description,description,notes,notes\nZ-1,,5.0,2024-01-01,V,a,b,c,d\n"
+        with pytest.raises(SchemaError, match="column 'description' .* appears more than once"):
+            corpus.parse_csv(data)
+        (r,) = corpus.parse_csv(data.replace(b"description,notes", b"summary,notes", 1))
+        assert r.description == "a"
 
     def test_missing_mapped_column_is_schema_error(self):
         with pytest.raises(SchemaError):
@@ -118,19 +127,20 @@ class TestParseCsv:
 
 
 def _parse_date_by_strptime(raw: str):
-    """Date parsing before the ISO fast path: each format by strptime, then fromisoformat."""
+    """Date parsing without the ISO fast path: each format by strptime, then an ISO day and a time of day."""
     raw = raw.strip()
     if not raw:
         return None
-    for fmt in ("%Y-%m-%d", "%B %d, %Y", "%b %d, %Y"):
+    with_time = (
+        f"%Y-%m-%d{sep}{clock}{zone}"
+        for sep, clock, zone in itertools.product("T ", ("%H", "%H:%M", "%H:%M:%S", "%H:%M:%S.%f"), ("", "%z"))
+    )
+    for fmt in itertools.chain(("%Y-%m-%d", "%B %d, %Y", "%b %d, %Y"), with_time):
         try:
             return datetime.strptime(raw, fmt).date()
         except ValueError:
             continue
-    try:
-        return datetime.fromisoformat(raw).date()
-    except ValueError:
-        return None
+    return None
 
 
 class TestParseDate:
@@ -142,7 +152,10 @@ class TestParseDate:
             st.dates().map(date.isoformat),
         ),
         st.sampled_from(["", " ", "\t", "  \n"]),
-        st.sampled_from(["", " ", "T00:00", "T12:30:00"]),
+        st.sampled_from(
+            ["", " ", "T00:00", "T12:30:00", " 08", "T23:59:59.123456", "T08:00Z", " 08:00:00.5+05:30", "T12-01:00",
+             "T24:00", "T08:60", "T0800", "Tnoon", "x08"]
+        ),
     )
     def test_iso_days_equal_the_strptime_chain(self, day, pad, tail):
         raw = pad + day + tail + pad
@@ -153,7 +166,9 @@ class TestParseDate:
     @pytest.mark.parametrize(
         "raw",
         ["2024-02-29", "2023-02-29", "2024-13-01", "2024-00-10", "2024-04-31", "0000-01-01", "0001-01-01", "9999-12-31",
-         " 2024-05-01 ", "May 01, 2024", "2024-05-01T08:00:00"],
+         " 2024-05-01 ", "May 01, 2024", "2024-05-01T08:00:00",
+         # forms datetime.fromisoformat reads since Python 3.11, and not before: missing on every version
+         "20240105", "2024-W01-5", "2024-01-05T0800", "2024-01-05T08:00:00,5"],
     )
     def test_edge_days_equal_the_strptime_chain(self, raw):
         assert corpus._parse_date(raw) == _parse_date_by_strptime(raw)

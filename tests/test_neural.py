@@ -82,7 +82,7 @@ class TestForward:
             spec = small_spec(variant)
             params = neural.init_params(spec, seqs.vocab_size, tabular.shape[1])
             params = {k: np.zeros_like(v) for k, v in params.items()}
-            probs, _ = neural._forward(params, spec, seqs.ids, tabular, train=False)
+            probs, _ = neural._forward(params, spec, seqs.ids, tabular)
             assert np.allclose(probs, 0.5)
 
     def test_ffnn_invariant_to_token_order(self, seqs, tabular):
@@ -111,6 +111,14 @@ class TestForward:
         _, cache2 = neural._forward(params, spec, removed, tabular[:1])
         weak = cache2["conv_a"][0, :, 0].max()
         assert strong > weak
+
+    def test_dropout_runs_exactly_when_a_generator_is_given(self, seqs, tabular):
+        spec = small_spec("ffnn", dropout=0.5)
+        params = neural.init_params(spec, seqs.vocab_size, tabular.shape[1])
+        _, cache = neural._forward(params, spec, seqs.ids, tabular)
+        assert not [key for key in cache if key.endswith("_keep")]
+        _, cache = neural._forward(params, spec, seqs.ids, tabular, drop_rng=np.random.default_rng(0))
+        assert [key for key in cache if key.endswith("_keep")] == [f"merge{li}_keep" for li in range(len(spec.merge))]
 
     def test_inference_repeatable_bitwise(self, seqs, tabular):
         spec = small_spec("cnn", seed=1, dropout=0.5)  # dropout must not leak into inference
@@ -227,10 +235,10 @@ class TestActivations:
 # is recorded: its matmuls make the bits depend on the BLAS.
 
 
-def oracle_loss_and_grads(params, spec, ids, tab, y, train=False, drop_rng=None):
+def oracle_loss_and_grads(params, spec, ids, tab, y, drop_rng=None):
     """Loss plus analytic gradients for every parameter (backpropagation)."""
     y = np.asarray(y, dtype=np.float64).ravel()
-    probs, cache = neural._forward(params, spec, ids, tab, train=train, drop_rng=drop_rng)
+    probs, cache = neural._forward(params, spec, ids, tab, drop_rng=drop_rng)
     n = len(y)
     loss = neural.bce_loss(cache["logit"], y)
     grads = {k: np.zeros_like(v) for k, v in params.items()}
@@ -289,9 +297,9 @@ def assert_same_bits(got: dict, want: dict):
 
 class TestOracleBits:
     @pytest.mark.parametrize("variant", ["ffnn", "cnn"])
-    @pytest.mark.parametrize("train", [False, True], ids=["inference", "dropout"])
+    @pytest.mark.parametrize("dropout", [False, True], ids=["inference", "dropout"])
     @pytest.mark.parametrize("dead", [False, True], ids=["live", "dead_filters"])
-    def test_gradients_equal_oracle(self, variant, train, dead, seqs, tabular):
+    def test_gradients_equal_oracle(self, variant, dropout, dead, seqs, tabular):
         spec = default_shape_spec(variant)
         params = neural.init_params(spec, seqs.vocab_size, tabular.shape[1])
         if dead:
@@ -300,9 +308,9 @@ class TestOracleBits:
             if variant == "cnn":
                 params["conv_b"][:5] = -100.0
         y = LABELS.astype(float)
-        rngs = [np.random.default_rng(3), np.random.default_rng(3)] if train else [None, None]
-        loss, grads = neural.loss_and_grads(params, spec, seqs.ids, tabular, y, train=train, drop_rng=rngs[0])
-        want_loss, want = oracle_loss_and_grads(params, spec, seqs.ids, tabular, y, train=train, drop_rng=rngs[1])
+        rngs = [np.random.default_rng(3), np.random.default_rng(3)] if dropout else [None, None]
+        loss, grads = neural.loss_and_grads(params, spec, seqs.ids, tabular, y, drop_rng=rngs[0])
+        want_loss, want = oracle_loss_and_grads(params, spec, seqs.ids, tabular, y, drop_rng=rngs[1])
         assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
         assert_same_bits(grads, want)
         if dead and variant == "cnn":
