@@ -4,10 +4,12 @@ The config file is a nested JSON object mirroring ``DEFAULTS``; unknown
 keys, and values that break their key's rule (the JSON type of the
 default unless the key has a rule of its own), are rejected early so
 mistakes fail loudly instead of silently using a default or crashing
-later. Every number must be finite: NaN, Infinity and an integer beyond
-float range break every number rule. ``schema``'s keys must be field
-names, which the CSV parser checks. The same integer and number rules
-check the scoring artifact's entries. The output directory honors the
+later. Once every key keeps its own rule, a few keys must be at least
+another key (``net.max_len`` at least ``net.kernel_width``). Every
+number must be finite: NaN, Infinity and an integer beyond float range
+break every number rule. ``schema``'s keys must be field names, which
+the CSV parser checks. The same integer and number rules check the
+scoring artifact's entries. The output directory honors the
 SEVTRIAGE_OUT environment variable unless a flag pins it.
 """
 
@@ -119,6 +121,7 @@ def _type_rule(default):
 
 _NULL_OR_STRING = (lambda v: v is None or isinstance(v, str), "null or a string")
 _POSITIVE_INTEGER = (lambda v: _is_int(v) and v > 0, "a positive integer")
+_AT_LEAST_TWO = (lambda v: _is_int(v) and v >= 2, "an integer >= 2")
 
 # Keys whose rule is not the JSON type of their default.
 _RULES = {
@@ -132,6 +135,7 @@ _RULES = {
     "pca.k": _POSITIVE_INTEGER,
     "select.k": _POSITIVE_INTEGER,
     "logreg.C": (lambda v: _is_number(v) and v > 0, "a positive number"),
+    "logreg.max_iter": _POSITIVE_INTEGER,
     "tree.max_depth": (lambda v: v is None or _is_int(v), "null or an integer"),
     "forest.features_per_split": (
         lambda v: v is None or v == "sqrt" or (_is_number(v) and 0 < v <= 1),
@@ -139,9 +143,24 @@ _RULES = {
     ),
     "forest.n_trees": _POSITIVE_INTEGER,
     "knn.k": _POSITIVE_INTEGER,
+    "net.epochs": _POSITIVE_INTEGER,
     "net.batch": _POSITIVE_INTEGER,
+    "ensemble.members": _AT_LEAST_TWO,
     "ensemble.sample_fraction": (lambda v: _is_number(v) and v > 0, "a number > 0"),
+    "ensemble.folds": _AT_LEAST_TWO,
+    "ensemble.instance_c": (
+        lambda v: isinstance(v, list) and len(v) >= 2 and all(_is_number(c) and c > 0 for c in v),
+        "a list of at least 2 positive numbers",
+    ),
 }
+
+# (key, other key) pairs where the key's value must be at least the other's, checked once every key keeps its own rule.
+_AT_LEAST = (("net.max_len", "net.kernel_width"),)  # a CNN sequence holds one convolution window
+
+
+def _at(values: dict, key: str):
+    section, name = key.split(".")
+    return values[section][name]
 
 
 def _checked(values: dict) -> dict:
@@ -152,6 +171,9 @@ def _checked(values: dict) -> dict:
             for name, value in default.items():
                 where = f"{key}.{name}"
                 _check(values[key][name], where, *_RULES.get(where, _type_rule(value)))
+    for key, other in _AT_LEAST:
+        bound = _at(values, other)
+        _check(_at(values, key), key, lambda v: v >= bound, f">= {other!r} ({bound!r})")
     return values
 
 

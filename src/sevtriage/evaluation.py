@@ -23,6 +23,8 @@ BENCHMARK_COLUMNS = ("model", "accuracy", "precision_macro", "recall_macro", "f1
 
 THRESHOLD = 0.5  # the decision threshold; a probability of exactly 0.5 is the positive class
 
+LONGEST_HEADS = ("cnn", "random_forest", "ffnn")  # the slowest heads, slowest first; ``benchmark`` starts them first
+
 
 def predicted_labels(probs) -> np.ndarray:
     """The class each probability decides: 1 iff it is at least ``THRESHOLD``."""
@@ -219,9 +221,11 @@ def benchmark(pipelines: Sequence[tuple[str, object]], dataset, train_X, test_X)
     rows, made once by the caller and shared by every pipeline, which
     exposes ``fit(X, records, labels)`` and ``predict_proba(X, records)``.
     Each pipeline is one ``workers.map_jobs`` job that fits a copy, so the
-    pipelines passed in stay unfitted. Each scored row keeps the fitted
-    copy as its ``head``, and its report keeps the test fold's ROC curve,
-    so callers never predict or sweep thresholds twice. Per-pipeline
+    pipelines passed in stay unfitted; those named in ``LONGEST_HEADS``
+    are handed out first, in its order, and the rows stay in the order
+    passed. Each scored row keeps the fitted copy as its ``head``, and its
+    report keeps the test fold's ROC curve, so callers never predict or
+    sweep thresholds twice. Per-pipeline
     failures become error rows, with no report and no head, whose status
     names the exception type and the innermost frame.
     """
@@ -242,4 +246,12 @@ def benchmark(pipelines: Sequence[tuple[str, object]], dataset, train_X, test_X)
             error = f"error: {type(exc).__name__}: {exc} ({os.path.basename(where.filename)}:{where.lineno} in {where.name})"
             return BenchmarkRow(name, None, status=error)
 
-    return BenchmarkTable(tuple(map_jobs(fit_and_score, pipelines)), support=len(test_records))
+    def rank(i: int) -> int:  # the heads LONGEST_HEADS names in its order, then the rest in table order
+        name = pipelines[i][0]
+        return LONGEST_HEADS.index(name) if name in LONGEST_HEADS else len(LONGEST_HEADS)
+
+    order = sorted(range(len(pipelines)), key=rank)
+    rows = [None] * len(pipelines)
+    for i, row in zip(order, map_jobs(fit_and_score, [pipelines[i] for i in order])):
+        rows[i] = row
+    return BenchmarkTable(tuple(rows), support=len(test_records))

@@ -1,12 +1,15 @@
 """Independent jobs mapped over the CPUs in the process's affinity mask.
 
 ``map_jobs`` forks one child per usable CPU but one, and the parent works
-as one more worker. Each worker takes the next job not yet started.
-Children inherit ``fn`` and the jobs through fork and send back each
-job's ``(index, result)``; the results come back in job order, so they
-are the same for any number of workers. Nested calls run serially. A
-child's exception is raised in the caller from a :class:`ChildTraceback`
-holding the child's formatted traceback, as ``concurrent.futures`` does.
+as one more worker. Each worker takes the next job not yet started, so a
+caller that lists its longest jobs first has them started first.
+Children inherit ``fn`` and the jobs through fork, keep each job's
+``(index, result)`` and send them all in one message once no job is
+left, so a child never waits on a full pipe while jobs remain. The
+results come back in job order, so they are the same for any number of
+workers. Nested calls run serially. A child's exception is sent at once
+and raised in the caller from a :class:`ChildTraceback` holding the
+child's formatted traceback, as ``concurrent.futures`` does.
 """
 
 from __future__ import annotations
@@ -52,11 +55,13 @@ def _child(fn, jobs, counter, owner, worker: int, conn) -> None:
     global _in_worker
     _in_worker = True
     try:
+        done = []
         while (i := _take(counter, owner, worker)) < len(jobs):
-            conn.send((i, fn(jobs[i]), None))
+            done.append((i, fn(jobs[i])))
+        conn.send((done, None))  # one send once no job is left, so a full pipe holds up no job
     except Exception as exc:
         # an exception that does not pickle kills the child, which the parent reports
-        conn.send((i, exc, traceback.format_exc()))
+        conn.send((exc, traceback.format_exc()))
 
 
 def map_jobs(fn: Callable, jobs: Sequence) -> list:
@@ -64,8 +69,9 @@ def map_jobs(fn: Callable, jobs: Sequence) -> list:
 
     A job's exception reaches the caller with its type, and from a child
     with the child's traceback as its ``__cause__``; a child that exits
-    without sending is a ``FitError`` naming the jobs it had. On any error
-    the other children are terminated, and every child is joined.
+    without sending is a ``FitError`` naming every job it took, since a
+    child sends its results only once no job is left. On any error the
+    other children are terminated, and every child is joined.
     """
     workers = min(usable_cpus(), len(jobs))
     if workers < 2:
@@ -78,7 +84,7 @@ def map_jobs(fn: Callable, jobs: Sequence) -> list:
     def receive(timeout):
         for recv in wait(list(pending), timeout):
             try:
-                i, result, child_traceback = recv.recv()
+                payload, child_traceback = recv.recv()
             except EOFError:
                 worker = pending.pop(recv)
                 lost = [str(j) for j in range(len(jobs)) if owner[j] == worker and j not in results]
@@ -86,8 +92,8 @@ def map_jobs(fn: Callable, jobs: Sequence) -> list:
                     raise FitError(f"a worker exited without sending jobs {', '.join(lost)}") from None
                 continue
             if child_traceback is not None:
-                raise result from ChildTraceback(child_traceback)
-            results[i] = result
+                raise payload from ChildTraceback(child_traceback)
+            results.update(payload)
 
     try:
         for worker in range(1, workers):
@@ -100,7 +106,7 @@ def map_jobs(fn: Callable, jobs: Sequence) -> list:
         _in_worker = True
         while (i := _take(counter, owner, 0)) < len(jobs):
             results[i] = fn(jobs[i])
-            receive(0)  # frees a child blocked on a full pipe
+            receive(0)  # a child's error stops the run before the parent's next job
         while pending:
             receive(None)
     except BaseException:

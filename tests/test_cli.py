@@ -618,6 +618,13 @@ class TestConfigFile:
             ("benchmark-features", {"select": {"k": 0}}),
             ("ensembles", {"forest": {"n_trees": 0}}),
             ("benchmark-models", {"net": {"batch": 0}}),
+            ("benchmark-models", {"logreg": {"max_iter": -1}}),
+            ("benchmark-models", {"net": {"epochs": 0}}),
+            ("benchmark-features", {"ensemble": {"members": 1}}),
+            ("benchmark-models", {"ensemble": {"folds": 1}}),
+            ("benchmark-features", {"ensemble": {"instance_c": [1.0]}}),
+            ("benchmark-models", {"ensemble": {"instance_c": [1.0, -2.0]}}),
+            ("benchmark-models", {"net": {"max_len": 2}}),  # shorter than the default kernel_width
         ],
         ids=[
             "tfidf.max_features", "svd.k", "ensemble.members", "knn.k", "forest.features_per_split",
@@ -626,6 +633,8 @@ class TestConfigFile:
             "ensemble.sample_fraction-infinity", "net.lr-minus-infinity", "logreg.C-beyond-float",
             "ensemble.instance_c-nan", "forest.features_per_split-nan", "logreg.C-negative", "knn.k-negative",
             "svd.k-zero", "pca.k-negative", "select.k-zero", "forest.n_trees-zero", "net.batch-zero",
+            "logreg.max_iter-negative", "net.epochs-zero", "ensemble.members-one", "ensemble.folds-one",
+            "ensemble.instance_c-one", "ensemble.instance_c-negative", "net.max_len-below-kernel_width",
         ],
     )
     def test_wrongly_typed_section_value_names_its_key(self, tmp_path, synthetic_csv, capsys, command, values):
@@ -635,6 +644,14 @@ class TestConfigFile:
         ((section, keys),) = values.items()
         (key,) = keys
         assert capsys.readouterr().err.startswith(f"error: config key '{section}.{key}' must be ")
+        assert not (tmp_path / "o").exists()
+
+    def test_key_below_the_key_it_must_reach_names_both(self, tmp_path, synthetic_csv, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"data": str(synthetic_csv), "net": {"max_len": 4, "kernel_width": 5}}))
+        assert main(["benchmark-models", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: config key 'net.max_len' must be >= 'net.kernel_width' (5), got 4\n"
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(

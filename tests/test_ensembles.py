@@ -238,8 +238,10 @@ class TestMemberPlan:
     ])
     def test_invalid_config_is_config_error(self, data, ensemble, message):
         Xtr, ytr, Xte, _ = data
+        cfg = config()
+        cfg["ensemble"].update(ensemble)  # past load_config's rules, so ensembles.run's own checks raise
         with pytest.raises(ConfigError, match=message):
-            ensembles.run(Xtr, ytr, Xte, config(**ensemble))
+            ensembles.run(Xtr, ytr, Xte, cfg)
 
 
 class TestFeatureSplit:

@@ -1,5 +1,7 @@
-"""The fork helper: results in job order, errors in the caller, serial nesting,
-and a schedule that changes no result of the benchmark or the ensembles."""
+"""The fork helper: results in job order, errors in the caller, children that
+take jobs while a result waits to be sent, the benchmark's longest heads handed
+out first, serial nesting, and a schedule that changes no result of the
+benchmark or the ensembles."""
 
 import io
 import multiprocessing
@@ -40,6 +42,13 @@ def _unshared_pickle(obj) -> bytes:
 
 def _in(where, parent):
     return (os.getpid() == parent) == (where == "parent")
+
+
+@pytest.fixture(scope="module")
+def split(synthetic_dataset):
+    builder = FeatureBuilder().fit(synthetic_dataset.train_records())
+    train_X = builder.transform(synthetic_dataset.train_records())
+    return synthetic_dataset, train_X, builder.transform(synthetic_dataset.test_records())
 
 
 class TestMapJobs:
@@ -163,8 +172,74 @@ class TestMapJobs:
         with pytest.raises(TypeError):
             workers.map_jobs(abs, (j for j in range(3)))  # the jobs must be a sequence
         Xtr, ytr, Xte, _ = make_grouped_data()
-        with pytest.raises(ConfigError):  # ensembles.run plans every member before any forks
-            ensembles.run(Xtr, ytr, Xte, ensemble_config(members=1))
+        cfg = ensemble_config()
+        cfg["ensemble"]["members"] = 1  # past load_config's rule, so ensembles.run's own check raises
+        with pytest.raises(ConfigError, match="bootstrap needs at least 2 members"):  # every member is planned before any fork
+            ensembles.run(Xtr, ytr, Xte, cfg)
+
+
+class TestOneSendPerChild:
+    def test_a_child_takes_its_next_job_while_a_large_result_waits(self, monkeypatch, tmp_path):
+        # a child that sent each result at once would block on a 1 MB one, larger than the pipe's
+        # buffer, until the parent read its pipe after the parent's own job; here that job waits for it
+        _cpus(monkeypatch, 2)
+        parent = os.getpid()
+        big = b"x" * 2**20
+
+        def job(j):
+            if os.getpid() != parent:
+                (tmp_path / f"child-took-{j}").touch()
+                return big
+            deadline = time.monotonic() + 5
+            while len(list(tmp_path.glob("child-took-*"))) < 2:
+                if time.monotonic() > deadline:
+                    return "timed out"
+                time.sleep(0.01)
+            return "parent"
+
+        results = workers.map_jobs(job, range(4))
+        assert "timed out" not in results
+        assert set(results) <= {big, "parent"} and results.count(big) == len(list(tmp_path.glob("child-took-*")))
+
+    def test_child_exiting_unsent_is_a_fit_error_naming_every_job_it_took(self, monkeypatch, tmp_path):
+        _cpus(monkeypatch, 2)
+        parent = os.getpid()
+        taken = tmp_path / "taken"
+
+        def job(j):
+            if os.getpid() != parent:
+                with open(taken, "a") as fh:
+                    fh.write(f"{j}\n")
+                if len(taken.read_text().split()) == 3:
+                    os._exit(3)  # after two finished jobs, whose results it holds unsent
+                return j
+            deadline = time.monotonic() + 5
+            while not (taken.exists() and len(taken.read_text().split()) == 3) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return j
+
+        with pytest.raises(FitError, match=r"^a worker exited without sending jobs \d, \d, \d$") as excinfo:
+            workers.map_jobs(job, range(8))
+        lost = sorted(int(j) for j in taken.read_text().split())
+        assert str(excinfo.value).endswith(" jobs " + ", ".join(map(str, lost)))
+
+
+class TestHandOutOrder:
+    def test_benchmark_hands_out_the_longest_model_heads_first(self, monkeypatch, split):
+        dataset, train_X, test_X = split
+        _cpus(monkeypatch, 1)
+        seen, map_jobs = [], workers.map_jobs
+
+        def recording(fn, jobs):
+            return map_jobs(lambda named: (seen.append(named[0]), fn(named))[1], jobs)
+
+        monkeypatch.setattr(evaluation, "map_jobs", recording)
+        cfg = load_config(overrides={"seed": 3, "forest": {"n_trees": 4}, "net": {"epochs": 1}})
+        pipes = model_benchmark_pipelines(cfg)
+        table = evaluation.benchmark(pipes, dataset, train_X, test_X)
+        assert seen == ["cnn", "random_forest", "ffnn", "logistic_regression", "decision_tree", "knn"]
+        assert [row.name for row in table.rows] == [name for name, _ in pipes]  # the rows stay in table order
+        assert all(row.report is not None for row in table.rows)
 
 
 class TestNesting:
@@ -188,12 +263,6 @@ class TestNesting:
 
 
 class TestScheduleChangesNothing:
-    @pytest.fixture(scope="class")
-    def split(self, synthetic_dataset):
-        builder = FeatureBuilder().fit(synthetic_dataset.train_records())
-        train_X = builder.transform(synthetic_dataset.train_records())
-        return synthetic_dataset, train_X, builder.transform(synthetic_dataset.test_records())
-
     def test_ensemble_probabilities(self, monkeypatch, split):
         dataset, train_X, test_X = split
         cfg = load_config(overrides={"seed": 3, "forest": {"n_trees": 4}})
