@@ -84,7 +84,8 @@ def _loss(z: np.ndarray, weights: np.ndarray, y: np.ndarray, C: float) -> float:
     # log(1 + exp(-|z|)) form is stable for both signs; sum / n is np.mean's
     # arithmetic without its per-call overhead
     bce = (np.logaddexp(0.0, z) - y * z).sum() / n
-    return float(bce + weights @ weights / (2.0 * C * n))
+    # a Python float division: a penalty beyond float range (C near 0) is +inf, which the line search rejects
+    return float(bce + float(weights @ weights) / (2.0 * C * n))
 
 
 def _gradient(z: np.ndarray, weights: np.ndarray, XT, y: np.ndarray, C: float) -> tuple[np.ndarray, float]:

@@ -1,16 +1,17 @@
 """Run configuration: one JSON tree, one seed, CLI flags override keys.
 
-The config file is a nested JSON object mirroring ``DEFAULTS``; unknown
-keys, and values that break their key's rule (the JSON type of the
-default unless the key has a rule of its own), are rejected early so
+The config file is a nested JSON object mirroring ``DEFAULTS``. Each key
+is written once, in ``_KEYS``, with its default and its rule; unknown
+keys, and values that break their key's rule, are rejected early so
 mistakes fail loudly instead of silently using a default or crashing
 later. Once every key keeps its own rule, a few keys must be at least
-another key (``net.max_len`` at least ``net.kernel_width``). Every
-number must be finite: NaN, Infinity and an integer beyond float range
-break every number rule. ``schema``'s keys must be field names, which
-the CSV parser checks. The same integer and number rules check the
-scoring artifact's entries. The output directory honors the
-SEVTRIAGE_OUT environment variable unless a flag pins it.
+another key (``net.max_len`` at least ``net.kernel_width``,
+``tfidf.ngram_hi`` at least ``tfidf.ngram_lo``). Every number must be
+finite: NaN, Infinity and an integer beyond float range break every
+number rule. ``schema``'s keys must be field names, which the CSV
+parser checks. The same integer and number rules check the scoring
+artifact's entries. The output directory honors the SEVTRIAGE_OUT
+environment variable unless a flag pins it.
 """
 
 from __future__ import annotations
@@ -27,62 +28,6 @@ from .errors import ConfigError, RowError
 
 OUT_ENV_VAR = "SEVTRIAGE_OUT"
 
-DEFAULTS: dict[str, Any] = {
-    "data": None,
-    "schema": {},  # field -> CSV column name; identity when omitted
-    "lexicon": None,  # path to a one-phrase-per-line file; built-in list when omitted
-    "out": "out",
-    "seed": 42,
-    "split": 0.2,
-    "tfidf": {"ngram_lo": 1, "ngram_hi": 2, "max_features": 5000},
-    "svd": {"k": 100},
-    "pca": {"k": 100},
-    "select": {"k": 300},
-    "logreg": {"C": 1.0, "max_iter": 1000, "tol": 1e-6},
-    "tree": {"max_depth": None, "min_samples_leaf": 1},
-    "forest": {"n_trees": 100, "features_per_split": "sqrt"},
-    "knn": {"k": 5},
-    "net": {
-        "embedding_dim": 64,
-        "max_len": 64,
-        "vocab_cap": 3000,
-        "conv_filters": 32,
-        "kernel_width": 3,
-        "tabular_hidden": 32,
-        "merge": [64, 32],
-        "dropout": 0.3,
-        "epochs": 10,
-        "batch": 32,
-        "lr": 1e-3,
-    },
-    "ensemble": {
-        "members": 5,
-        "sample_fraction": 0.8,
-        "with_replacement": True,
-        "folds": 5,
-        "instance_c": [0.5, 1.0, 2.0],
-    },
-}
-
-
-def _merge(base: dict, override: Mapping, path: str = "") -> dict:
-    out = copy.deepcopy(base)
-    for key, value in override.items():
-        where = f"{path}.{key}" if path else key
-        if key not in base and path != "schema":
-            raise ConfigError(f"unknown config key {where!r}")
-        if isinstance(value, Mapping) and isinstance(base.get(key), dict) and key != "schema":
-            out[key] = _merge(base[key], value, where)
-        else:
-            out[key] = copy.deepcopy(value)
-    return out
-
-
-def _check(value, key: str, holds, rule: str) -> None:
-    """Raise ConfigError naming ``key`` unless ``holds(value)``."""
-    if not holds(value):
-        raise ConfigError(f"config key {key!r} must be {rule}, got {value!r}")
-
 
 def _is_number(value) -> bool:
     """True for an int or float that a float64 holds finitely: no bool, NaN, ±Infinity or int beyond ±1.8e308."""
@@ -96,66 +41,114 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _list_of(holds, shortest: int = 0):
+    """A test that is true for a list of at least ``shortest`` items, each of which ``holds``."""
+    return lambda v: isinstance(v, list) and len(v) >= shortest and all(map(holds, v))
+
+
+def _positive_int(value) -> bool:
+    return _is_int(value) and value > 0
+
+
+def _positive_number(value) -> bool:
+    return _is_number(value) and value > 0
+
+
 # The (holds, rule) pairs for JSON values, shared by the config and the scoring artifact.
 INTEGER = (_is_int, "an integer")
 NUMBER = (_is_number, "a finite number")
-NUMBERS = (lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of finite numbers")
-
-
-def _type_rule(default):
-    """(holds, rule) for a value with no rule of its own: the JSON type of its default."""
-    if isinstance(default, bool):
-        return lambda v: isinstance(v, bool), "true or false"
-    if isinstance(default, int):
-        return INTEGER
-    if isinstance(default, float):
-        return NUMBER
-    if isinstance(default, str):
-        return lambda v: isinstance(v, str), "a string"
-    if isinstance(default, list) and all(map(_is_int, default)):
-        return lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"
-    if isinstance(default, list):
-        return NUMBERS
-    return lambda v: isinstance(v, dict), "an object"  # a section
-
+NUMBERS = (_list_of(_is_number), "a list of finite numbers")
 
 _NULL_OR_STRING = (lambda v: v is None or isinstance(v, str), "null or a string")
-_POSITIVE_INTEGER = (lambda v: _is_int(v) and v > 0, "a positive integer")
+_POSITIVE_INTEGER = (_positive_int, "a positive integer")
+_POSITIVE_NUMBER = (_positive_number, "a positive number")
 _AT_LEAST_TWO = (lambda v: _is_int(v) and v >= 2, "an integer >= 2")
+_SECTION = (lambda v: isinstance(v, dict), "an object")
 
-# Keys whose rule is not the JSON type of their default.
-_RULES = {
-    "data": _NULL_OR_STRING,
-    "schema": (lambda v: isinstance(v, dict) and all(isinstance(c, str) for c in v.values()), "an object of strings"),
-    "lexicon": _NULL_OR_STRING,
-    "seed": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
-    "split": (lambda v: _is_number(v) and 0 < v < 1, "a number in (0, 1)"),
-    "tfidf.max_features": _POSITIVE_INTEGER,
-    "svd.k": _POSITIVE_INTEGER,
-    "pca.k": _POSITIVE_INTEGER,
-    "select.k": _POSITIVE_INTEGER,
-    "logreg.C": (lambda v: _is_number(v) and v > 0, "a positive number"),
-    "logreg.max_iter": _POSITIVE_INTEGER,
-    "tree.max_depth": (lambda v: v is None or _is_int(v), "null or an integer"),
-    "forest.features_per_split": (
-        lambda v: v is None or v == "sqrt" or (_is_number(v) and 0 < v <= 1),
-        "'sqrt', null or a number in (0, 1]",
+# Every config key in file order, as (default, (holds, rule)); a section is an object of such keys.
+_KEYS: dict[str, Any] = {
+    "data": (None, _NULL_OR_STRING),
+    "schema": (
+        {},  # field -> CSV column name; identity when omitted
+        (lambda v: isinstance(v, dict) and all(isinstance(c, str) for c in v.values()), "an object of strings"),
     ),
-    "forest.n_trees": _POSITIVE_INTEGER,
-    "knn.k": _POSITIVE_INTEGER,
-    "net.epochs": _POSITIVE_INTEGER,
-    "net.batch": _POSITIVE_INTEGER,
-    "ensemble.members": _AT_LEAST_TWO,
-    "ensemble.sample_fraction": (lambda v: _is_number(v) and v > 0, "a number > 0"),
-    "ensemble.folds": _AT_LEAST_TWO,
-    "ensemble.instance_c": (
-        lambda v: isinstance(v, list) and len(v) >= 2 and all(_is_number(c) and c > 0 for c in v),
-        "a list of at least 2 positive numbers",
-    ),
+    "lexicon": (None, _NULL_OR_STRING),  # path to a one-phrase-per-line file; built-in list when omitted
+    "out": ("out", (lambda v: isinstance(v, str), "a string")),
+    "seed": (42, (lambda v: _is_int(v) and v >= 0, "a non-negative integer")),
+    "split": (0.2, (lambda v: _is_number(v) and 0 < v < 1, "a number in (0, 1)")),
+    "tfidf": {
+        "ngram_lo": (1, _POSITIVE_INTEGER),
+        "ngram_hi": (2, _POSITIVE_INTEGER),
+        "max_features": (5000, _POSITIVE_INTEGER),
+    },
+    "svd": {"k": (100, _POSITIVE_INTEGER)},
+    "pca": {"k": (100, _POSITIVE_INTEGER)},
+    "select": {"k": (300, _POSITIVE_INTEGER)},
+    "logreg": {"C": (1.0, _POSITIVE_NUMBER), "max_iter": (1000, _POSITIVE_INTEGER), "tol": (1e-6, _POSITIVE_NUMBER)},
+    "tree": {
+        "max_depth": (None, (lambda v: v is None or _positive_int(v), "null or a positive integer")),
+        "min_samples_leaf": (1, _POSITIVE_INTEGER),
+    },
+    "forest": {
+        "n_trees": (100, _POSITIVE_INTEGER),
+        "features_per_split": (
+            "sqrt",
+            (lambda v: v is None or v == "sqrt" or (_is_number(v) and 0 < v <= 1), "'sqrt', null or a number in (0, 1]"),
+        ),
+    },
+    "knn": {"k": (5, _POSITIVE_INTEGER)},
+    "net": {
+        "embedding_dim": (64, _POSITIVE_INTEGER),
+        "max_len": (64, _POSITIVE_INTEGER),
+        "vocab_cap": (3000, _POSITIVE_INTEGER),
+        "conv_filters": (32, _POSITIVE_INTEGER),
+        "kernel_width": (3, _POSITIVE_INTEGER),
+        "tabular_hidden": (32, _POSITIVE_INTEGER),
+        "merge": ([64, 32], (_list_of(_positive_int, 1), "a non-empty list of positive integers")),
+        "dropout": (0.3, (lambda v: _is_number(v) and 0 <= v < 1, "a number in [0, 1)")),
+        "epochs": (10, _POSITIVE_INTEGER),
+        "batch": (32, _POSITIVE_INTEGER),
+        "lr": (1e-3, _POSITIVE_NUMBER),
+    },
+    "ensemble": {
+        "members": (5, _AT_LEAST_TWO),
+        "sample_fraction": (0.8, _POSITIVE_NUMBER),
+        "with_replacement": (True, (lambda v: isinstance(v, bool), "true or false")),
+        "folds": (5, _AT_LEAST_TWO),
+        "instance_c": ([0.5, 1.0, 2.0], (_list_of(_positive_number, 2), "a list of at least 2 positive numbers")),
+    },
 }
 
+DEFAULTS: dict[str, Any] = {
+    key: {name: default for name, (default, _) in entry.items()} if isinstance(entry, dict) else entry[0]
+    for key, entry in _KEYS.items()
+}
+
+
+def _merge(base: dict, override: Mapping, path: str = "") -> dict:
+    out = copy.deepcopy(base)
+    for key, value in override.items():
+        where = f"{path}.{key}" if path else key
+        if key not in base:
+            raise ConfigError(f"unknown config key {where!r}")
+        if isinstance(value, Mapping) and isinstance(_KEYS.get(where), dict):  # a section; ``schema`` is one value
+            out[key] = _merge(base[key], value, where)
+        else:
+            out[key] = copy.deepcopy(value)
+    return out
+
+
+def _check(value, key: str, holds, rule: str) -> None:
+    """Raise ConfigError naming ``key`` unless ``holds(value)``."""
+    if not holds(value):
+        raise ConfigError(f"config key {key!r} must be {rule}, got {value!r}")
+
+
 # (key, other key) pairs where the key's value must be at least the other's, checked once every key keeps its own rule.
-_AT_LEAST = (("net.max_len", "net.kernel_width"),)  # a CNN sequence holds one convolution window
+_AT_LEAST = (
+    ("tfidf.ngram_hi", "tfidf.ngram_lo"),  # an n-gram range runs from low to high
+    ("net.max_len", "net.kernel_width"),  # a CNN sequence holds one convolution window
+)
 
 
 def _at(values: dict, key: str):
@@ -165,12 +158,13 @@ def _at(values: dict, key: str):
 
 def _checked(values: dict) -> dict:
     """``values``, unless a key breaks its rule: then ConfigError naming the first such key."""
-    for key, default in DEFAULTS.items():
-        _check(values[key], key, *_RULES.get(key, _type_rule(default)))
-        if isinstance(default, dict) and key != "schema":
-            for name, value in default.items():
-                where = f"{key}.{name}"
-                _check(values[key][name], where, *_RULES.get(where, _type_rule(value)))
+    for key, entry in _KEYS.items():
+        if isinstance(entry, dict):
+            _check(values[key], key, *_SECTION)
+            for name, (_, rule) in entry.items():
+                _check(values[key][name], f"{key}.{name}", *rule)
+        else:
+            _check(values[key], key, *entry[1])
     for key, other in _AT_LEAST:
         bound = _at(values, other)
         _check(_at(values, key), key, lambda v: v >= bound, f">= {other!r} ({bound!r})")

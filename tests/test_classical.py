@@ -75,6 +75,14 @@ class TestLogReg:
         assert results[0] >= results[1] - 1e-9
         assert results[1] >= results[2] - 1e-9
 
+    def test_smallest_positive_C_keeps_zero_weights(self):
+        # any nonzero weight's penalty is beyond float range: an infinite loss the line search rejects
+        rng = np.random.default_rng(0)
+        X = rng.random((32, 20))
+        y = (rng.random(32) < 0.7).astype(int)
+        model = classical.train_logreg(X, y, C=5e-324, max_iter=50)
+        assert not model.weights.any()
+
     def test_zero_model_predicts_half(self):
         model = classical.LogRegModel(np.zeros(3), 0.0, 1.0)
         assert np.allclose(model.predict_proba(np.ones((4, 3))), 0.5)

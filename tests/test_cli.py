@@ -2,9 +2,13 @@
 
 import csv
 import json
+import math
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sevtriage.cli import main
 from tests.conftest import write_synthetic_csv
@@ -426,11 +430,19 @@ class TestOneFeaturizationPerSplit:
         assert main([command, *args]) == 0
         assert (calls.count("fit"), calls.count("transform")) == (1, 2)
 
-    def test_featurizer_failure_ends_the_command(self, tmp_path, synthetic_csv, capsys):
-        cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({"tfidf": {"ngram_lo": 3, "ngram_hi": 1}}))
+    def test_featurizer_failure_ends_the_command(self, tmp_path, synthetic_csv, capsys, monkeypatch):
+        from sevtriage import cli as cli_mod
+
+        real = cli_mod.load_config
+
+        def past_the_check(*args, **kwargs):  # a range the config check rejects reaches the featurizer's own check
+            cfg = real(*args, **kwargs)
+            cfg["tfidf"].update(ngram_lo=3, ngram_hi=1)
+            return cfg
+
+        monkeypatch.setattr(cli_mod, "load_config", past_the_check)
         out = tmp_path / "o"
-        assert main(["benchmark-models", "--config", str(cfg), "--data", str(synthetic_csv), "--out", str(out)]) == 1
+        assert main(["benchmark-models", "--data", str(synthetic_csv), "--out", str(out)]) == 1
         assert "bad ngram_range (3, 1)" in capsys.readouterr().err
         assert not (out / "models_table.txt").exists()
 
@@ -500,19 +512,91 @@ class TestInputFiles:
         assert "Traceback" not in err
 
 
+TINY = 5e-324  # the smallest positive float
+
+# Each config key's values just inside its rule, then just outside it. knn.k is drawn within the
+# boundary feed's 28 training rows, and ensemble.sample_fraction at 0.25 of them rather than near 0:
+# a resample of a row or two keeps one class, and ensembles ends in a named error.
+BOUNDARIES = {
+    "seed": ([0], [-1, True]),
+    "tfidf.ngram_lo": ([1], [0, 1.0]),
+    "tfidf.ngram_hi": ([1], [0, True]),
+    "tfidf.max_features": ([1], [0]),
+    "svd.k": ([1], [0]),
+    "pca.k": ([1], [0]),
+    "select.k": ([1], [0]),
+    "logreg.C": ([TINY], [0.0, -TINY]),
+    "logreg.max_iter": ([1], [0]),
+    "logreg.tol": ([TINY], [0.0]),
+    "tree.max_depth": ([None, 1], [0, True]),
+    "tree.min_samples_leaf": ([1], [0]),
+    "forest.n_trees": ([1], [0]),
+    "forest.features_per_split": ([TINY, 1.0, "sqrt", None], [0.0, math.nextafter(1.0, 2.0), "log2"]),
+    "knn.k": ([1, 28], [0]),
+    "net.embedding_dim": ([1], [0]),
+    "net.max_len": ([1], [0]),
+    "net.vocab_cap": ([1], [0]),
+    "net.conv_filters": ([1], [0]),
+    "net.kernel_width": ([1], [0]),
+    "net.tabular_hidden": ([1], [0]),
+    "net.merge": ([[1]], [[], [0]]),
+    "net.dropout": ([0.0, math.nextafter(1.0, 0.0)], [-TINY, 1.0]),
+    "net.epochs": ([1], [0]),
+    "net.batch": ([1], [0]),
+    "net.lr": ([TINY], [0.0]),
+    "ensemble.members": ([2], [1]),
+    "ensemble.sample_fraction": ([0.25], [0.0]),
+    "ensemble.with_replacement": ([False], [0]),
+    "ensemble.folds": ([2], [1]),
+    "ensemble.instance_c": ([[TINY, TINY]], [[1.0], [1.0, 0.0]]),
+}
+
+
+@st.composite
+def boundary_trees(draw):
+    """Some keys at values just inside their rules, and at most one of them just outside: ({key: value}, that key)."""
+    keys = [key for key in BOUNDARIES if draw(st.booleans())]
+    broken = draw(st.none() | st.sampled_from(keys)) if keys else None
+    values = {}
+    for key in keys:
+        inside, outside = BOUNDARIES[key]
+        values[key] = draw(st.sampled_from(outside if key == broken else inside))
+    return values, broken
+
+
+@pytest.fixture(scope="module")
+def boundary_feed(tmp_path_factory):
+    return write_synthetic_csv(tmp_path_factory.mktemp("boundary") / "feed.csv", n=40, seed=9)
+
+
 class TestConfigFile:
     def test_readme_config_example_loads(self, tmp_path):
-        import re
-
         from sevtriage.config import DEFAULTS, load_config
 
         readme = Path(__file__).resolve().parents[1] / "README.md"
         blocks = re.findall(r"```json\n(.*?)```", readme.read_text(), flags=re.S)
         assert blocks, "README lost its config example"
+        assert json.dumps(json.loads(blocks[0])) == json.dumps(DEFAULTS)  # every value, in key order
         cfg_path = tmp_path / "readme.json"
         cfg_path.write_text(blocks[0])
-        cfg = load_config(str(cfg_path))
-        assert set(cfg) == set(DEFAULTS)
+        load_config(str(cfg_path))
+
+    def test_readme_rule_table_is_the_config_rules(self):
+        from sevtriage.config import _KEYS, _SECTION
+
+        rules: dict = {}
+        for key, entry in _KEYS.items():
+            if isinstance(entry, dict):
+                rules.setdefault(_SECTION[1], set()).add(key)
+                for name, (_, (_, rule)) in entry.items():
+                    rules.setdefault(rule, set()).add(f"{key}.{name}")
+            else:
+                rules.setdefault(entry[1][1], set()).add(key)
+        known = set().union(*rules.values())
+        section = (Path(__file__).resolve().parents[1] / "README.md").read_text().split("## Config file")[1]
+        rows = re.findall(r"^\| (.+?) \| (.+?) \|$", section, flags=re.M)[1:]  # past the header row
+        table = {rule: set(re.findall(r"`([^`]+)`", keys)) & known for rule, keys in rows}
+        assert table == rules
 
     def test_each_override_flag_sets_its_key_over_the_file(self, tmp_path):
         from sevtriage.cli import _config_from_args, build_parser
@@ -625,6 +709,16 @@ class TestConfigFile:
             ("benchmark-features", {"ensemble": {"instance_c": [1.0]}}),
             ("benchmark-models", {"ensemble": {"instance_c": [1.0, -2.0]}}),
             ("benchmark-models", {"net": {"max_len": 2}}),  # shorter than the default kernel_width
+            ("benchmark-models", {"net": {"merge": []}}),
+            ("benchmark-models", {"tree": {"max_depth": -1}}),
+            ("benchmark-models", {"net": {"lr": -1.0}}),
+            ("benchmark-models", {"net": {"vocab_cap": -5}}),
+            ("benchmark-features", {"tfidf": {"ngram_hi": 2, "ngram_lo": 3}}),  # the default ngram_hi, below ngram_lo
+            ("benchmark-models", {"net": {"dropout": 1.5}}),
+            ("benchmark-models", {"net": {"max_len": 0, "kernel_width": 0}}),  # max_len >= kernel_width holds
+            ("benchmark-models", {"tree": {"min_samples_leaf": -3}}),
+            ("benchmark-features", {"logreg": {"tol": -1.0}}),
+            ("benchmark-features", {"tfidf": {"ngram_lo": 0}}),
         ],
         ids=[
             "tfidf.max_features", "svd.k", "ensemble.members", "knn.k", "forest.features_per_split",
@@ -635,6 +729,9 @@ class TestConfigFile:
             "svd.k-zero", "pca.k-negative", "select.k-zero", "forest.n_trees-zero", "net.batch-zero",
             "logreg.max_iter-negative", "net.epochs-zero", "ensemble.members-one", "ensemble.folds-one",
             "ensemble.instance_c-one", "ensemble.instance_c-negative", "net.max_len-below-kernel_width",
+            "net.merge-empty", "tree.max_depth-negative", "net.lr-negative", "net.vocab_cap-negative",
+            "tfidf.ngram_hi-below-ngram_lo", "net.dropout-above-one", "net.max_len-zero",
+            "tree.min_samples_leaf-negative", "logreg.tol-negative", "tfidf.ngram_lo-zero",
         ],
     )
     def test_wrongly_typed_section_value_names_its_key(self, tmp_path, synthetic_csv, capsys, command, values):
@@ -642,16 +739,24 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"data": str(synthetic_csv), **values}))
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         ((section, keys),) = values.items()
-        (key,) = keys
+        key = next(iter(keys))  # the section's first key given is the one named
         assert capsys.readouterr().err.startswith(f"error: config key '{section}.{key}' must be ")
         assert not (tmp_path / "o").exists()
 
-    def test_key_below_the_key_it_must_reach_names_both(self, tmp_path, synthetic_csv, capsys):
+    @pytest.mark.parametrize(
+        "values,named",
+        [
+            ({"net": {"max_len": 4, "kernel_width": 5}}, "'net.max_len' must be >= 'net.kernel_width' (5), got 4"),
+            ({"tfidf": {"ngram_lo": 3}}, "'tfidf.ngram_hi' must be >= 'tfidf.ngram_lo' (3), got 2"),
+        ],
+        ids=["net.max_len", "tfidf.ngram_hi"],
+    )
+    def test_key_below_the_key_it_must_reach_names_both(self, tmp_path, synthetic_csv, capsys, values, named):
         cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({"data": str(synthetic_csv), "net": {"max_len": 4, "kernel_width": 5}}))
+        cfg.write_text(json.dumps({"data": str(synthetic_csv), **values}))
         assert main(["benchmark-models", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
-        assert err == "error: config key 'net.max_len' must be >= 'net.kernel_width' (5), got 4\n"
+        assert err == f"error: config key {named}\n"
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
@@ -674,6 +779,36 @@ class TestConfigFile:
         loaded = load_config(str(cfg))[key]
         assert ({name: loaded[name] for name in value} if isinstance(value, dict) else loaded) == value
 
+    @settings(max_examples=10, derandomize=True, deadline=None)
+    @given(boundary_trees())
+    def test_values_at_each_rules_boundary_run_or_name_their_key(self, tmp_path_factory, boundary_feed, drawn):
+        from sevtriage.config import load_config
+        from sevtriage.errors import ConfigError
+
+        values, broken = drawn
+        tree: dict = {}
+        for key, value in values.items():
+            section, _, name = key.rpartition(".")
+            (tree.setdefault(section, {}) if section else tree)[name] = value
+        work = tmp_path_factory.mktemp("boundary-run")
+        cfg = work / "run.json"
+        cfg.write_text(json.dumps(tree))
+        try:
+            load_config(str(cfg))
+        except ConfigError as exc:
+            named = re.match(r"config key '([^']+)' must be ", str(exc)).group(1)
+            # a value outside its rule is named; with none, only a key below the key it must reach is
+            assert named == broken if broken else (named in values and " must be >= " in str(exc))
+            return
+        assert broken is None
+        out = work / "out"
+        for command in ("benchmark-models", "ensembles"):
+            argv = [command, "--config", str(cfg), "--data", str(boundary_feed), "--out", str(out)]
+            assert main([*argv, "--n-trees", "3", "--epochs", "1"]) == 0, command
+        with open(out / "models_table.csv", newline="") as fh:
+            statuses = {row["model"]: row["status"] for row in csv.DictReader(fh)}
+        assert statuses == {**dict.fromkeys(statuses, "ok"), "lstm": "out of scope"}
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"tpyo": 1}))
@@ -689,8 +824,6 @@ class TestConfigFile:
 
 def test_readme_library_example_runs(tmp_path, monkeypatch):
     """README's "Library use" block runs as written, on a 120-row planted feed saved as its ``zdi.csv``."""
-    import re
-
     from sevtriage.ensembles import STRATEGIES
 
     readme = Path(__file__).resolve().parents[1] / "README.md"
