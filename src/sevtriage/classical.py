@@ -400,9 +400,11 @@ class KnnModel:
 
 
 def train_knn(X, y, k: int = 5) -> KnnModel:
-    """Memorize the training set for majority voting over the k nearest rows."""
+    """Memorize the training set for majority voting over the k nearest rows; a k above the rows is clamped to them."""
     mat = as_dense(X)
     y = as_labels(y, mat.shape[0])
-    if not 1 <= k <= mat.shape[0]:
-        raise ConfigError(f"k={k} must be in [1, {mat.shape[0]}]")
-    return KnnModel(mat, y, k)
+    if k < 1:
+        raise ConfigError(f"k={k} must be at least 1")
+    if not len(y):
+        raise FitError("cannot fit KNN on an empty dataset")
+    return KnnModel(mat, y, min(k, len(y)))

@@ -6,7 +6,9 @@ keys, and values that break their key's rule, are rejected early so
 mistakes fail loudly instead of silently using a default or crashing
 later. Once every key keeps its own rule, a few keys must be at least
 another key (``net.max_len`` at least ``net.kernel_width``,
-``tfidf.ngram_hi`` at least ``tfidf.ngram_lo``). Every number must be
+``tfidf.ngram_hi`` at least ``tfidf.ngram_lo``), and
+``ensemble.sample_fraction`` must be at most 1 when
+``ensemble.with_replacement`` is false. Every number must be
 finite: NaN, Infinity and an integer beyond float range break every
 number rule. ``schema``'s keys must be field names, which the CSV
 parser checks. The same integer and number rules check the scoring
@@ -168,6 +170,9 @@ def _checked(values: dict) -> dict:
     for key, other in _AT_LEAST:
         bound = _at(values, other)
         _check(_at(values, key), key, lambda v: v >= bound, f">= {other!r} ({bound!r})")
+    if not values["ensemble"]["with_replacement"]:  # a subsample drawn without replacement holds at most every row
+        rule = "at most 1 when 'ensemble.with_replacement' is false"
+        _check(values["ensemble"]["sample_fraction"], "ensemble.sample_fraction", lambda v: v <= 1, rule)
     return values
 
 

@@ -48,12 +48,12 @@ def _member(learner: str, params: Mapping, **where) -> Member:
     return Member(learner, tuple(sorted(params.items())), **where)
 
 
-def _bases(cfg: Mapping, seed: int, k: int, **where) -> dict[str, Member]:
+def _bases(cfg: Mapping, seed: int, **where) -> dict[str, Member]:
     """Logistic regression, forest and KNN on the same rows and columns."""
     return {
         "logreg": _member("logreg", cfg["logreg"], **where),
         "forest": _member("forest", {**cfg["forest"], "seed": substream(seed, "forest")}, **where),
-        "knn": _member("knn", {"k": k}, **where),
+        "knn": _member("knn", cfg["knn"], **where),
     }
 
 
@@ -131,14 +131,14 @@ def _stratified_folds(y: np.ndarray, folds: int, seed: int) -> np.ndarray:
 
 def _stacking_members(y: np.ndarray, cfg: Mapping) -> dict[str, Member]:
     """Full-train bases that score the test rows, and per fold bases that score their held-out fold."""
-    seed, folds, k = int(cfg["seed"]), cfg["ensemble"]["folds"], cfg["knn"]["k"]
-    members = _bases(cfg, substream(seed, "full"), min(k, len(y)))
+    seed, folds = int(cfg["seed"]), cfg["ensemble"]["folds"]
+    members = _bases(cfg, substream(seed, "full"))
     fold_of = _stratified_folds(y, folds, seed)
     for f in range(folds):
         hold, rest = np.flatnonzero(fold_of == f), np.flatnonzero(fold_of != f)
         if len(hold):
             where = {"rows": tuple(rest.tolist()), "scores": tuple(hold.tolist())}
-            fold = _bases(cfg, substream(seed, f"fold-{f}"), min(k, len(rest)), **where)
+            fold = _bases(cfg, substream(seed, f"fold-{f}"), **where)
             members.update((f"{name}@fold-{f}", m) for name, m in fold.items())
     return members
 
@@ -179,50 +179,36 @@ def stacking_ensemble(members: dict[str, np.ndarray], plan: dict[str, Member], y
     return _finish(bases, meta_model.predict_proba(np.stack(list(bases.values()), axis=1)))
 
 
-def _fit_and_score(job) -> np.ndarray:
-    """One member's probabilities on the rows it scores, from its (member, train rows, labels, scored rows) job."""
-    m, X, y, scored = job
-    train = globals()[f"train_{m.learner}"]  # looked up per call, so a wrapped trainer sees it
-    return train(X, y, **dict(m.params)).predict_proba(scored)
-
-
 def run(train_X: FeatureMatrix, y_train, test_X: FeatureMatrix, config: Mapping = DEFAULTS) -> dict[str, EnsembleResult]:
     """Every strategy's result by name, in ``STRATEGIES`` order.
 
     ``config`` is the run's config tree, shaped like ``config.DEFAULTS``.
-    Members read its ``seed``, ``ensemble``,
-    ``logreg``, ``forest`` and ``knn`` sections; a KNN member's ``k`` is
-    clamped to the rows it trains on. Every member is planned
-    before any is trained, and every row and column selection is made
-    once, before any fit. Each distinct member is then one
-    ``workers.map_jobs`` job, fit once on every usable CPU, and only its
-    probabilities are kept.
+    Members read its ``seed``, ``ensemble``, ``logreg``, ``forest`` and
+    ``knn`` sections. Every member is planned before any is trained, so
+    a plan that cannot run fails before any fit. Each distinct member is
+    then one ``workers.map_jobs`` job, fit once on every usable CPU: the
+    job selects the member's training rows, labels, scored rows and
+    column groups, fits it, and only its probabilities are kept.
     """
     y = as_labels(y_train, train_X.n_rows, "y_train")
     plans = {
         "feature_split": _feature_split_members(train_X, config),
         "bootstrap": _bootstrap_members(y, config),
-        "heterogeneous": _bases(config, int(config["seed"]), min(config["knn"]["k"], len(y))),
+        "heterogeneous": _bases(config, int(config["seed"])),
         "instance": _instance_members(config),
         "stacking": _stacking_members(y, config),
     }
 
-    selections: dict[tuple, FeatureMatrix] = {}
-
-    def select(on_test: bool, rows, groups) -> FeatureMatrix:
-        key = (on_test, rows, groups)
-        if key not in selections:
-            X = test_X if on_test else train_X
-            X = X if rows is None else X.select_rows(np.asarray(rows))
-            selections[key] = X if groups is None else X.select_groups(groups)
-        return selections[key]
+    def fit_and_score(m: Member) -> np.ndarray:
+        X, labels = (train_X, y) if m.rows is None else (train_X.select_rows(np.asarray(m.rows)), y[list(m.rows)])
+        scored = test_X if m.scores is None else train_X.select_rows(np.asarray(m.scores))
+        if m.groups is not None:
+            X, scored = X.select_groups(m.groups), scored.select_groups(m.groups)
+        train = globals()[f"train_{m.learner}"]  # looked up per call, so a wrapped trainer sees it
+        return train(X, labels, **dict(m.params)).predict_proba(scored)
 
     distinct = list(dict.fromkeys(m for plan in plans.values() for m in plan.values()))
-    jobs = []
-    for m in distinct:
-        labels = y if m.rows is None else y[list(m.rows)]
-        jobs.append((m, select(False, m.rows, m.groups), labels, select(m.scores is None, m.scores, m.groups)))
-    probs = dict(zip(distinct, map_jobs(_fit_and_score, jobs)))
+    probs = dict(zip(distinct, map_jobs(fit_and_score, distinct)))
 
     results = {}
     for strategy, plan in plans.items():

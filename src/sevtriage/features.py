@@ -117,9 +117,6 @@ class FeatureMatrix:
     def n_cols(self) -> int:
         return self.data.shape[1]
 
-    def to_dense(self) -> np.ndarray:
-        return as_dense(self)
-
     def select_groups(self, wanted: Iterable[str]) -> "FeatureMatrix":
         """The columns of the ``wanted`` groups, which must be present with no other group's columns between them."""
         wanted = set(wanted)
@@ -284,9 +281,6 @@ class KeywordLexicon:
             raise ConfigError(f"lexicon file {path}: {exc}") from None
         lines = io.StringIO(text, newline=None)
         return cls(tuple(line.strip().lower() for line in lines if line.strip()))
-
-    def __len__(self) -> int:
-        return len(self.phrases)
 
 
 def cve_flag(record: DisclosureRecord) -> int:

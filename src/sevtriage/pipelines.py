@@ -111,7 +111,6 @@ class LrFeaturePipeline:
         self.scores = None
         self.projector = None
         self.model = None
-        self.effective_k: int | None = None
 
     # -- feature-space plumbing ---------------------------------------------
 
@@ -122,8 +121,8 @@ class LrFeaturePipeline:
         structured = X.select_groups(["vendor", "indicator"]).data
         if self.mode in ("svd", "pca", "lda"):
             if fit:
-                self.effective_k = _clamped(self.svd_k, text.n_rows, text.n_cols)
-                self.svd = reduction.fit_truncated_svd(text, k=self.effective_k, seed=substream(self.seed, "svd"))
+                k = _clamped(self.svd_k, text.n_rows, text.n_cols)
+                self.svd = reduction.fit_truncated_svd(text, k=k, seed=substream(self.seed, "svd"))
             return sp.hstack([structured, sp.csr_matrix(reduction.project_svd(self.svd, text))], format="csr")
         # chi2 / mi keep a subset of text columns
         if fit:
@@ -165,7 +164,7 @@ class LrFeaturePipeline:
 
     def describe(self) -> str:
         if self.mode == "svd":
-            return f"tfidf_svd(k={self.effective_k if self.effective_k is not None else self.svd_k})"
+            return f"tfidf_svd(k={self.svd.k if self.svd is not None else self.svd_k})"
         if self.mode in ("chi2", "mi"):
             return f"tfidf_{self.mode}(k={len(self.selected) if self.selected is not None else self.select_k})"
         if self.mode == "pca":

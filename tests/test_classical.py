@@ -456,8 +456,14 @@ class TestKnn:
         assert model.predict_proba(np.array([[0.0]]))[0] == pytest.approx(2 / 3)
 
     def test_k_out_of_range_raises(self):
+        X, y = np.arange(3.0).reshape(3, 1), np.array([0, 1, 0])
         with pytest.raises(ConfigError):
-            classical.train_knn(np.ones((3, 1)), np.array([0, 1, 0]), k=4)
+            classical.train_knn(X, y, k=0)
+        with pytest.raises(FitError):
+            classical.train_knn(np.ones((0, 1)), np.array([], dtype=int), k=1)
+        clamped, at_rows = classical.train_knn(X, y, k=4), classical.train_knn(X, y, k=3)  # k above the rows is clamped
+        assert clamped.k == at_rows.k == 3
+        assert np.array_equal(clamped.X_train, at_rows.X_train) and np.array_equal(clamped.y_train, at_rows.y_train)
 
 
 # ---------------------------------------------------------------------------

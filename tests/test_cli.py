@@ -14,6 +14,12 @@ from sevtriage.cli import main
 from tests.conftest import write_synthetic_csv
 
 
+def csv_rows(path, encoding=None) -> list[list[str]]:
+    """Every row of the CSV file at ``path``, the file closed once read."""
+    with open(path, newline="", encoding=encoding) as fh:
+        return list(csv.reader(fh))
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory, synthetic_csv):
     """One shared output tree: the heavier commands run once per module."""
@@ -83,7 +89,7 @@ class TestBenchmarkFeatures:
 
     def test_explained_variance_monotone(self, workdir):
         out, _, _ = workdir
-        rows = list(csv.reader((out / "explained_variance.csv").open()))[1:]
+        rows = csv_rows(out / "explained_variance.csv")[1:]
         values = [float(r[1]) for r in rows]
         assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
         assert values[-1] <= 1.0 + 1e-8
@@ -91,12 +97,12 @@ class TestBenchmarkFeatures:
     def test_top_term_files_have_at_most_twenty(self, workdir):
         out, _, _ = workdir
         for name in ("top_terms_chi2.csv", "top_terms_mi.csv"):
-            rows = list(csv.reader((out / name).open()))[1:]
+            rows = csv_rows(out / name)[1:]
             assert 1 <= len(rows) <= 20
 
     def test_pca_scatter_one_point_per_test_row(self, workdir, synthetic_dataset):
         out, _, _ = workdir
-        rows = list(csv.reader((out / "pca_scatter.csv").open()))[1:]
+        rows = csv_rows(out / "pca_scatter.csv")[1:]
         assert len(rows) == len(synthetic_dataset.test_idx)
         assert set(r[2] for r in rows) <= {"0", "1"}
 
@@ -118,17 +124,17 @@ class TestBenchmarkModels:
     def test_confusion_and_roc_files(self, workdir):
         out, _, _ = workdir
         for model in ("logistic_regression", "decision_tree", "knn"):
-            cm = list(csv.reader((out / f"confusion_{model}.csv").open()))
+            cm = csv_rows(out / f"confusion_{model}.csv")
             assert cm[0] == ["", "pred_0", "pred_1"]
-            roc = list(csv.reader((out / f"roc_{model}.csv").open()))[1:]
+            roc = csv_rows(out / f"roc_{model}.csv")[1:]
             assert roc[0] == ["0.000000", "0.000000"]
             assert roc[-1] == ["1.000000", "1.000000"]
 
     def test_activation_grids(self, workdir):
         out, _, _ = workdir
-        merge = list(csv.reader((out / "activations_ffnn_merge64.csv").open()))[1:]
+        merge = csv_rows(out / "activations_ffnn_merge64.csv")[1:]
         assert len(merge) == 64
-        filters = list(csv.reader((out / "activations_cnn_filters.csv").open()))[1:]
+        filters = csv_rows(out / "activations_cnn_filters.csv")[1:]
         assert {r[0] for r in filters} == {str(i) for i in range(8)}
 
     def test_model_artifact_written(self, workdir):
@@ -162,7 +168,7 @@ class TestEnsemblesCommand:
         assert "80% resamples" in text
 
     def test_probability_csvs_have_member_columns(self, ens_out, synthetic_dataset):
-        rows = list(csv.reader((ens_out / "ensemble_bootstrap_probs.csv").open()))
+        rows = csv_rows(ens_out / "ensemble_bootstrap_probs.csv")
         assert rows[0][0] == "combined"
         assert len(rows[0]) == 6  # combined + 5 members
         assert len(rows) - 1 == len(synthetic_dataset.test_idx)
@@ -177,8 +183,8 @@ class TestEnsemblesCommand:
         assert text != (ens_out / "ensembles_report.txt").read_text()
         assert "members: 3 logistic regressions" in text
         assert "C values: 0.25, 4" in text
-        assert len(next(csv.reader((out / "ensemble_bootstrap_probs.csv").open()))) == 4  # combined + 3 members
-        assert next(csv.reader((out / "ensemble_instance_probs.csv").open()))[1:] == ["C=0.25", "C=4"]
+        assert len(csv_rows(out / "ensemble_bootstrap_probs.csv")[0]) == 4  # combined + 3 members
+        assert csv_rows(out / "ensemble_instance_probs.csv")[0][1:] == ["C=0.25", "C=4"]
 
     @pytest.mark.parametrize(
         "section,changed",
@@ -201,7 +207,7 @@ class TestPredict:
         out, data, _ = workdir
         rc = main(["predict", "--model", str(out / "model_baseline_lr.json"), "--input", str(data), "--out", str(tmp_path)])
         assert rc == 0
-        rows = list(csv.reader((tmp_path / "predictions.csv").open()))
+        rows = csv_rows(tmp_path / "predictions.csv")
         assert rows[0][-2:] == ["probability", "label"]
         for row in rows[1:]:
             p, label = float(row[-2]), int(row[-1])
@@ -216,7 +222,7 @@ class TestPredict:
         )
         rc = main(["predict", "--model", str(out / "model_baseline_lr.json"), "--input", str(src), "--out", str(tmp_path)])
         assert rc == 0
-        rows = list(csv.reader((tmp_path / "predictions.csv").open()))
+        rows = csv_rows(tmp_path / "predictions.csv")
         assert len(rows) == 2
 
     def test_empty_input_empty_output_with_header(self, workdir, tmp_path):
@@ -225,7 +231,7 @@ class TestPredict:
         src.write_text("zdi_id,cve_id,cvss,published,vendor,description\n")
         rc = main(["predict", "--model", str(out / "model_baseline_lr.json"), "--input", str(src), "--out", str(tmp_path)])
         assert rc == 0
-        rows = list(csv.reader((tmp_path / "predictions.csv").open()))
+        rows = csv_rows(tmp_path / "predictions.csv")
         assert len(rows) == 1
 
     def test_input_without_cvss_column_is_scored(self, workdir, tmp_path):
@@ -237,7 +243,7 @@ class TestPredict:
         )
         rc = main(["predict", "--model", str(out / "model_baseline_lr.json"), "--input", str(src), "--out", str(tmp_path)])
         assert rc == 0
-        rows = list(csv.reader((tmp_path / "predictions.csv").open()))
+        rows = csv_rows(tmp_path / "predictions.csv")
         assert len(rows) == 2
         assert rows[1][rows[0].index("cvss")] == ""
 
@@ -470,7 +476,7 @@ class TestInputFiles:
 
     def test_lexicon_phrase_with_comma_is_one_cell(self, lexicon_run):
         _, out = lexicon_run
-        rows = list(csv.reader((out / "keyword_counts.csv").open(encoding="utf-8")))
+        rows = csv_rows(out / "keyword_counts.csv", encoding="utf-8")
         assert {len(row) for row in rows} == {len(rows[0])} == {2}
         assert "remote code, execution" in {row[0] for row in rows}
         assert main(["plot", "--which", "keywords", "--out", str(out)]) == 0
@@ -514,9 +520,9 @@ class TestInputFiles:
 
 TINY = 5e-324  # the smallest positive float
 
-# Each config key's values just inside its rule, then just outside it. knn.k is drawn within the
-# boundary feed's 28 training rows, and ensemble.sample_fraction at 0.25 of them rather than near 0:
-# a resample of a row or two keeps one class, and ensembles ends in a named error.
+# Each config key's values just inside its rule, then just outside it. ensemble.sample_fraction is
+# drawn at 0.25 of the boundary feed's 28 training rows rather than near 0: a resample of a row or two
+# keeps one class, and ensembles ends in a named error.
 BOUNDARIES = {
     "seed": ([0], [-1, True]),
     "tfidf.ngram_lo": ([1], [0, 1.0]),
@@ -532,7 +538,7 @@ BOUNDARIES = {
     "tree.min_samples_leaf": ([1], [0]),
     "forest.n_trees": ([1], [0]),
     "forest.features_per_split": ([TINY, 1.0, "sqrt", None], [0.0, math.nextafter(1.0, 2.0), "log2"]),
-    "knn.k": ([1, 28], [0]),
+    "knn.k": ([1, 28, 29, 10**6], [0]),
     "net.embedding_dim": ([1], [0]),
     "net.max_len": ([1], [0]),
     "net.vocab_cap": ([1], [0]),
@@ -545,7 +551,7 @@ BOUNDARIES = {
     "net.batch": ([1], [0]),
     "net.lr": ([TINY], [0.0]),
     "ensemble.members": ([2], [1]),
-    "ensemble.sample_fraction": ([0.25], [0.0]),
+    "ensemble.sample_fraction": ([0.25, 1.0, math.nextafter(1.0, 2.0)], [0.0]),
     "ensemble.with_replacement": ([False], [0]),
     "ensemble.folds": ([2], [1]),
     "ensemble.instance_c": ([[TINY, TINY]], [[1.0], [1.0, 0.0]]),
@@ -759,6 +765,22 @@ class TestConfigFile:
         assert err == f"error: config key {named}\n"
         assert not (tmp_path / "o").exists()
 
+    def test_subsample_fraction_above_one_names_both_keys(self, tmp_path, synthetic_csv, capsys):
+        from sevtriage.config import load_config
+
+        cfg = tmp_path / "bad.json"
+        ensemble = {"with_replacement": False, "sample_fraction": 1.5}
+        cfg.write_text(json.dumps({"data": str(synthetic_csv), "ensemble": ensemble}))
+        assert main(["ensembles", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            "error: config key 'ensemble.sample_fraction' must be at most 1 when "
+            "'ensemble.with_replacement' is false, got 1.5\n"
+        )
+        assert not (tmp_path / "o").exists()
+        for ensemble in ({"with_replacement": False, "sample_fraction": 1.0}, {"sample_fraction": 1.5}):
+            cfg.write_text(json.dumps({"ensemble": ensemble}))  # a whole subsample, or a resample of more rows than n
+            assert load_config(str(cfg))["ensemble"]["sample_fraction"] == ensemble["sample_fraction"]
+
     @pytest.mark.parametrize(
         "values",
         [
@@ -797,8 +819,8 @@ class TestConfigFile:
             load_config(str(cfg))
         except ConfigError as exc:
             named = re.match(r"config key '([^']+)' must be ", str(exc)).group(1)
-            # a value outside its rule is named; with none, only a key below the key it must reach is
-            assert named == broken if broken else (named in values and " must be >= " in str(exc))
+            # a value outside its rule is named; with none, only a key that breaks a cross-key rule is
+            assert named == broken if broken else (named in values and re.search(r" must be (>=|at most)", str(exc)))
             return
         assert broken is None
         out = work / "out"
@@ -808,6 +830,18 @@ class TestConfigFile:
         with open(out / "models_table.csv", newline="") as fh:
             statuses = {row["model"]: row["status"] for row in csv.DictReader(fh)}
         assert statuses == {**dict.fromkeys(statuses, "ok"), "lstm": "out of scope"}
+
+    def test_knn_k_above_the_training_rows_scores_as_k_at_them(self, tmp_path, boundary_feed):
+        knn_rows = {}
+        for k in (28, 29):  # the boundary feed trains on 28 rows
+            cfg = tmp_path / f"k{k}.json"
+            cfg.write_text(json.dumps({"knn": {"k": k}}))
+            out = tmp_path / f"k{k}"
+            argv = ["benchmark-models", "--config", str(cfg), "--data", str(boundary_feed), "--out", str(out)]
+            assert main([*argv, "--n-trees", "3", "--epochs", "1"]) == 0
+            knn_rows[k] = next(row for row in csv_rows(out / "models_table.csv") if row[0] == "knn")
+        assert knn_rows[29][-1] == "ok"
+        assert knn_rows[29] == knn_rows[28]
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

@@ -26,7 +26,7 @@ def _rec(cve_id=None, vendor="V", description=""):
 
 def keyword_flags(description: str, lexicon: KeywordLexicon) -> np.ndarray:
     """Row-at-a-time oracle: flag i is 1 iff phrase i occurs as a contiguous token run."""
-    flags = np.zeros(len(lexicon), dtype=np.int64)
+    flags = np.zeros(len(lexicon.phrases), dtype=np.int64)
     flags[features.keyword_hits(features.tokenize(description), lexicon)] = 1
     return flags
 
@@ -136,7 +136,7 @@ class TestKeywordFrequencies:
     def test_assembled_matrix_counts_match_descriptions(self, synthetic_dataset):
         records = synthetic_dataset.train_records()
         builder = FeatureBuilder().fit(records)
-        counts = [0] * len(builder.lexicon)
+        counts = [0] * len(builder.lexicon.phrases)
         for r in records:
             for i in features.keyword_hits(features.tokenize(r.description), builder.lexicon):
                 counts[i] += 1
@@ -257,7 +257,7 @@ class TestAssemble:
     def test_single_block_identity(self):
         arr = np.arange(12.0).reshape(3, 4)
         out = grouped_matrix(self._part(arr, "vendor"))
-        assert np.array_equal(out.to_dense(), arr)
+        assert np.array_equal(features.as_dense(out), arr)
         assert out.names == tuple(f"vendor__c{j}" for j in range(4))
 
     def test_row_mismatch_raises(self):
@@ -387,14 +387,14 @@ def _reference_matrix(builder: FeatureBuilder, records) -> tuple[np.ndarray, tup
                 ]
             )
         )
-    width = len(enc.categories) + 1 + len(lex) + len(model.vocabulary)
+    width = len(enc.categories) + 1 + len(lex.phrases) + len(model.vocabulary)
     dense = np.array(rows, dtype=np.float64).reshape(len(records), width)
     names = (
         tuple(f"vendor__{v}" for v in enc.categories)
         + tuple(f"indicator__{p}" for p in ("has_cve",) + lex.phrases)
         + tuple(f"text__{t}" for t in model.names)
     )
-    groups = ("vendor",) * len(enc.categories) + ("indicator",) * (1 + len(lex)) + ("text",) * len(model.vocabulary)
+    groups = ("vendor",) * len(enc.categories) + ("indicator",) * (1 + len(lex.phrases)) + ("text",) * len(model.vocabulary)
     return dense, names, groups
 
 
@@ -469,7 +469,7 @@ class TestOnePassTransform:
         )
         X = builder.transform(test)
         dense, names, groups = _reference_matrix(builder, test)
-        assert np.array_equal(X.to_dense(), dense)
+        assert np.array_equal(features.as_dense(X), dense)
         assert (X.names, X.groups) == (names, groups)
         assert X.data.indices.dtype == np.int32 and X.data.indptr.dtype == np.int32
         assert X.data.has_sorted_indices and X.data.data.all()
@@ -483,7 +483,7 @@ class TestOnePassTransform:
         lexicon = KeywordLexicon(("aa bb", "bb cc", "aa bb cc dd", "cc"))
         builder = FeatureBuilder(lexicon).fit([_rec(description="aa bb cc")])
         X = builder.transform([_rec(description="aa bb cc dd aa bb"), _rec(description="bb aa cc")])
-        flags = X.select_groups(["indicator"]).to_dense()[:, 1:]
+        flags = features.as_dense(X.select_groups(["indicator"]))[:, 1:]
         assert flags.tolist() == [[1, 1, 1, 1], [0, 0, 0, 1]]
 
     def test_empty_batch(self):

