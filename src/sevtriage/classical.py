@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, FitError, ShapeError
-from .features import as_dense, as_labels, as_matrix, check_width
+from .features import as_count, as_dense, as_labels, as_matrix, check_width
 from .seeds import substream
 
 
@@ -157,12 +157,12 @@ def top_coefficients(
 ) -> tuple[list[tuple[str, float]], list[tuple[str, float]]]:
     """The n most positive and n most negative weights with their names.
 
-    Positive weights push predictions toward the high-severity class.
+    Positive weights push predictions toward the high-severity class; n is an ``as_count`` count.
     """
     if len(names) != len(model.weights):
         raise ShapeError(f"{len(names)} names for {len(model.weights)} weights")
     order = np.argsort(model.weights, kind="stable")
-    n = min(n, len(names))
+    n = as_count(n, len(names), "n")
     top_pos = [(names[j], float(model.weights[j])) for j in order[::-1][:n]]
     top_neg = [(names[j], float(model.weights[j])) for j in order[:n]]
     return top_pos, top_neg
@@ -400,11 +400,10 @@ class KnnModel:
 
 
 def train_knn(X, y, k: int = 5) -> KnnModel:
-    """Memorize the training set for majority voting over the k nearest rows; a k above the rows is clamped to them."""
+    """Memorize the training set for majority voting over the k nearest rows (``as_count`` clamps k to them)."""
     mat = as_dense(X)
     y = as_labels(y, mat.shape[0])
-    if k < 1:
-        raise ConfigError(f"k={k} must be at least 1")
+    k = as_count(k, len(y))
     if not len(y):
         raise FitError("cannot fit KNN on an empty dataset")
-    return KnnModel(mat, y, min(k, len(y)))
+    return KnnModel(mat, y, k)

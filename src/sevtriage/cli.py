@@ -280,12 +280,12 @@ def cmd_predict(cfg: dict, model_path: str, input_path: str) -> int:
 
 def _activations_chart(rows, net: str) -> str:
     if net == "ffnn":
-        return plots.heatmap_chart([[float(r[1]) for r in rows]], "merge-layer activations (64 units)", "sample", "unit")
+        return plots.heatmap_chart([[float(r[1]) for r in rows]], f"merge-layer activations ({len(rows)} units)", "sample", "unit")
     grid: dict[int, dict[int, float]] = {}
     for r in rows:
         grid.setdefault(int(r[0]), {})[int(r[1])] = float(r[2])
     matrix = [[grid[f][p] for p in sorted(grid[f])] for f in sorted(grid)]
-    return plots.heatmap_chart(matrix, "convolution feature maps (first 8 filters)", "filter", "position")
+    return plots.heatmap_chart(matrix, f"convolution feature maps (first {len(matrix)} filters)", "filter", "position")
 
 
 def _plot_kinds(model_name: str, net: str) -> dict:
@@ -333,10 +333,13 @@ def cmd_plot(cfg: dict, which: str, model_name: str = "logistic_regression", net
     source = out / source_name
     if not source.exists():
         raise TriageError(f"missing prerequisite artifact: {source} (run the producing command first)")
-    with open(source, "r", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))[1:]
+    try:
+        with open(source, "r", encoding="utf-8") as fh:
+            svg = chart(list(csv.reader(fh))[1:])
+    except (ValueError, LookupError, ArithmeticError, csv.Error) as exc:
+        raise TriageError(f"malformed plot source {source}: {exc}") from None
     target = out / target_name
-    _write(target, chart(rows))
+    _write(target, svg)
     print(f"wrote {target}")
     return 0
 

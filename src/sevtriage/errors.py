@@ -39,10 +39,6 @@ class FitError(TriageError):
     """A model cannot be fitted on the given data."""
 
 
-class RankError(TriageError):
-    """Requested component count exceeds what the data supports."""
-
-
 class DomainError(TriageError):
     """Input values fall outside the valid domain of an operation."""
 

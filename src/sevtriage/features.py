@@ -23,7 +23,7 @@ at fit and at load), so names are not rebuilt per call.
 
 Every learner reads its input through the rules here: a matrix through
 :func:`as_matrix` or its dense form :func:`as_dense`, labels through
-:func:`as_labels` and a fitted width through :func:`check_width`.
+:func:`as_labels`, a fitted width through :func:`check_width` and a count through :func:`as_count`.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from __future__ import annotations
 import io
 import itertools
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -189,6 +190,16 @@ def check_width(mat, expected: int) -> None:
         raise ShapeError(f"matrix width {mat.shape[-1]} != fitted width {expected}")
 
 
+def as_count(k, limit: int, name: str = "k") -> int:
+    """``min(k, limit)``, ``limit`` being how many the data holds (it may be 0): the one count rule.
+
+    A ``k`` that is not an integer >= 1 (a bool is not one) is a ConfigError naming ``name``.
+    """
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+        raise ConfigError(f"{name} must be an integer >= 1, got {k!r}")
+    return min(int(k), limit)
+
+
 # ---------------------------------------------------------------------------
 # Blocks and their assembly
 
@@ -274,13 +285,12 @@ class KeywordLexicon:
 
     @classmethod
     def from_file(cls, path) -> "KeywordLexicon":
-        """One phrase per line, decoded like the data CSV (see :func:`corpus.decode_utf8`)."""
+        """One phrase per line, decoded like the data CSV (see :func:`corpus.decode_utf8`); each error names the file."""
         try:
-            text = decode_utf8(Path(path).read_bytes())
-        except RowError as exc:
+            lines = io.StringIO(decode_utf8(Path(path).read_bytes()), newline=None)
+            return cls(tuple(line.strip().lower() for line in lines if line.strip()))
+        except (RowError, ConfigError) as exc:
             raise ConfigError(f"lexicon file {path}: {exc}") from None
-        lines = io.StringIO(text, newline=None)
-        return cls(tuple(line.strip().lower() for line in lines if line.strip()))
 
 
 def cve_flag(record: DisclosureRecord) -> int:
@@ -310,13 +320,13 @@ def keyword_frequencies(X: FeatureMatrix, lexicon: KeywordLexicon, top_k: int = 
     """Phrases ranked by how many rows of ``X`` flag them.
 
     ``X`` holds ``lexicon``'s indicator block, whose 0/1 phrase flags
-    follow ``has_cve``. Descending by count, ties alphabetical; at most
-    ``top_k`` entries.
+    follow ``has_cve``. Descending by count, ties alphabetical; the first
+    ``top_k`` entries, a count read by :func:`as_count`.
     """
     flags = X.select_groups(["indicator"]).data[:, 1:]
     counts = np.asarray(flags.sum(axis=0), dtype=np.int64).ravel().tolist()
     ranked = sorted(zip(lexicon.phrases, counts), key=lambda kv: (-kv[1], kv[0]))
-    return ranked[: max(0, top_k)]
+    return ranked[: as_count(top_k, len(ranked), "top_k")]
 
 
 def indicator_names(lexicon: KeywordLexicon) -> tuple[str, ...]:
@@ -409,8 +419,8 @@ def fit_tfidf(
 
     idf(t) = ln((1 + N) / (1 + df(t))) + 1 with N the number of training
     documents and df(t) the number containing term t. When the vocabulary
-    exceeds ``max_features`` it is capped to the terms with the highest
-    total corpus count (ties alphabetical). Column order is alphabetical.
+    exceeds ``max_features`` (an :func:`as_count` count) it is capped to the
+    terms with the highest total corpus count (ties alphabetical). Column order is alphabetical.
     """
     if not texts:
         raise FitError("cannot fit TF-IDF on an empty corpus")
@@ -426,8 +436,8 @@ def fit_tfidf(
         for g in set(grams):
             df[g] = df.get(g, 0) + 1
     terms = sorted(df)
-    if max_features and len(terms) > max_features:
-        terms = sorted(terms, key=lambda t: (-total[t], t))[:max_features]
+    if (cap := as_count(max_features, len(terms), "max_features")) < len(terms):
+        terms = sorted(terms, key=lambda t: (-total[t], t))[:cap]
         terms.sort()
     vocabulary = {t: j for j, t in enumerate(terms)}
     n_docs = len(texts)

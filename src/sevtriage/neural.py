@@ -23,7 +23,7 @@ import numpy as np
 
 from .classical import _sigmoid
 from .errors import ConfigError, ShapeError, TrainingDivergedError
-from .features import as_dense, as_labels, check_width, tokenize
+from .features import as_count, as_dense, as_labels, check_width, tokenize
 from .seeds import substream
 
 
@@ -48,15 +48,15 @@ def build_sequences(texts: Sequence[str], max_len: int = 64, vocab_cap: int = 30
     """Build the vocabulary from training texts and encode them.
 
     Tokens are ranked by training frequency (most frequent gets id 1,
-    ties alphabetical) and capped at ``vocab_cap``. Out-of-vocabulary
-    tokens are dropped; rows are truncated or right-padded to max_len.
+    ties alphabetical) and capped at ``vocab_cap``, an ``as_count`` count.
+    Out-of-vocabulary tokens are dropped; rows are truncated or right-padded to max_len.
     """
     tokens = [tokenize(text) for text in texts]
     freq: dict[str, int] = {}
     for toks in tokens:
         for tok in toks:
             freq[tok] = freq.get(tok, 0) + 1
-    ranked = sorted(freq, key=lambda t: (-freq[t], t))[:vocab_cap]
+    ranked = sorted(freq, key=lambda t: (-freq[t], t))[: as_count(vocab_cap, len(freq), "vocab_cap")]
     vocabulary = {tok: i + 1 for i, tok in enumerate(ranked)}
     return PaddedSequences(_encode(tokens, vocabulary, max_len), vocabulary, max_len)
 

@@ -84,10 +84,6 @@ class FeatureBuilder:
         )
 
 
-def _clamped(k: int, *limits: int) -> int:
-    return max(1, min(k, *limits))
-
-
 class LrFeaturePipeline:
     """Logistic regression over one of six feature-engineering variants.
 
@@ -121,8 +117,7 @@ class LrFeaturePipeline:
         structured = X.select_groups(["vendor", "indicator"]).data
         if self.mode in ("svd", "pca", "lda"):
             if fit:
-                k = _clamped(self.svd_k, text.n_rows, text.n_cols)
-                self.svd = reduction.fit_truncated_svd(text, k=k, seed=substream(self.seed, "svd"))
+                self.svd = reduction.fit_truncated_svd(text, k=self.svd_k, seed=substream(self.seed, "svd"))
             return sp.hstack([structured, sp.csr_matrix(reduction.project_svd(self.svd, text))], format="csr")
         # chi2 / mi keep a subset of text columns
         if fit:
@@ -136,7 +131,7 @@ class LrFeaturePipeline:
             return X
         dense = features.as_dense(X)
         if fit and self.mode == "pca":
-            self.projector = reduction.fit_pca(dense, k=_clamped(self.pca_k, dense.shape[0] - 1, dense.shape[1]))
+            self.projector = reduction.fit_pca(dense, k=self.pca_k)
         elif fit:
             self.projector = reduction.fit_lda(dense, labels)
         project = reduction.project_pca if self.mode == "pca" else reduction.project_lda

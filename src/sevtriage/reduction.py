@@ -2,7 +2,7 @@
 
 The SVD reads its matrix through ``features.as_matrix``, keeping the text block sparse;
 PCA and LDA densify theirs through ``features.as_dense``. LDA takes labels through
-``features.as_labels`` and each projection checks widths through ``features.check_width``,
+``features.as_labels``, widths through ``features.check_width`` and counts through ``features.as_count``,
 as every learner does. Fitted models are immutable; independent fits may run concurrently.
 """
 
@@ -14,8 +14,8 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import FitError, RankError, ShapeError
-from .features import as_dense, as_labels, as_matrix, check_width
+from .errors import FitError, ShapeError
+from .features import as_count, as_dense, as_labels, as_matrix, check_width
 
 # Exact dense SVD below this size; randomized range finder above it.
 _EXACT_SVD_LIMIT = 512
@@ -77,16 +77,16 @@ def _randomized_top_k(X, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def fit_truncated_svd(X, k: int = 100, seed: int = 0) -> SvdModel:
-    """Top-k right singular subspace of X (rows of ``components``).
+    """Top-k right singular subspace of X (rows of ``components``), k clamped to min(n, d).
 
     Uses an exact dense SVD when min(n, d) is small, otherwise a seeded
     randomized range finder with power iterations; either way the result
-    is deterministic for a given seed.
+    is deterministic for a given seed. An empty matrix raises FitError.
     """
     mat = as_matrix(X)
     n, d = mat.shape
-    if k > min(n, d):
-        raise RankError(f"k={k} exceeds min(n, d)={min(n, d)}")
+    if (k := as_count(k, min(n, d))) < 1:
+        raise FitError(f"cannot fit an SVD on a {n}x{d} matrix")
     if min(n, d) <= _EXACT_SVD_LIMIT:
         _, s, vt = np.linalg.svd(as_dense(mat), full_matrices=False)
     else:
@@ -111,15 +111,16 @@ def top_terms_per_component(
 ) -> list[list[tuple[str, float]]]:
     """Per component, the terms with the largest |loading|, descending.
 
-    Ties go to the lower column index; the component count clamps to k.
+    Ties go to the lower column index; ``as_count`` clamps ``components`` to k and ``terms`` to the vocabulary.
     """
     if len(vocabulary) != svd.components.shape[1]:
         raise ShapeError(f"{len(vocabulary)} terms for width {svd.components.shape[1]}")
+    terms = as_count(terms, len(vocabulary), "terms")
     out = []
-    for row in svd.components[: min(components, svd.k)]:
+    for row in svd.components[: as_count(components, svd.k, "components")]:
         mag = np.abs(row)
         order = np.lexsort((np.arange(len(row)), -mag))
-        out.append([(vocabulary[j], float(row[j])) for j in order[: min(terms, len(row))]])
+        out.append([(vocabulary[j], float(row[j])) for j in order[:terms]])
     return out
 
 
@@ -139,11 +140,11 @@ class PcaModel:
 
 
 def fit_pca(X, k: int) -> PcaModel:
-    """Mean-centered principal directions via SVD of the centered matrix."""
+    """Mean-centered principal directions, k clamped to min(n - 1, d); under 2 rows or no columns is a FitError."""
     X = as_dense(X)
     n, d = X.shape
-    if k > min(n - 1, d):
-        raise RankError(f"k={k} exceeds min(n-1, d)={min(n - 1, d)}")
+    if (k := as_count(k, min(n - 1, d))) < 1:
+        raise FitError(f"cannot fit PCA on a {n}x{d} matrix")
     mean = X.mean(axis=0)
     centered = X - mean
     _, s, vt = np.linalg.svd(centered, full_matrices=False)

@@ -4,7 +4,8 @@ Chi-square compares per-class feature mass against class-prior
 expectations; mutual information binarizes each feature by nonzero
 presence and measures the information its presence carries about the
 label. Both are deterministic, trivially parallel per feature, and take
-labels through ``features.as_labels``, as every learner does.
+labels through ``features.as_labels``, as every learner does; the top-k
+readers take their count through ``features.as_count``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DomainError, ShapeError
-from .features import FeatureMatrix, as_labels, as_matrix
+from .features import FeatureMatrix, as_count, as_labels, as_matrix
 
 
 @dataclass(frozen=True)
@@ -98,20 +99,14 @@ def mutual_info_scores(X, y) -> FeatureScores:
 
 
 def select_top_k(scores: FeatureScores, k: int = 300) -> list[int]:
-    """Indices of the k largest scores (ties to the lower index), sorted.
-
-    k is clamped to the number of features.
-    """
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
+    """Indices of the k largest scores (ties to the lower index), sorted; k is read by ``as_count``."""
     d = len(scores.scores)
-    k = min(k, d)
     order = np.lexsort((np.arange(d), -scores.scores))
-    return sorted(int(j) for j in order[:k])
+    return sorted(int(j) for j in order[: as_count(k, d)])
 
 
 def top_scored_terms(scores: FeatureScores, n: int = 20) -> list[tuple[str, float]]:
-    """The n highest-scoring terms with their scores, descending."""
+    """The n highest-scoring terms with their scores, descending; n is read by ``as_count``."""
     d = len(scores.names)
     order = np.lexsort((np.arange(d), -scores.scores))
-    return [(scores.names[j], float(scores.scores[j])) for j in order[: min(n, d)]]
+    return [(scores.names[j], float(scores.scores[j])) for j in order[: as_count(n, d, "n")]]

@@ -360,6 +360,33 @@ class TestPlot:
         assert rc != 0
         assert "explained_variance.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args, source, content",
+        [
+            (["roc", "--model-name", "knn"], "roc_knn.csv", "fpr,tpr\n0.1,abc\n"),
+            (["roc", "--model-name", "knn"], "roc_knn.csv", "fpr,tpr\n"),
+            (["roc", "--model-name", "knn"], "roc_knn.csv", "fpr\n0.1\n"),
+            (["activations", "--net", "ffnn"], "activations_ffnn_merge64.csv", "unit,activation\n"),
+            (["pca_scatter"], "pca_scatter.csv", "pc1,pc2,label\n0.1,0.2,7\n"),
+        ],
+        ids=["not-a-number", "header-only", "one-column", "no-units", "not-a-class"],
+    )
+    def test_malformed_source_is_one_error_line_and_no_svg(self, tmp_path, capsys, args, source, content):
+        (tmp_path / source).write_text(content)
+        assert main(["plot", "--which", *args, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed plot source {tmp_path / source}: ") and err.count("\n") == 1
+        assert not list(tmp_path.glob("*.svg"))
+
+    def test_activation_titles_count_the_rows(self, tmp_path):
+        (tmp_path / "activations_ffnn_merge64.csv").write_text("unit,activation\n" + "".join(f"{i},0.5\n" for i in range(16)))
+        cells = "".join(f"{f},{p},0.5\n" for f in range(4) for p in range(3))
+        (tmp_path / "activations_cnn_filters.csv").write_text("filter,position,activation\n" + cells)
+        for net in ("ffnn", "cnn"):
+            assert main(["plot", "--which", "activations", "--net", net, "--out", str(tmp_path)]) == 0
+        assert "merge-layer activations (16 units)" in (tmp_path / "plot_activations_ffnn.svg").read_text()
+        assert "convolution feature maps (first 4 filters)" in (tmp_path / "plot_activations_cnn.svg").read_text()
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("command", ["benchmark-models", "ensembles"])
@@ -488,6 +515,22 @@ class TestInputFiles:
         assert main(["benchmark-features", *args]) == 1
         err = capsys.readouterr().err
         assert f"lexicon file {lexicon}: line 2: not valid UTF-8 (byte 0xff)" in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("one two three four five\n", "phrase 'one two three four five' must be 1-4 tokens, got 5"),
+            ("\n  \n", "lexicon must not be empty"),
+            ("xss\nXSS\n", "lexicon phrases must be unique"),
+        ],
+        ids=["long-phrase", "empty", "repeated"],
+    )
+    def test_lexicon_construction_error_names_file(self, tmp_path, synthetic_csv, capsys, text, message):
+        lexicon = tmp_path / "lexicon.txt"
+        lexicon.write_text(text)
+        args = ["--data", str(synthetic_csv), "--out", str(tmp_path / "o"), "--lexicon", str(lexicon)]
+        assert main(["benchmark-features", *args]) == 1
+        assert capsys.readouterr().err == f"error: lexicon file {lexicon}: {message}\n"
 
     def test_config_bom_is_skipped(self, tmp_path, synthetic_csv):
         cfg = tmp_path / "run.json"

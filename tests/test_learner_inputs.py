@@ -1,8 +1,9 @@
 """One input check for every learner: each entry point that reads a matrix
 takes it through the one matrix rule, ``features.as_matrix`` or its dense
 form ``features.as_dense``; each that reads labels takes them through
-``features.as_labels``; and each fitted predictor and projector checks its
-input width through ``features.check_width``."""
+``features.as_labels``; each fitted predictor and projector checks its
+input width through ``features.check_width``; and each that takes a count
+reads it through ``features.as_count``."""
 
 import copy
 
@@ -13,7 +14,7 @@ import scipy.sparse as sp
 from sevtriage import classical, corpus, ensembles, evaluation, features, neural, pipelines, reduction, selection
 from sevtriage.cli import _pca_scatter_points
 from sevtriage.config import load_config
-from sevtriage.errors import DomainError, ShapeError
+from sevtriage.errors import ConfigError, DomainError, FitError, ShapeError
 from tests.conftest import grouped_matrix
 
 LABELS = [0, 0, 1, 1]
@@ -227,3 +228,57 @@ def test_the_feature_matrix_readers_densify_by_the_rule():
     proj = pca.transform(text).toarray()
     rows = [(f"{a:.6f}", f"{b:.6f}", y) for (a, b, *_), y in zip(proj, LABELS)]
     assert _pca_scatter_points(pca, text, LABELS) == rows
+
+
+# ---------------------------------------------------------------------------
+# The count rule
+
+LEXICON = features.KeywordLexicon(("remote code", "buffer overflow", "typo"))
+FLAGS = grouped_matrix(
+    (np.array([[0, 1, 0, 0], [0, 0, 0, 1], [1, 1, 1, 0], [0, 0, 0, 0]]), features.indicator_names(LEXICON), "indicator")
+)
+SVD = reduction.fit_truncated_svd(X, k=3)
+SCORES = selection.chi2_scores(X, LABELS)
+LOGREG = classical.train_logreg(X, LABELS)
+
+# Each count-taking entry point: the parameter it names, the most the data
+# holds of it, and a call on the count.
+COUNT_ENTRY_POINTS = {
+    "fit_truncated_svd": ("k", 3, lambda k: reduction.fit_truncated_svd(X, k=k).components),
+    "fit_pca": ("k", 3, lambda k: reduction.fit_pca(X, k=k).components),
+    "top_terms_per_component(components)": ("components", 3, lambda c: reduction.top_terms_per_component(SVD, NAMES, components=c)),
+    "top_terms_per_component(terms)": ("terms", 3, lambda t: reduction.top_terms_per_component(SVD, NAMES, terms=t)),
+    "select_top_k": ("k", 3, lambda k: selection.select_top_k(SCORES, k=k)),
+    "top_scored_terms": ("n", 3, lambda n: selection.top_scored_terms(SCORES, n=n)),
+    "train_knn": ("k", N, lambda k: classical.train_knn(X, LABELS, k=k).predict_proba(X)),
+    "top_coefficients": ("n", 3, lambda n: classical.top_coefficients(LOGREG, NAMES, n=n)),
+    "keyword_frequencies": ("top_k", 3, lambda k: features.keyword_frequencies(FLAGS, LEXICON, top_k=k)),
+    "fit_tfidf": ("max_features", 15, lambda m: features.fit_tfidf(TEXTS, max_features=m).vocabulary),
+    "build_sequences": ("vocab_cap", 9, lambda c: neural.build_sequences(TEXTS, max_len=4, vocab_cap=c).vocabulary),
+}
+
+
+def same(a, b) -> bool:
+    return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+
+@pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+class TestCountRule:
+    @pytest.mark.parametrize("count", [-1, 0, 1.5, True])
+    def test_a_count_that_is_not_an_integer_of_at_least_1_is_a_config_error(self, entry, count):
+        name, _, call = COUNT_ENTRY_POINTS[entry]
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer >= 1, got {count!r}$"):
+            call(count)
+
+    def test_a_count_above_the_limit_is_clamped_to_it(self, entry):
+        _, limit, call = COUNT_ENTRY_POINTS[entry]
+        at_limit = call(limit)
+        assert same(call(limit + 1), at_limit) and same(call(np.int64(10**6)), at_limit)
+        assert not same(call(limit - 1), at_limit)
+
+
+def test_the_reducers_refuse_data_that_supports_no_component():
+    with pytest.raises(FitError, match="cannot fit an SVD on a 0x3 matrix"):
+        reduction.fit_truncated_svd(np.zeros((0, 3)), k=1)
+    with pytest.raises(FitError, match="cannot fit PCA on a 1x3 matrix"):
+        reduction.fit_pca(X[:1], k=1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sevtriage import reduction
-from sevtriage.errors import FitError, RankError, ShapeError
+from sevtriage.errors import FitError, ShapeError
 from tests.conftest import grouped_matrix
 
 
@@ -33,9 +33,8 @@ class TestTruncatedSvd:
         svd = reduction.fit_truncated_svd(X, k=2, seed=0)
         assert np.allclose(reduction.project_svd(svd, np.zeros((1, 5))), 0.0)
 
-    def test_k_exceeding_rank_dimension_raises(self):
-        with pytest.raises(RankError):
-            reduction.fit_truncated_svd(np.ones((3, 5)), k=4)
+    def test_k_exceeding_rank_dimension_is_clamped(self):
+        assert reduction.fit_truncated_svd(np.ones((3, 5)), k=4).k == 3
 
     def test_orthonormal_components(self):
         rng = np.random.default_rng(1)
@@ -174,9 +173,8 @@ class TestPca:
         angles = np.arccos(np.clip(np.linalg.svd(overlap, compute_uv=False), -1, 1))
         assert np.all(angles < 1e-6)
 
-    def test_k_too_large_raises(self):
-        with pytest.raises(RankError):
-            reduction.fit_pca(np.random.default_rng(0).random((4, 6)), k=4)
+    def test_k_too_large_is_clamped(self):
+        assert reduction.fit_pca(np.random.default_rng(0).random((4, 6)), k=4).k == 3
 
 
 class TestLda:

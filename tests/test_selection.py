@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sevtriage import selection
-from sevtriage.errors import DomainError
+from sevtriage.errors import ConfigError, DomainError
 from tests.conftest import grouped_matrix
 
 
@@ -150,7 +150,7 @@ class TestSelectTopK:
             assert len(got) == min(k, 5)
 
     def test_k_below_one_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError, match="k must be an integer >= 1, got 0"):
             selection.select_top_k(self._scores([1.0]), k=0)
 
 
