@@ -4,14 +4,15 @@ All four models share the same surface: a train_* function returning an
 immutable model whose ``predict_proba`` gives P(class 1) per row. As for
 every learner, matrices go through ``features.as_matrix`` (the logistic
 regression's, CSR or dense as given) or ``features.as_dense`` (the tree,
-forest and KNN), labels through ``features.as_labels`` and widths
-through ``features.check_width``. The
-logistic regression trains by full-batch gradient descent with a
-backtracking line search, so its loss never increases; each accepted
-point's logits are reused by the next gradient. Trees search midpoint
-splits exactly; the forest averages bootstrap trees; KNN memorizes and
-votes. Models carry no serializers: the one model a command saves, the
-logistic regression, is written and read by ``pipelines.ScoringArtifact``.
+forest and KNN), labels through ``features.as_labels``, widths through
+``features.check_width`` and keyword hyperparameters through
+``config.check``, by their config keys' rules. The logistic regression
+trains by full-batch gradient descent with a backtracking line search,
+so its loss never increases; each accepted point's logits are reused by
+the next gradient. Trees search midpoint splits exactly; the forest
+averages bootstrap trees; KNN memorizes and votes. Models carry no
+serializers: the one model a command saves, the logistic regression, is
+written and read by ``pipelines.ScoringArtifact``.
 
 A tree grows depth-first on arrays of row indices into one dense
 (features x rows) matrix, never copying a node's rows. The forest
@@ -39,7 +40,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, FitError, ShapeError
+from .config import check
+from .errors import FitError, ShapeError
 from .features import as_count, as_dense, as_labels, as_matrix, check_width
 from .seeds import substream
 
@@ -115,8 +117,7 @@ def train_logreg(X, y, C: float = 1.0, max_iter: int = 1000, tol: float = 1e-6) 
     transpose is made once, and the logits of each accepted point are
     kept for the next step's gradient.
     """
-    if C <= 0:
-        raise ConfigError(f"C must be positive, got {C}")
+    check("logreg", C=C, max_iter=max_iter, tol=tol)
     mat = as_matrix(X)
     y = as_labels(y, mat.shape[0]).astype(np.float64)
     if len(np.unique(y)) < 2:
@@ -294,6 +295,7 @@ def train_tree(
     Plain trees ignore them. Growth reads the transposed (features x rows)
     matrix, which is a view without a copy when ``X`` is column-major.
     """
+    check("tree", max_depth=max_depth, min_samples_leaf=min_samples_leaf)
     mat = as_dense(X)
     y = as_labels(y, mat.shape[0])
     rows = np.arange(len(y)) if _rows is None else _rows
@@ -326,14 +328,9 @@ class ForestModel:
 
 
 def _mtry(features_per_split, d: int) -> int:
-    if features_per_split is None:
-        return d
     if features_per_split == "sqrt":
         return max(1, int(math.sqrt(d)))
-    frac = float(features_per_split)
-    if not 0 < frac <= 1:
-        raise ConfigError(f"features_per_split fraction must be in (0, 1], got {frac}")
-    return max(1, int(round(frac * d)))
+    return d if features_per_split is None else max(1, int(round(features_per_split * d)))
 
 
 def train_forest(
@@ -354,8 +351,7 @@ def train_forest(
     as the root's rows, so no tree copies its sample. The trees grow in
     tree order in the calling process.
     """
-    if n_trees < 1:
-        raise ConfigError(f"n_trees must be >= 1, got {n_trees}")
+    check("forest", n_trees=n_trees, features_per_split=features_per_split)
     mat = as_dense(X, order="F")
     n, d = mat.shape
     y = as_labels(y, n)

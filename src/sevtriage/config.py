@@ -4,15 +4,13 @@ The config file is a nested JSON object mirroring ``DEFAULTS``. Each key
 is written once, in ``_KEYS``, with its default and its rule; unknown
 keys, and values that break their key's rule, are rejected early so
 mistakes fail loudly instead of silently using a default or crashing
-later. Once every key keeps its own rule, a few keys must be at least
-another key (``net.max_len`` at least ``net.kernel_width``,
-``tfidf.ngram_hi`` at least ``tfidf.ngram_lo``), and
-``ensemble.sample_fraction`` must be at most 1 when
-``ensemble.with_replacement`` is false. Every number must be
-finite: NaN, Infinity and an integer beyond float range break every
-number rule. ``schema``'s keys must be field names, which the CSV
-parser checks. The same integer and number rules check the scoring
-artifact's entries. The output directory honors the SEVTRIAGE_OUT
+later. Once every key keeps its own rule, the rules between two keys of
+a section (``_PAIRS``) are checked. Every number must be finite: NaN,
+Infinity and an integer beyond float range break every number rule.
+``schema``'s keys must be field names, which the CSV parser checks. The
+learners check their keyword hyperparameters by the same rules, through
+:func:`check`, and the scoring artifact its entries by the same integer
+and number rules. The output directory honors the SEVTRIAGE_OUT
 environment variable unless a flag pins it.
 """
 
@@ -21,6 +19,8 @@ from __future__ import annotations
 import copy
 import json
 import math
+import numbers
+import operator
 import os
 from pathlib import Path
 from typing import Any, Mapping
@@ -32,20 +32,20 @@ OUT_ENV_VAR = "SEVTRIAGE_OUT"
 
 
 def _is_number(value) -> bool:
-    """True for an int or float that a float64 holds finitely: no bool, NaN, ±Infinity or int beyond ±1.8e308."""
+    """True for a real number, numpy's too, that a float64 holds finitely: no bool, NaN, ±Infinity or int beyond ±1.8e308."""
     try:
-        return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+        return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
     except OverflowError:  # an int too large for a float
         return False
 
 
 def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _list_of(holds, shortest: int = 0):
-    """A test that is true for a list of at least ``shortest`` items, each of which ``holds``."""
-    return lambda v: isinstance(v, list) and len(v) >= shortest and all(map(holds, v))
+    """A test that is true for a list (or tuple) of at least ``shortest`` items, each of which ``holds``."""
+    return lambda v: isinstance(v, (list, tuple)) and len(v) >= shortest and all(map(holds, v))
 
 
 def _positive_int(value) -> bool:
@@ -62,7 +62,7 @@ NUMBER = (_is_number, "a finite number")
 NUMBERS = (_list_of(_is_number), "a list of finite numbers")
 
 _NULL_OR_STRING = (lambda v: v is None or isinstance(v, str), "null or a string")
-_POSITIVE_INTEGER = (_positive_int, "a positive integer")
+POSITIVE_INTEGER = (_positive_int, "a positive integer")
 _POSITIVE_NUMBER = (_positive_number, "a positive number")
 _AT_LEAST_TWO = (lambda v: _is_int(v) and v >= 2, "an integer >= 2")
 _SECTION = (lambda v: isinstance(v, dict), "an object")
@@ -79,37 +79,37 @@ _KEYS: dict[str, Any] = {
     "seed": (42, (lambda v: _is_int(v) and v >= 0, "a non-negative integer")),
     "split": (0.2, (lambda v: _is_number(v) and 0 < v < 1, "a number in (0, 1)")),
     "tfidf": {
-        "ngram_lo": (1, _POSITIVE_INTEGER),
-        "ngram_hi": (2, _POSITIVE_INTEGER),
-        "max_features": (5000, _POSITIVE_INTEGER),
+        "ngram_lo": (1, POSITIVE_INTEGER),
+        "ngram_hi": (2, POSITIVE_INTEGER),
+        "max_features": (5000, POSITIVE_INTEGER),
     },
-    "svd": {"k": (100, _POSITIVE_INTEGER)},
-    "pca": {"k": (100, _POSITIVE_INTEGER)},
-    "select": {"k": (300, _POSITIVE_INTEGER)},
-    "logreg": {"C": (1.0, _POSITIVE_NUMBER), "max_iter": (1000, _POSITIVE_INTEGER), "tol": (1e-6, _POSITIVE_NUMBER)},
+    "svd": {"k": (100, POSITIVE_INTEGER)},
+    "pca": {"k": (100, POSITIVE_INTEGER)},
+    "select": {"k": (300, POSITIVE_INTEGER)},
+    "logreg": {"C": (1.0, _POSITIVE_NUMBER), "max_iter": (1000, POSITIVE_INTEGER), "tol": (1e-6, _POSITIVE_NUMBER)},
     "tree": {
         "max_depth": (None, (lambda v: v is None or _positive_int(v), "null or a positive integer")),
-        "min_samples_leaf": (1, _POSITIVE_INTEGER),
+        "min_samples_leaf": (1, POSITIVE_INTEGER),
     },
     "forest": {
-        "n_trees": (100, _POSITIVE_INTEGER),
+        "n_trees": (100, POSITIVE_INTEGER),
         "features_per_split": (
             "sqrt",
             (lambda v: v is None or v == "sqrt" or (_is_number(v) and 0 < v <= 1), "'sqrt', null or a number in (0, 1]"),
         ),
     },
-    "knn": {"k": (5, _POSITIVE_INTEGER)},
+    "knn": {"k": (5, POSITIVE_INTEGER)},
     "net": {
-        "embedding_dim": (64, _POSITIVE_INTEGER),
-        "max_len": (64, _POSITIVE_INTEGER),
-        "vocab_cap": (3000, _POSITIVE_INTEGER),
-        "conv_filters": (32, _POSITIVE_INTEGER),
-        "kernel_width": (3, _POSITIVE_INTEGER),
-        "tabular_hidden": (32, _POSITIVE_INTEGER),
+        "embedding_dim": (64, POSITIVE_INTEGER),
+        "max_len": (64, POSITIVE_INTEGER),
+        "vocab_cap": (3000, POSITIVE_INTEGER),
+        "conv_filters": (32, POSITIVE_INTEGER),
+        "kernel_width": (3, POSITIVE_INTEGER),
+        "tabular_hidden": (32, POSITIVE_INTEGER),
         "merge": ([64, 32], (_list_of(_positive_int, 1), "a non-empty list of positive integers")),
         "dropout": (0.3, (lambda v: _is_number(v) and 0 <= v < 1, "a number in [0, 1)")),
-        "epochs": (10, _POSITIVE_INTEGER),
-        "batch": (32, _POSITIVE_INTEGER),
+        "epochs": (10, POSITIVE_INTEGER),
+        "batch": (32, POSITIVE_INTEGER),
         "lr": (1e-3, _POSITIVE_NUMBER),
     },
     "ensemble": {
@@ -140,39 +140,47 @@ def _merge(base: dict, override: Mapping, path: str = "") -> dict:
     return out
 
 
-def _check(value, key: str, holds, rule: str) -> None:
-    """Raise ConfigError naming ``key`` unless ``holds(value)``."""
+def check_value(value, name: str, holds, rule: str) -> None:
+    """Raise ConfigError ``<name> must be <rule>, got <value!r>`` unless ``holds(value)``."""
     if not holds(value):
-        raise ConfigError(f"config key {key!r} must be {rule}, got {value!r}")
+        raise ConfigError(f"{name} must be {rule}, got {value!r}")
 
 
-# (key, other key) pairs where the key's value must be at least the other's, checked once every key keeps its own rule.
-_AT_LEAST = (
-    ("tfidf.ngram_hi", "tfidf.ngram_lo"),  # an n-gram range runs from low to high
-    ("net.max_len", "net.kernel_width"),  # a CNN sequence holds one convolution window
-)
+# Each section's rule between two of its keys, checked once every key keeps its own rule: (key, other key,
+# holds(value, other's value), rule naming the other key as {other} and its value as {bound}).
+_PAIRS = {
+    "tfidf": ("ngram_hi", "ngram_lo", operator.ge, ">= {other} ({bound!r})"),  # an n-gram range runs from low to high
+    "net": ("max_len", "kernel_width", operator.ge, ">= {other} ({bound!r})"),  # a CNN sequence holds one window
+    # a subsample drawn without replacement holds at most every row
+    "ensemble": ("sample_fraction", "with_replacement", lambda v, bound: bound or v <= 1, "at most 1 when {other} is false"),
+}
 
 
-def _at(values: dict, key: str):
-    section, name = key.split(".")
-    return values[section][name]
+def _pair_rule(section: str, values: Mapping, prefix: str = "") -> None:
+    """ConfigError unless ``values`` holding both keys keep ``section``'s rule between them; a prefix names config keys."""
+    if section in _PAIRS:
+        key, other, holds, rule = _PAIRS[section]
+        if key in values and other in values:
+            bound, named = values[other], f"config key {prefix + key!r}" if prefix else key
+            check_value(values[key], named, lambda v: holds(v, bound), rule.format(other=repr(prefix + other), bound=bound))
+
+
+def check(section: str, **values) -> None:
+    """ConfigError ``<name> must be <rule>, got <value!r>`` for the first of ``values`` that breaks its key's rule in
+    ``section``, then for the section's rule between two keys; every learner checks its keyword hyperparameters here."""
+    for name, value in values.items():
+        check_value(value, name, *_KEYS[section][name][1])
+    _pair_rule(section, values)
 
 
 def _checked(values: dict) -> dict:
-    """``values``, unless a key breaks its rule: then ConfigError naming the first such key."""
+    """``values``, unless a key breaks its rule: then ConfigError naming the first such key, the rules between two keys last."""
     for key, entry in _KEYS.items():
-        if isinstance(entry, dict):
-            _check(values[key], key, *_SECTION)
-            for name, (_, rule) in entry.items():
-                _check(values[key][name], f"{key}.{name}", *rule)
-        else:
-            _check(values[key], key, *entry[1])
-    for key, other in _AT_LEAST:
-        bound = _at(values, other)
-        _check(_at(values, key), key, lambda v: v >= bound, f">= {other!r} ({bound!r})")
-    if not values["ensemble"]["with_replacement"]:  # a subsample drawn without replacement holds at most every row
-        rule = "at most 1 when 'ensemble.with_replacement' is false"
-        _check(values["ensemble"]["sample_fraction"], "ensemble.sample_fraction", lambda v: v <= 1, rule)
+        check_value(values[key], f"config key {key!r}", *(_SECTION if isinstance(entry, dict) else entry[1]))
+        for name, (_, rule) in entry.items() if isinstance(entry, dict) else ():
+            check_value(values[key][name], f"config key {key + '.' + name!r}", *rule)
+    for section in _PAIRS:
+        _pair_rule(section, values[section], f"{section}.")
     return values
 
 

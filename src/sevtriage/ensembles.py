@@ -15,7 +15,7 @@ from typing import Mapping
 import numpy as np
 
 from .classical import train_forest, train_knn, train_logreg  # noqa: F401  (looked up by name in run)
-from .config import DEFAULTS
+from .config import DEFAULTS, check
 from .errors import ConfigError, FitError, StratificationError
 from .evaluation import THRESHOLD, predicted_labels  # noqa: F401  (THRESHOLD is re-exported)
 from .features import GROUPS, FeatureMatrix, as_labels
@@ -85,12 +85,8 @@ def _bootstrap_members(y: np.ndarray, cfg: Mapping) -> dict[str, Member]:
     single-class draw is redrawn up to 10 times before giving up.
     """
     ens = cfg["ensemble"]
-    if ens["members"] < 2:
-        raise ConfigError("bootstrap needs at least 2 members")
     n = len(y)
     size = int(np.ceil(ens["sample_fraction"] * n))
-    if not ens["with_replacement"] and size > n:
-        raise ConfigError("subsample size exceeds the training set")
     members = {}
     for i in range(ens["members"]):
         rng = np.random.default_rng(substream(int(cfg["seed"]), f"bootstrap-{i}"))
@@ -106,16 +102,11 @@ def _bootstrap_members(y: np.ndarray, cfg: Mapping) -> dict[str, Member]:
 
 def _instance_members(cfg: Mapping) -> dict[str, Member]:
     """Logistic regressions that differ only in regularization strength."""
-    c_values = cfg["ensemble"]["instance_c"]
-    if len(c_values) < 2:
-        raise ConfigError("instance ensemble needs at least 2 regularization strengths")
-    return {f"C={c:g}": _member("logreg", {**cfg["logreg"], "C": c}) for c in c_values}
+    return {f"C={c:g}": _member("logreg", {**cfg["logreg"], "C": c}) for c in cfg["ensemble"]["instance_c"]}
 
 
 def _stratified_folds(y: np.ndarray, folds: int, seed: int) -> np.ndarray:
     """Deterministic stratified fold ids; every fold's complement keeps both classes."""
-    if folds < 2:
-        raise ConfigError(f"need at least 2 folds, got {folds}")
     counts = np.bincount(y, minlength=2)
     if counts.min() < 2:
         raise StratificationError("stratified folding needs at least 2 samples of each class")
@@ -182,15 +173,18 @@ def stacking_ensemble(members: dict[str, np.ndarray], plan: dict[str, Member], y
 def run(train_X: FeatureMatrix, y_train, test_X: FeatureMatrix, config: Mapping = DEFAULTS) -> dict[str, EnsembleResult]:
     """Every strategy's result by name, in ``STRATEGIES`` order.
 
-    ``config`` is the run's config tree, shaped like ``config.DEFAULTS``.
-    Members read its ``seed``, ``ensemble``, ``logreg``, ``forest`` and
-    ``knn`` sections. Every member is planned before any is trained, so
-    a plan that cannot run fails before any fit. Each distinct member is
-    then one ``workers.map_jobs`` job, fit once on every usable CPU: the
-    job selects the member's training rows, labels, scored rows and
+    ``config`` is the run's config tree, shaped like
+    ``config.DEFAULTS``. Members read its ``seed``, ``ensemble``,
+    ``logreg``, ``forest`` and ``knn`` sections, each checked by its
+    config rules first. Every member is planned before any is trained,
+    so a plan that cannot run fails before any fit. Each distinct member
+    is then one ``workers.map_jobs`` job, fit once on every usable CPU:
+    the job selects the member's training rows, labels, scored rows and
     column groups, fits it, and only its probabilities are kept.
     """
     y = as_labels(y_train, train_X.n_rows, "y_train")
+    for section in ("ensemble", *BASES):
+        check(section, **config[section])
     plans = {
         "feature_split": _feature_split_members(train_X, config),
         "bootstrap": _bootstrap_members(y, config),

@@ -6,7 +6,7 @@ class TriageError(Exception):
 
 
 class SchemaError(TriageError):
-    """A required input column or config key is missing."""
+    """A CSV header unfit for its schema: none, a required column missing, a mapped one repeated, or a key not a field."""
 
 
 class RowError(TriageError):

@@ -31,7 +31,6 @@ from __future__ import annotations
 import io
 import itertools
 import math
-import numbers
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,6 +39,7 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from .config import POSITIVE_INTEGER, check, check_value
 from .corpus import DisclosureRecord, decode_utf8
 from .errors import ConfigError, DomainError, FitError, RowError, ShapeError
 
@@ -193,10 +193,9 @@ def check_width(mat, expected: int) -> None:
 def as_count(k, limit: int, name: str = "k") -> int:
     """``min(k, limit)``, ``limit`` being how many the data holds (it may be 0): the one count rule.
 
-    A ``k`` that is not an integer >= 1 (a bool is not one) is a ConfigError naming ``name``.
+    A ``k`` that is not a positive integer (a bool is not one; numpy's are) is a ConfigError naming ``name``.
     """
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
-        raise ConfigError(f"{name} must be an integer >= 1, got {k!r}")
+    check_value(k, name, *POSITIVE_INTEGER)
     return min(int(k), limit)
 
 
@@ -324,6 +323,7 @@ def keyword_frequencies(X: FeatureMatrix, lexicon: KeywordLexicon, top_k: int = 
     ``top_k`` entries, a count read by :func:`as_count`.
     """
     flags = X.select_groups(["indicator"]).data[:, 1:]
+    check_width(flags, len(lexicon.phrases))
     counts = np.asarray(flags.sum(axis=0), dtype=np.int64).ravel().tolist()
     ranked = sorted(zip(lexicon.phrases, counts), key=lambda kv: (-kv[1], kv[0]))
     return ranked[: as_count(top_k, len(ranked), "top_k")]
@@ -425,8 +425,7 @@ def fit_tfidf(
     if not texts:
         raise FitError("cannot fit TF-IDF on an empty corpus")
     lo, hi = ngram_range
-    if lo < 1 or hi < lo:
-        raise ConfigError(f"bad ngram_range {ngram_range}")
+    check("tfidf", ngram_lo=lo, ngram_hi=hi)
     df: dict[str, int] = {}
     total: dict[str, int] = {}
     for text in texts:

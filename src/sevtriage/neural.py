@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .classical import _sigmoid
+from .config import check
 from .errors import ConfigError, ShapeError, TrainingDivergedError
 from .features import as_count, as_dense, as_labels, check_width, tokenize
 from .seeds import substream
@@ -51,6 +52,7 @@ def build_sequences(texts: Sequence[str], max_len: int = 64, vocab_cap: int = 30
     ties alphabetical) and capped at ``vocab_cap``, an ``as_count`` count.
     Out-of-vocabulary tokens are dropped; rows are truncated or right-padded to max_len.
     """
+    check("net", max_len=max_len)
     tokens = [tokenize(text) for text in texts]
     freq: dict[str, int] = {}
     for toks in tokens:
@@ -93,11 +95,7 @@ class NetSpec:
     def __post_init__(self):
         if self.variant not in ("ffnn", "cnn"):
             raise ConfigError(f"unknown variant {self.variant!r}")
-        for w in (self.embedding_dim, self.conv_filters, self.kernel_width, self.tabular_hidden, *self.merge):
-            if w < 1:
-                raise ConfigError("all layer widths must be >= 1")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        check("net", **{name: value for name, value in vars(self).items() if name not in ("variant", "seed")})
 
     @property
     def text_out(self) -> int:
@@ -274,6 +272,9 @@ class TrainConfig:
     batch: int = 32
     lr: float = 1e-3
 
+    def __post_init__(self):
+        check("net", **vars(self))
+
 
 @dataclass(frozen=True)
 class TrainedNet:
@@ -309,6 +310,8 @@ def train(spec: NetSpec, sequences: PaddedSequences, tabular, y, config: TrainCo
     """
     ids, tab = _inputs(sequences.ids, tabular)
     y = as_labels(y, ids.shape[0]).astype(np.float64)
+    if spec.variant == "cnn":  # each sequence must hold one convolution window
+        check("net", max_len=ids.shape[1], kernel_width=spec.kernel_width)
 
     params = init_params(spec, sequences.vocab_size, tab.shape[1])
     shuffle_rng = np.random.default_rng(substream(spec.seed, "shuffle"))

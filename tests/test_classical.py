@@ -60,7 +60,7 @@ class TestLogReg:
         y = (X[:, 0] + 0.3 * rng.normal(size=30) > 0).astype(int)
         losses = []
         for iters in range(1, 12):
-            model = classical.train_logreg(X, y, max_iter=iters, tol=0.0)
+            model = classical.train_logreg(X, y, max_iter=iters, tol=5e-324)  # the least positive tol: no early stop
             losses.append(classical.logreg_loss(model.weights, model.bias, X, y, 1.0))
         assert all(a >= b - 1e-12 for a, b in zip(losses, losses[1:]))
 
@@ -292,7 +292,7 @@ def tied_instances(draw):
     picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=12))
     X = np.array([distinct[i] for i in picks])
     y = np.array(draw(st.lists(st.integers(0, 1), min_size=len(picks), max_size=len(picks))))
-    max_depth = draw(st.none() | st.integers(0, 4))
+    max_depth = draw(st.none() | st.integers(1, 4))
     min_leaf = draw(st.integers(1, 3))
     return X, y, max_depth, min_leaf
 

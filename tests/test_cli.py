@@ -468,7 +468,7 @@ class TestOneFeaturizationPerSplit:
 
         real = cli_mod.load_config
 
-        def past_the_check(*args, **kwargs):  # a range the config check rejects reaches the featurizer's own check
+        def past_the_check(*args, **kwargs):  # a range load_config rejects reaches fit_tfidf's check by the same rule
             cfg = real(*args, **kwargs)
             cfg["tfidf"].update(ngram_lo=3, ngram_hi=1)
             return cfg
@@ -476,7 +476,7 @@ class TestOneFeaturizationPerSplit:
         monkeypatch.setattr(cli_mod, "load_config", past_the_check)
         out = tmp_path / "o"
         assert main(["benchmark-models", "--data", str(synthetic_csv), "--out", str(out)]) == 1
-        assert "bad ngram_range (3, 1)" in capsys.readouterr().err
+        assert "ngram_hi must be >= 'ngram_lo' (3), got 1" in capsys.readouterr().err
         assert not (out / "models_table.txt").exists()
 
 

@@ -231,15 +231,15 @@ class TestMemberPlan:
         assert len(set(digests)) == len(digests)
 
     @pytest.mark.parametrize("ensemble,message", [
-        ({"members": 1}, "bootstrap needs at least 2 members"),
-        ({"instance_c": [1.0]}, "instance ensemble needs at least 2 regularization strengths"),
-        ({"sample_fraction": 1.5, "with_replacement": False}, "subsample size exceeds the training set"),
-        ({"folds": 1}, "need at least 2 folds"),
+        ({"members": 1}, r"^members must be an integer >= 2, got 1$"),
+        ({"instance_c": [1.0]}, r"^instance_c must be a list of at least 2 positive numbers, got \[1.0\]$"),
+        ({"sample_fraction": 1.5, "with_replacement": False}, "^sample_fraction must be at most 1 when 'with_replacement' is false, got 1.5$"),
+        ({"folds": 1}, r"^folds must be an integer >= 2, got 1$"),
     ])
     def test_invalid_config_is_config_error(self, data, ensemble, message):
         Xtr, ytr, Xte, _ = data
         cfg = config()
-        cfg["ensemble"].update(ensemble)  # past load_config's rules, so ensembles.run's own checks raise
+        cfg["ensemble"].update(ensemble)  # past load_config, so ensembles.run's check by the same rules raises
         with pytest.raises(ConfigError, match=message):
             ensembles.run(Xtr, ytr, Xte, cfg)
 

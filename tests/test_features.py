@@ -133,6 +133,11 @@ class TestKeywordFrequencies:
         X = _indicators(["xss", "nothing here"], lex, cve_id="CVE-2024-0001")
         assert features.keyword_frequencies(X, lex) == [("xss", 1), ("rce", 0)]
 
+    def test_a_lexicon_of_another_width_than_the_flags_is_a_shape_error(self):
+        X = _indicators(["buffer overflow", "xss"], KeywordLexicon.default())  # 10 phrase flags
+        with pytest.raises(ShapeError, match="matrix width 10 != fitted width 2"):
+            features.keyword_frequencies(X, KeywordLexicon(("alpha", "beta")))
+
     def test_assembled_matrix_counts_match_descriptions(self, synthetic_dataset):
         records = synthetic_dataset.train_records()
         builder = FeatureBuilder().fit(records)

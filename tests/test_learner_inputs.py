@@ -2,20 +2,25 @@
 takes it through the one matrix rule, ``features.as_matrix`` or its dense
 form ``features.as_dense``; each that reads labels takes them through
 ``features.as_labels``; each fitted predictor and projector checks its
-input width through ``features.check_width``; and each that takes a count
-reads it through ``features.as_count``."""
+input width through ``features.check_width``; each that takes a count
+reads it through ``features.as_count``; and each keyword hyperparameter
+is checked by its config key's rule, through ``config.check``."""
 
 import copy
+import math
+import re
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sevtriage import classical, corpus, ensembles, evaluation, features, neural, pipelines, reduction, selection
+from sevtriage import classical, corpus, ensembles, evaluation, features, neural, pipelines, reduction, selection, workers
 from sevtriage.cli import _pca_scatter_points
-from sevtriage.config import load_config
+from sevtriage.config import _KEYS, load_config
 from sevtriage.errors import ConfigError, DomainError, FitError, ShapeError
 from tests.conftest import grouped_matrix
+from tests.test_cli import BOUNDARIES
+from tests.test_ensembles import make_grouped_data
 
 LABELS = [0, 0, 1, 1]
 N = len(LABELS)
@@ -267,7 +272,7 @@ class TestCountRule:
     @pytest.mark.parametrize("count", [-1, 0, 1.5, True])
     def test_a_count_that_is_not_an_integer_of_at_least_1_is_a_config_error(self, entry, count):
         name, _, call = COUNT_ENTRY_POINTS[entry]
-        with pytest.raises(ConfigError, match=f"^{name} must be an integer >= 1, got {count!r}$"):
+        with pytest.raises(ConfigError, match=f"^{name} must be a positive integer, got {count!r}$"):
             call(count)
 
     def test_a_count_above_the_limit_is_clamped_to_it(self, entry):
@@ -282,3 +287,107 @@ def test_the_reducers_refuse_data_that_supports_no_component():
         reduction.fit_truncated_svd(np.zeros((0, 3)), k=1)
     with pytest.raises(FitError, match="cannot fit PCA on a 1x3 matrix"):
         reduction.fit_pca(X[:1], k=1)
+
+
+# ---------------------------------------------------------------------------
+# The hyperparameter rule
+
+SMALL_NET = {"embedding_dim": 2, "conv_filters": 2, "tabular_hidden": 2, "merge": (2,), "dropout": 0.0}
+ENSEMBLE_DATA = make_grouped_data(n=40)
+
+
+def net_scores(variant="ffnn", sequences=SEQUENCES, train=(), **spec):
+    """A small net with ``spec`` over ``SMALL_NET``, trained one epoch on ``sequences`` with ``train`` over that, scored."""
+    config = neural.TrainConfig(**{"epochs": 1, "batch": N, **dict(train)})
+    net = neural.train(neural.NetSpec(variant, **{**SMALL_NET, **spec}), sequences, X, LABELS, config)
+    return net.predict_proba(sequences.ids, X)
+
+
+def ensemble_results(**ensemble):
+    """``ensembles.run`` on ``ENSEMBLE_DATA`` with ``ensemble`` over that section of a two-tree run's config tree."""
+    Xtr, ytr, Xte, _ = ENSEMBLE_DATA
+    cfg = load_config(overrides={"forest": {"n_trees": 2}})
+    cfg["ensemble"].update(ensemble)  # past load_config's rules, as a library caller may set them
+    return ensembles.run(Xtr, ytr, Xte, cfg)
+
+
+# Each key of a config section: the entry point that takes it, the name of its parameter, and a call that fits (and
+# scores) with the value there and every other hyperparameter that interacts with it at its default.
+HYPERPARAMETERS = {
+    "tfidf.ngram_lo": ("fit_tfidf", "ngram_lo", lambda v: features.fit_tfidf(TEXTS, ngram_range=(v, 2))),
+    "tfidf.ngram_hi": ("fit_tfidf", "ngram_hi", lambda v: features.fit_tfidf(TEXTS, ngram_range=(1, v))),
+    "tfidf.max_features": ("fit_tfidf", "max_features", lambda v: features.fit_tfidf(TEXTS, max_features=v)),
+    "svd.k": ("fit_truncated_svd", "k", lambda v: reduction.fit_truncated_svd(X, k=v)),
+    "pca.k": ("fit_pca", "k", lambda v: reduction.fit_pca(X, k=v)),
+    "select.k": ("select_top_k", "k", lambda v: selection.select_top_k(SCORES, k=v)),
+    "logreg.C": ("train_logreg", "C", lambda v: classical.train_logreg(X, LABELS, C=v).predict_proba(X)),
+    "logreg.max_iter": ("train_logreg", "max_iter", lambda v: classical.train_logreg(X, LABELS, max_iter=v).predict_proba(X)),
+    "logreg.tol": ("train_logreg", "tol", lambda v: classical.train_logreg(X, LABELS, tol=v).predict_proba(X)),
+    "tree.max_depth": ("train_tree", "max_depth", lambda v: classical.train_tree(X, LABELS, max_depth=v).predict_proba(X)),
+    "tree.min_samples_leaf": (
+        "train_tree", "min_samples_leaf", lambda v: classical.train_tree(X, LABELS, min_samples_leaf=v).predict_proba(X)
+    ),
+    "forest.n_trees": ("train_forest", "n_trees", lambda v: classical.train_forest(X, LABELS, n_trees=v).predict_proba(X)),
+    "forest.features_per_split": (
+        "train_forest", "features_per_split",
+        lambda v: classical.train_forest(X, LABELS, n_trees=2, features_per_split=v).predict_proba(X),
+    ),
+    "knn.k": ("train_knn", "k", lambda v: classical.train_knn(X, LABELS, k=v).predict_proba(X)),
+    "net.embedding_dim": ("NetSpec", "embedding_dim", lambda v: net_scores(embedding_dim=v)),
+    # a CNN's sequences must hold one window of its default width 3, as config's max_len must
+    "net.max_len": ("neural.train", "max_len", lambda v: net_scores("cnn", neural.build_sequences(TEXTS, max_len=v))),
+    "net.vocab_cap": ("build_sequences", "vocab_cap", lambda v: neural.build_sequences(TEXTS, vocab_cap=v)),
+    "net.conv_filters": ("NetSpec", "conv_filters", lambda v: net_scores("cnn", conv_filters=v)),
+    "net.kernel_width": ("NetSpec", "kernel_width", lambda v: net_scores("cnn", kernel_width=v)),
+    "net.tabular_hidden": ("NetSpec", "tabular_hidden", lambda v: net_scores(tabular_hidden=v)),
+    "net.merge": ("NetSpec", "merge", lambda v: net_scores(merge=v)),
+    "net.dropout": ("NetSpec", "dropout", lambda v: net_scores(dropout=v)),
+    "net.epochs": ("TrainConfig", "epochs", lambda v: net_scores(train={"epochs": v})),
+    "net.batch": ("TrainConfig", "batch", lambda v: net_scores(train={"batch": v})),
+    "net.lr": ("TrainConfig", "lr", lambda v: net_scores(train={"lr": v})),
+    **{
+        f"ensemble.{name}": ("ensembles.run", name, lambda v, name=name: ensemble_results(**{name: v}))
+        for name in ("members", "sample_fraction", "with_replacement", "folds", "instance_c")
+    },
+}
+# Values beyond BOUNDARIES: those a direct call once misread (a silent misfit, a bare TypeError or numpy's own error),
+# and numpy integers, which the integer rule accepts.
+DIRECT_VALUES = {
+    "logreg.C": [True, math.nan],
+    "logreg.max_iter": [-1, np.int64(3)],
+    "logreg.tol": [-1.0],
+    "tree.max_depth": [-1, np.int64(2)],
+    "tree.min_samples_leaf": [-3, np.int64(2)],
+    "forest.n_trees": [True, 2.5, np.int64(2)],
+    "forest.features_per_split": ["0.5"],
+    "knn.k": [np.int64(3)],
+    "net.embedding_dim": [2.5],
+    "net.max_len": [-1, 2],
+    "net.merge": [()],
+    "net.batch": [np.int64(2)],
+}
+CASES = [
+    (key, value) for key in HYPERPARAMETERS for value in [*BOUNDARIES[key][0], *BOUNDARIES[key][1], *DIRECT_VALUES.get(key, [])]
+]
+
+
+def test_every_section_key_has_an_entry_point_and_boundaries():
+    keys = {f"{section}.{name}" for section, entry in _KEYS.items() if isinstance(entry, dict) for name in entry}
+    assert set(HYPERPARAMETERS) == keys and keys <= set(BOUNDARIES) and set(DIRECT_VALUES) <= keys
+
+
+@pytest.mark.parametrize("key,value", CASES, ids=[f"{key}={value!r}" for key, value in CASES])
+def test_an_entry_point_rejects_a_value_exactly_where_load_config_rejects_its_key(key, value, monkeypatch):
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 1)  # the ensembles fit in this process
+    _, name, call = HYPERPARAMETERS[key]
+    section, _, key_name = key.partition(".")
+    try:
+        load_config(overrides={section: {key_name: value}})
+    except ConfigError as exc:
+        # the same words, the parameter named where the config names the key
+        message = str(exc).replace(f"config key {key!r}", name).replace(f"'{section}.", "'")
+        assert message.startswith(f"{name} must be ")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            call(value)
+    else:
+        call(value)

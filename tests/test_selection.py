@@ -150,7 +150,7 @@ class TestSelectTopK:
             assert len(got) == min(k, 5)
 
     def test_k_below_one_rejected(self):
-        with pytest.raises(ConfigError, match="k must be an integer >= 1, got 0"):
+        with pytest.raises(ConfigError, match="k must be a positive integer, got 0"):
             selection.select_top_k(self._scores([1.0]), k=0)
 
 

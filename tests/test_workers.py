@@ -173,8 +173,8 @@ class TestMapJobs:
             workers.map_jobs(abs, (j for j in range(3)))  # the jobs must be a sequence
         Xtr, ytr, Xte, _ = make_grouped_data()
         cfg = ensemble_config()
-        cfg["ensemble"]["members"] = 1  # past load_config's rule, so ensembles.run's own check raises
-        with pytest.raises(ConfigError, match="bootstrap needs at least 2 members"):  # every member is planned before any fork
+        cfg["ensemble"]["members"] = 1  # past load_config, so ensembles.run's check by the same rule raises
+        with pytest.raises(ConfigError, match="members must be an integer >= 2, got 1"):  # every member is planned before any fork
             ensembles.run(Xtr, ytr, Xte, cfg)
 
 
