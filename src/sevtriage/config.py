@@ -117,7 +117,14 @@ _KEYS: dict[str, Any] = {
         "sample_fraction": (0.8, _POSITIVE_NUMBER),
         "with_replacement": (True, (lambda v: isinstance(v, bool), "true or false")),
         "folds": (5, _AT_LEAST_TWO),
-        "instance_c": ([0.5, 1.0, 2.0], (_list_of(_positive_number, 2), "a list of at least 2 positive numbers")),
+        # each strength names its member as C={c:g}, so no two may print alike
+        "instance_c": (
+            [0.5, 1.0, 2.0],
+            (
+                lambda v: _list_of(_positive_number, 2)(v) and len({f"{c:g}" for c in v}) == len(v),
+                "a list of at least 2 positive numbers, no two equal to 6 significant digits",
+            ),
+        ),
     },
 }
 

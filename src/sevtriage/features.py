@@ -1,25 +1,29 @@
 """Feature engineering: named sparse matrices over three column groups.
 
 Blocks are built per source (vendor one-hot, binary indicators, TF-IDF
-text) and assembled by horizontal concatenation, in ``GROUPS`` order,
-into one matrix whose columns carry a name and fall in one contiguous
-range per group; the matrix records each group's width. All fitted
-models here are frozen after fit; transforms are read-only and
-thread-safe. They carry no serializers: the scoring artifact
-(``pipelines.ScoringArtifact``) writes and reads them.
+text) and assembled, in ``GROUPS`` order, into one matrix whose columns
+carry a name and fall in one contiguous range per group; the matrix
+records each group's width. All fitted models here are frozen after
+fit; transforms are read-only and thread-safe. They carry no
+serializers: the scoring artifact (``pipelines.ScoringArtifact``) writes
+and reads them.
 
-Each block writes its CSR arrays (``indptr``/``indices``/``data``)
-directly, in the manner of scikit-learn's ``CountVectorizer``. A
-description is tokenized once, and its tokens serve both the keyword
-flags and the TF-IDF n-grams. A keyword is found by a substring test of
-its space-padded tokens against the record's. The TF-IDF block is built
-in whole-batch passes (one vocabulary lookup, one ``np.unique``, one
-multiply and divide); only the row norms are summed per row, to keep
-the bits of numpy's pairwise sum over each row. Blocks are not
-validated; :func:`assemble` validates the one matrix it returns. It
-takes the blocks themselves, never an assembled matrix, and the column
-names their caller derived once (a fitted ``FeatureBuilder`` fixes them
-at fit and at load), so names are not rebuilt per call.
+A fitted featurizer holds one :class:`TermTable`: every TF-IDF term and
+keyword phrase as a path of token ids, one sorted array of
+``prefix * radix + token`` keys per path length. A description is
+tokenized once; :meth:`TermTable.walk` maps the batch's tokens to ids
+in one dictionary pass and follows the paths level by level with
+``searchsorted``, so it finds every term and phrase occurrence without
+building an n-gram string or testing a substring. The TF-IDF block
+counts the occurrences with one ``np.unique`` and weighs them in
+whole-batch passes; only the row norms are summed per row, to keep the
+bits of numpy's pairwise sum over each row. A block holds its entries
+as arrays (row, column, value) and is not validated; :func:`assemble`
+places every block's entries by one sort of row-major keys into one
+CSR matrix, the only one a transform builds, and validates it. It takes
+the blocks themselves, never an assembled matrix, and the column names
+their caller derived once (a fitted ``FeatureBuilder`` fixes them and
+its term table at fit and at load), so neither is rebuilt per call.
 
 Every learner reads its input through the rules here: a matrix through
 :func:`as_matrix` or its dense form :func:`as_dense`, labels through
@@ -31,6 +35,7 @@ from __future__ import annotations
 import io
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -49,6 +54,8 @@ GROUPS = ("vendor", "indicator", "text")
 # matches whole, so these are the runs of length >= 2 without a filter.
 _TOKEN_RE = re.compile(r"[^\W_]{2,}", re.UNICODE)
 _CVE_RE = re.compile(r"CVE-\d{4}-\d{4,}")
+_VENDOR = operator.attrgetter("vendor")
+_INT32_MAX = np.iinfo(np.int32).max
 
 DEFAULT_KEYWORDS = (
     "buffer overflow",
@@ -205,37 +212,38 @@ def as_count(k, limit: int, name: str = "k") -> int:
 
 @dataclass(frozen=True)
 class Block:
-    """One source's columns, built for :func:`assemble`; not validated on its own."""
+    """One source's columns as entries, built for :func:`assemble`; not validated on its own.
 
-    data: sp.csr_matrix
+    Entry ``e`` puts ``values[e]`` at row ``rows[e]`` and column ``cols[e]``
+    of the block, one entry per cell, in any order. ``data``, the block as
+    CSR, is built each time it is read; :func:`assemble` does not read it.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    n_rows: int
     names: tuple[str, ...]
     group: str
 
     @property
-    def n_rows(self) -> int:
-        return self.data.shape[0]
+    def n_cols(self) -> int:
+        return len(self.names)
 
     @property
-    def n_cols(self) -> int:
-        return self.data.shape[1]
-
-
-def _block(indptr, indices, values, names: tuple[str, ...], group: str) -> Block:
-    mat = sp.csr_matrix(
-        (np.asarray(values, dtype=np.float64), np.asarray(indices, dtype=np.int64), np.asarray(indptr, dtype=np.int64)),
-        shape=(len(indptr) - 1, len(names)),
-    )
-    return Block(mat, names, group)
+    def data(self) -> sp.csr_matrix:
+        return sp.csr_matrix((self.values, (self.rows, self.cols)), shape=(self.n_rows, self.n_cols))
 
 
 def assemble(blocks: Sequence[Block], names: Sequence[str]) -> FeatureMatrix:
-    """Concatenate blocks horizontally into one validated matrix named ``names``.
+    """The blocks side by side as one validated CSR matrix named ``names``.
 
     The blocks come in ``GROUPS`` order, at most one per group, and give
     the matrix its group widths. ``names`` is derived once by a caller
     that assembles blocks of the same columns repeatedly. Blocks out of
     that order, of another row count or total width than ``names``, or
-    no blocks at all, raise ShapeError.
+    no blocks at all, raise ShapeError. Every entry is placed by one sort
+    of the row-major keys ``row * d + column``.
     """
     if not blocks:
         raise ShapeError("assemble needs at least one block")
@@ -247,7 +255,16 @@ def assemble(blocks: Sequence[Block], names: Sequence[str]) -> FeatureMatrix:
         if b.n_rows != n:
             raise ShapeError(f"row count mismatch: {n} vs {b.n_rows}")
     widths = tuple(sum(b.n_cols for b in blocks if b.group == g) for g in GROUPS)
-    return FeatureMatrix(sp.hstack([b.data for b in blocks], format="csr"), tuple(names), widths)
+    d = sum(widths)
+    starts = itertools.accumulate((b.n_cols for b in blocks), initial=0)
+    keys = np.concatenate([b.rows * d + (b.cols + start) for b, start in zip(blocks, starts)])
+    order = np.argsort(keys, kind="stable")  # a merge of the blocks' sorted runs, as the package builds them
+    keys = keys[order]
+    index = np.int32 if max(n, d, len(keys)) <= _INT32_MAX else np.int64  # as sp.hstack chooses
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * d).astype(index)
+    indices = (keys % d).astype(index)  # no keys when d is 0
+    values = np.concatenate([b.values for b in blocks])[order]
+    return FeatureMatrix(sp.csr_matrix((values, indices, indptr), shape=(n, d)), tuple(names), widths)
 
 
 # ---------------------------------------------------------------------------
@@ -256,15 +273,15 @@ def assemble(blocks: Sequence[Block], names: Sequence[str]) -> FeatureMatrix:
 
 @dataclass(frozen=True)
 class KeywordLexicon:
-    """Ordered set of lowercase keyword phrases (1-4 tokens each).
+    """Ordered set of lowercase keyword phrases (1-4 tokens each, no two alike).
 
-    ``tokens`` holds each phrase's token tuple and ``probes`` its
-    :func:`_padded` tokens, both fixed at construction.
+    ``tokens`` holds each phrase's token tuple, fixed at construction. Two
+    phrases of the same tokens (``info disclosure`` and ``info-disclosure``)
+    would flag the same rows, so they raise ConfigError naming both.
     """
 
     phrases: tuple[str, ...]
     tokens: tuple[tuple[str, ...], ...] = field(init=False, repr=False, compare=False)
-    probes: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.phrases:
@@ -272,11 +289,13 @@ class KeywordLexicon:
         if len(set(self.phrases)) != len(self.phrases):
             raise ConfigError("lexicon phrases must be unique")
         tokens = tuple(tuple(tokenize(p)) for p in self.phrases)
+        first: dict[tuple[str, ...], str] = {}
         for p, t in zip(self.phrases, tokens):
             if not 1 <= len(t) <= 4:
                 raise ConfigError(f"phrase {p!r} must be 1-4 tokens, got {len(t)}")
+            if (q := first.setdefault(t, p)) != p:
+                raise ConfigError(f"phrases {q!r} and {p!r} are both the tokens {' '.join(t)!r}")
         object.__setattr__(self, "tokens", tokens)
-        object.__setattr__(self, "probes", tuple(map(_padded, tokens)))
 
     @classmethod
     def default(cls) -> "KeywordLexicon":
@@ -299,22 +318,6 @@ def cve_flag(record: DisclosureRecord) -> int:
     return 1 if _CVE_RE.fullmatch(record.cve_id.strip()) else 0
 
 
-def _padded(tokens: Sequence[str]) -> str:
-    """The tokens joined by single spaces, with one space at each end."""
-    return " " + " ".join(tokens) + " "
-
-
-def keyword_hits(tokens: Sequence[str], lexicon: KeywordLexicon) -> list[int]:
-    """Indices of the phrases that occur in ``tokens`` as contiguous runs.
-
-    A phrase's probe is a substring of the padded tokens exactly where the
-    phrase occurs: tokens hold no whitespace, so the probe's spaces can
-    only fall on token boundaries.
-    """
-    row = _padded(tokens)
-    return [i for i, probe in enumerate(lexicon.probes) if probe in row]
-
-
 def keyword_frequencies(X: FeatureMatrix, lexicon: KeywordLexicon, top_k: int = 10) -> list[tuple[str, int]]:
     """Phrases ranked by how many rows of ``X`` flag them.
 
@@ -333,16 +336,16 @@ def indicator_names(lexicon: KeywordLexicon) -> tuple[str, ...]:
     return ("has_cve",) + lexicon.phrases
 
 
-def indicator_block(records: Sequence[DisclosureRecord], lexicon: KeywordLexicon, tokens: Sequence[Sequence[str]]) -> Block:
-    """CVE-presence flag plus keyword flags for each record, given its description's :func:`tokenize` tokens."""
-    indptr = [0]
-    indices = []
-    for r, toks in zip(records, tokens):
-        if cve_flag(r):
-            indices.append(0)
-        indices.extend(1 + i for i in keyword_hits(toks, lexicon))
-        indptr.append(len(indices))
-    return _block(indptr, indices, np.ones(len(indices)), indicator_names(lexicon), "indicator")
+def indicator_block(records: Sequence[DisclosureRecord], lexicon: KeywordLexicon, found: Occurrences) -> Block:
+    """CVE-presence flag plus keyword flags for each record.
+
+    ``found`` is the :meth:`TermTable.walk` of the records' tokens: phrase
+    ``i`` is flagged, in column ``1 + i``, in each row it occurs in, once.
+    """
+    d = 1 + len(lexicon.phrases)
+    cve = np.flatnonzero(np.fromiter(map(cve_flag, records), dtype=np.int64, count=len(records)))
+    rows, cols = np.divmod(np.unique(np.concatenate([cve * d, found.flag_rows * d + found.flags + 1])), d)
+    return Block(rows, cols, np.ones(len(rows)), len(records), indicator_names(lexicon), "indicator")
 
 
 # ---------------------------------------------------------------------------
@@ -368,14 +371,10 @@ def fit_vendor(records: Sequence[DisclosureRecord]) -> VendorEncoder:
 
 
 def vendor_block(encoder: VendorEncoder, records: Sequence[DisclosureRecord]) -> Block:
-    indptr = [0]
-    indices = []
-    for r in records:
-        j = encoder.index.get(r.vendor)
-        if j is not None:
-            indices.append(j)
-        indptr.append(len(indices))
-    return _block(indptr, indices, np.ones(len(indices)), encoder.categories, "vendor")
+    """One 1 per record of a vendor seen at fit, in that vendor's column; an unseen vendor's row is empty."""
+    cols = np.fromiter(map(encoder.index.get, map(_VENDOR, records), itertools.repeat(-1)), dtype=np.int64, count=len(records))
+    rows = np.flatnonzero(cols >= 0)
+    return Block(rows, cols[rows], np.ones(len(rows)), len(records), encoder.categories, "vendor")
 
 
 # ---------------------------------------------------------------------------
@@ -466,33 +465,129 @@ def transform_tfidf(model: TfidfModel, text: str) -> sp.csr_matrix:
     return sp.csr_matrix((vals, ([0] * len(cols), cols)), shape=(1, d))
 
 
-def text_block(model: TfidfModel, tokens: Sequence[Sequence[str]]) -> Block:
-    """L2-normalized tf-idf rows, one per token list (see :func:`tokenize`).
+# ---------------------------------------------------------------------------
+# The term table: every TF-IDF term and keyword phrase, walked once per batch
+
+
+@dataclass(frozen=True)
+class Occurrences:
+    """What :meth:`TermTable.walk` found in ``n_rows`` token lists.
+
+    Each TF-IDF term occurrence is an entry of ``text_rows`` and
+    ``text_cols`` (its vocabulary column), each keyword phrase occurrence
+    one of ``flag_rows`` and ``flags`` (its lexicon index); both in no
+    particular order, a term seen twice in a row twice.
+    """
+
+    n_rows: int
+    text_rows: np.ndarray
+    text_cols: np.ndarray
+    flag_rows: np.ndarray
+    flags: np.ndarray
+
+
+@dataclass(frozen=True)
+class TermTable:
+    """A fitted featurizer's terms and phrases as paths of token ids, for :meth:`walk`.
+
+    ``ids`` numbers every token of a path, those that begin one first; a
+    token it lacks is ``unknown`` (``len(ids)``). ``levels[k]`` holds,
+    sorted, one key per distinct prefix of k + 1 tokens,
+    ``node * (unknown + 1) + token``, where ``node`` is the index of its
+    k-token prefix in ``levels[k - 1]`` (0 for k = 0), so no key ends in
+    ``unknown`` and a first token's id is its index in ``levels[0]``.
+    ``text`` and ``flag`` hold each prefix's vocabulary column and
+    lexicon index, -1 for neither, over the levels in turn;
+    ``offsets[k]`` is where level k starts.
+    """
+
+    ids: dict[str, int]
+    levels: tuple[np.ndarray, ...]
+    text: np.ndarray
+    flag: np.ndarray
+    offsets: tuple[int, ...]
+
+    def walk(self, tokens: Sequence[Sequence[str]]) -> Occurrences:
+        """Every term and phrase occurrence in each token list (see :func:`tokenize`).
+
+        The batch's tokens become ids in one pass, each row followed by
+        ``unknown``, so no path runs past a row's end. Level 0 keeps the
+        positions of first tokens, whose ids are their nodes; level k then
+        keeps the positions whose first k + 1 tokens are a prefix in the
+        table, by one ``searchsorted`` over the positions level k - 1 kept.
+        """
+        n, unknown = len(tokens), len(self.ids)
+        lengths = np.fromiter(map(len, tokens), dtype=np.int64, count=n)
+        ended = itertools.chain.from_iterable(itertools.chain.from_iterable(zip(tokens, itertools.repeat((None,)))))
+        seq = np.fromiter(map(self.ids.get, ended, itertools.repeat(unknown)), dtype=np.int64, count=int(lengths.sum()) + n)
+        starts = np.flatnonzero(seq < len(self.levels[0]))
+        node = seq[starts]
+        at, nodes = [starts], [node]
+        for k in range(1, len(self.levels)):
+            keys = self.levels[k]
+            key = node * (unknown + 1) + seq[starts + k]
+            node = np.searchsorted(keys, key)
+            hit = keys.take(node, mode="clip") == key
+            starts, node = starts[hit], node[hit]
+            at.append(starts)
+            nodes.append(node + self.offsets[k])
+        rows = np.repeat(np.arange(n), lengths + 1)[np.concatenate(at)]
+        nodes = np.concatenate(nodes)
+        text, flag = self.text[nodes], self.flag[nodes]
+        is_text, is_flag = text >= 0, flag >= 0
+        return Occurrences(n, rows[is_text], text[is_text], rows[is_flag], flag[is_flag])
+
+
+def term_table(model: TfidfModel, lexicon: KeywordLexicon) -> TermTable:
+    """The :class:`TermTable` of ``model``'s terms and ``lexicon``'s phrases.
+
+    A term's path is its space-separated tokens, and it counts only when
+    their number lies in ``model.ngram_range``. Tokens hold no space, so
+    a run of tokens is a term exactly when it is that term's path: the
+    walk finds the n-grams a string lookup of each joined n-gram would.
+    A phrase's path is its :attr:`KeywordLexicon.tokens`. A term a loaded
+    vocabulary holds but no n-gram can be (uppercase, two spaces, a
+    3-gram under (1, 2)) is a path no walk completes, or no path at all.
+    """
+    lo, hi = model.ngram_range
+    paths: dict[tuple[str, ...], tuple[int, int]] = {}
+    for term, j in model.vocabulary.items():
+        toks = tuple(term.split(" "))
+        if lo <= len(toks) <= hi:
+            paths[toks] = (j, -1)
+    for i, toks in enumerate(lexicon.tokens):
+        paths[toks] = (paths.get(toks, (-1, -1))[0], i)
+    ids = {t: i for i, t in enumerate(dict.fromkeys([p[0] for p in paths] + [t for p in paths for t in p]))}
+    radix = len(ids) + 1
+    levels, entries, parent = [], [], {(): 0}
+    for k in range(max(map(len, paths))):
+        prefixes = sorted({(parent[p[:k]] * radix + ids[p[k]], p[: k + 1]) for p in paths if len(p) > k})
+        levels.append(np.array([key for key, _ in prefixes], dtype=np.int64))
+        entries += [paths.get(p, (-1, -1)) for _, p in prefixes]
+        parent = {p: i for i, (_, p) in enumerate(prefixes)}
+    text, flag = np.array(entries, dtype=np.int64).T
+    offsets = tuple(itertools.accumulate(map(len, levels[:-1]), initial=0))
+    return TermTable(ids, tuple(levels), text, flag, offsets)
+
+
+def text_block(model: TfidfModel, found: Occurrences) -> Block:
+    """L2-normalized tf-idf rows of the term occurrences ``found``.
 
     A row's entries are ``count * idf`` over its sorted in-vocabulary
     columns, divided by ``sqrt(sum(v * v))`` of that row. The batch's
-    n-grams are looked up in one pass and counted by one ``np.unique``
-    over the keys ``row * d + column``. Only the norm is taken row by
-    row: ``np.add.reduce`` of a row's slice is the pairwise sum the row
-    gets on its own, whose bits neither ``np.add.reduceat`` nor padding
-    the rows to one width reproduces.
+    occurrences are counted by one ``np.unique`` over the keys
+    ``row * d + column``. Only the norm is taken row by row:
+    ``np.add.reduce`` of a row's slice is the pairwise sum the row gets
+    on its own, whose bits neither ``np.add.reduceat`` nor padding the
+    rows to one width reproduces.
     """
-    lo, hi = model.ngram_range
-    n, d = len(tokens), len(model.idf)
-    grams: list[str] = []
-    ends = [0]
-    for toks in tokens:
-        grams.extend(_ngrams(toks, lo, hi))
-        ends.append(len(grams))
-    cols = np.fromiter(map(model.vocabulary.get, grams, itertools.repeat(-1)), dtype=np.int64, count=len(grams))
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(np.asarray(ends, dtype=np.int64)))
-    hit = cols >= 0
-    keys, counts = np.unique(rows[hit] * d + cols[hit], return_counts=True)
+    n, d = found.n_rows, len(model.idf)
+    keys, counts = np.unique(found.text_rows * d + found.text_cols, return_counts=True)
     indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * d)
     row_nnz = np.diff(indptr)
-    cols = keys % d  # no keys when d is 0
+    rows, cols = np.divmod(keys, d)  # no keys when d is 0
     vals = counts * model.idf[cols]
     sq = vals * vals
     norms = np.sqrt([np.add.reduce(sq[a:b]) for a, b in itertools.pairwise(indptr.tolist())])
     norms[norms == 0] = 1.0  # a row with no entries, or only zero ones, stays as it is
-    return _block(indptr, cols, vals / np.repeat(norms, row_nnz), model.names, "text")
+    return Block(rows, cols, vals / np.repeat(norms, row_nnz), n, model.names, "text")

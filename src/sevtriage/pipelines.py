@@ -43,9 +43,11 @@ class FeatureBuilder:
     """Vendor one-hot + indicator + TF-IDF blocks, fit on training records.
 
     ``tfidf`` is the config tree's ``tfidf`` section. ``names`` (the
-    assembled column names, each prefixed ``group__``) is fixed when the
-    builder is fitted or loaded; ``transform`` tokenizes each description
-    once and shares the tokens between the indicator and text blocks.
+    assembled column names, each prefixed ``group__``) and ``terms``, the
+    :class:`features.TermTable` of the TF-IDF terms and the lexicon's
+    phrases, are fixed when the builder is fitted or loaded. ``transform``
+    tokenizes each description once and walks ``terms`` once over the
+    batch's tokens, for both the indicator and the text block.
     """
 
     def __init__(self, lexicon: KeywordLexicon | None = None, tfidf: Mapping = DEFAULTS["tfidf"]):
@@ -54,6 +56,7 @@ class FeatureBuilder:
         self.tfidf_model: TfidfModel | None = None
         self.vendor_encoder: VendorEncoder | None = None
         self.names: tuple[str, ...] | None = None
+        self.terms: features.TermTable | None = None
 
     def fit(self, records: Sequence[DisclosureRecord]) -> "FeatureBuilder":
         tfidf_model = fit_tfidf(
@@ -64,21 +67,22 @@ class FeatureBuilder:
         return self.set_fitted(tfidf_model, fit_vendor(records))
 
     def set_fitted(self, tfidf_model: TfidfModel, vendor_encoder: VendorEncoder) -> "FeatureBuilder":
-        """Take the fitted TF-IDF model and vendor encoder, and fix the column names they make; returns self."""
+        """Take the fitted TF-IDF model and vendor encoder, and fix the column names and term table they make; returns self."""
         self.tfidf_model, self.vendor_encoder = tfidf_model, vendor_encoder
         parts = (vendor_encoder.categories, indicator_names(self.lexicon), tfidf_model.names)
         self.names = tuple(f"{group}__{name}" for group, names in zip(GROUPS, parts) for name in names)
+        self.terms = features.term_table(tfidf_model, self.lexicon)
         return self
 
     def transform(self, records: Sequence[DisclosureRecord]) -> FeatureMatrix:
         if self.names is None:
             raise ConfigError("FeatureBuilder.transform called before fit")
-        tokens = [features.tokenize(r.description) for r in records]
+        found = self.terms.walk([features.tokenize(r.description) for r in records])
         return assemble(
             [
                 vendor_block(self.vendor_encoder, records),
-                indicator_block(records, self.lexicon, tokens),
-                text_block(self.tfidf_model, tokens),
+                indicator_block(records, self.lexicon, found),
+                text_block(self.tfidf_model, found),
             ],
             self.names,
         )

@@ -90,6 +90,16 @@ def write_synthetic_csv(
     return path
 
 
+def block_of(matrix, names, group):
+    """The ``features.Block`` of a matrix, dense or sparse: one entry per stored cell."""
+    import scipy.sparse as sp
+
+    from sevtriage import features  # not at the top: scripts import this module without the package on the path
+
+    coo = sp.coo_matrix(matrix, dtype=np.float64)
+    return features.Block(coo.row.astype(np.int64), coo.col.astype(np.int64), coo.data, coo.shape[0], tuple(names), group)
+
+
 def grouped_matrix(*parts):
     """The FeatureMatrix that ``features.assemble`` makes of blocks given as (matrix, names, group) parts.
 
@@ -97,11 +107,9 @@ def grouped_matrix(*parts):
     assembled in the order given, each name prefixed with its group, as
     a FeatureBuilder assembles its vendor, indicator and text blocks.
     """
-    import scipy.sparse as sp
+    from sevtriage import features
 
-    from sevtriage import features  # not at the top: scripts import this module without the package on the path
-
-    blocks = [features.Block(sp.csr_matrix(m, dtype=np.float64), tuple(names), group) for m, names, group in parts]
+    blocks = [block_of(*part) for part in parts]
     return features.assemble(blocks, tuple(f"{b.group}__{name}" for b in blocks for name in b.names))
 
 

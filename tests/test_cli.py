@@ -522,8 +522,9 @@ class TestInputFiles:
             ("one two three four five\n", "phrase 'one two three four five' must be 1-4 tokens, got 5"),
             ("\n  \n", "lexicon must not be empty"),
             ("xss\nXSS\n", "lexicon phrases must be unique"),
+            ("info disclosure\ninfo-disclosure\n", "phrases 'info disclosure' and 'info-disclosure' are both the tokens 'info disclosure'"),
         ],
-        ids=["long-phrase", "empty", "repeated"],
+        ids=["long-phrase", "empty", "repeated", "same-tokens"],
     )
     def test_lexicon_construction_error_names_file(self, tmp_path, synthetic_csv, capsys, text, message):
         lexicon = tmp_path / "lexicon.txt"
@@ -597,7 +598,7 @@ BOUNDARIES = {
     "ensemble.sample_fraction": ([0.25, 1.0, math.nextafter(1.0, 2.0)], [0.0]),
     "ensemble.with_replacement": ([False], [0]),
     "ensemble.folds": ([2], [1]),
-    "ensemble.instance_c": ([[TINY, TINY]], [[1.0], [1.0, 0.0]]),
+    "ensemble.instance_c": ([[TINY, 2 * TINY], [1.0, 1.00001]], [[1.0], [1.0, 0.0], [TINY, TINY], [1.0, 1.000001]]),
 }
 
 
@@ -757,6 +758,8 @@ class TestConfigFile:
             ("benchmark-models", {"ensemble": {"folds": 1}}),
             ("benchmark-features", {"ensemble": {"instance_c": [1.0]}}),
             ("benchmark-models", {"ensemble": {"instance_c": [1.0, -2.0]}}),
+            ("ensembles", {"ensemble": {"instance_c": [1.0, 1.000001]}}),  # both members would be C=1
+            ("ensembles", {"ensemble": {"instance_c": [5e-324, 5e-324]}}),
             ("benchmark-models", {"net": {"max_len": 2}}),  # shorter than the default kernel_width
             ("benchmark-models", {"net": {"merge": []}}),
             ("benchmark-models", {"tree": {"max_depth": -1}}),
@@ -777,7 +780,8 @@ class TestConfigFile:
             "ensemble.instance_c-nan", "forest.features_per_split-nan", "logreg.C-negative", "knn.k-negative",
             "svd.k-zero", "pca.k-negative", "select.k-zero", "forest.n_trees-zero", "net.batch-zero",
             "logreg.max_iter-negative", "net.epochs-zero", "ensemble.members-one", "ensemble.folds-one",
-            "ensemble.instance_c-one", "ensemble.instance_c-negative", "net.max_len-below-kernel_width",
+            "ensemble.instance_c-one", "ensemble.instance_c-negative", "ensemble.instance_c-alike-to-6-digits",
+            "ensemble.instance_c-repeated", "net.max_len-below-kernel_width",
             "net.merge-empty", "tree.max_depth-negative", "net.lr-negative", "net.vocab_cap-negative",
             "tfidf.ngram_hi-below-ngram_lo", "net.dropout-above-one", "net.max_len-zero",
             "tree.min_samples_leaf-negative", "logreg.tol-negative", "tfidf.ngram_lo-zero",

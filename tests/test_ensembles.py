@@ -232,7 +232,8 @@ class TestMemberPlan:
 
     @pytest.mark.parametrize("ensemble,message", [
         ({"members": 1}, r"^members must be an integer >= 2, got 1$"),
-        ({"instance_c": [1.0]}, r"^instance_c must be a list of at least 2 positive numbers, got \[1.0\]$"),
+        ({"instance_c": [1.0]}, r"^instance_c must be a list of at least 2 positive numbers, no two equal to 6 significant digits, got \[1.0\]$"),
+        ({"instance_c": [1.0, 1.000001]}, r"^instance_c must be .*, got \[1.0, 1.000001\]$"),  # both would plan the member C=1
         ({"sample_fraction": 1.5, "with_replacement": False}, "^sample_fraction must be at most 1 when 'with_replacement' is false, got 1.5$"),
         ({"folds": 1}, r"^folds must be an integer >= 2, got 1$"),
     ])

@@ -1,8 +1,11 @@
 """Tokenizer, indicators, TF-IDF (against a hand oracle), assembly, and
-the one-pass featurizer against its row-at-a-time reference."""
+the one-pass featurizer against its row-at-a-time reference and, bit for
+bit, against the string path (n-gram strings, substring keyword test,
+per-block CSR and ``sp.hstack``) it replaced."""
 
 import copy
 import hashlib
+import itertools
 import math
 import re
 
@@ -17,17 +20,39 @@ from sevtriage.corpus import DisclosureRecord
 from sevtriage.errors import ConfigError, FitError, ShapeError
 from sevtriage.features import FeatureMatrix, KeywordLexicon
 from sevtriage.pipelines import FeatureBuilder
-from tests.conftest import grouped_matrix
+from tests.conftest import block_of, grouped_matrix
 
 
 def _rec(cve_id=None, vendor="V", description=""):
     return DisclosureRecord("Z", cve_id, 5.0, None, vendor, description)
 
 
+def substring_hits(tokens, lexicon: KeywordLexicon) -> list[int]:
+    """The keyword rule before the term table: phrase i occurs iff its space-padded tokens are a substring of the row's.
+
+    Tokens hold no whitespace, so a padded phrase's spaces can only fall on the row's token boundaries.
+    """
+    row = " " + " ".join(tokens) + " "
+    return [i for i, phrase in enumerate(lexicon.tokens) if " " + " ".join(phrase) + " " in row]
+
+
+_NO_TERMS = features.TfidfModel({}, np.zeros(0), (1, 1))
+
+
+def walked(rows, lexicon: KeywordLexicon, model: features.TfidfModel = _NO_TERMS) -> features.Occurrences:
+    """The term-table walk of token lists ``rows`` over ``model``'s terms and ``lexicon``'s phrases."""
+    return features.term_table(model, lexicon).walk(rows)
+
+
+def walk_hits(tokens, lexicon: KeywordLexicon) -> list[int]:
+    """The phrases the walk finds in one token list, each once, in lexicon order."""
+    return sorted(set(walked([tokens], lexicon).flags.tolist()))
+
+
 def keyword_flags(description: str, lexicon: KeywordLexicon) -> np.ndarray:
     """Row-at-a-time oracle: flag i is 1 iff phrase i occurs as a contiguous token run."""
     flags = np.zeros(len(lexicon.phrases), dtype=np.int64)
-    flags[features.keyword_hits(features.tokenize(description), lexicon)] = 1
+    flags[substring_hits(features.tokenize(description), lexicon)] = 1
     return flags
 
 
@@ -105,11 +130,18 @@ class TestKeywordFlags:
         with pytest.raises(ConfigError):
             KeywordLexicon(("one two three four five",))
 
+    @pytest.mark.parametrize("phrases", [("info disclosure", "info-disclosure"), ("xss", "rce", "XSS!")])
+    def test_two_phrases_of_the_same_tokens_are_refused_by_name(self, phrases):
+        # each pair would make two identical flag columns
+        first, second = phrases[0], phrases[-1]
+        with pytest.raises(ConfigError, match=re.escape(f"phrases {first!r} and {second!r} are both the tokens")):
+            KeywordLexicon(phrases)
+
 
 def _indicators(descriptions, lex, cve_id=None) -> FeatureMatrix:
     """The indicator block of one record per description."""
     records = [_rec(cve_id=cve_id, description=d) for d in descriptions]
-    block = features.indicator_block(records, lex, [features.tokenize(d) for d in descriptions])
+    block = features.indicator_block(records, lex, walked([features.tokenize(d) for d in descriptions], lex))
     return grouped_matrix((block.data, block.names, block.group))
 
 
@@ -143,7 +175,7 @@ class TestKeywordFrequencies:
         builder = FeatureBuilder().fit(records)
         counts = [0] * len(builder.lexicon.phrases)
         for r in records:
-            for i in features.keyword_hits(features.tokenize(r.description), builder.lexicon):
+            for i in substring_hits(features.tokenize(r.description), builder.lexicon):
                 counts[i] += 1
         want = sorted(zip(builder.lexicon.phrases, counts), key=lambda kv: (-kv[1], kv[0]))[:10]
         assert features.keyword_frequencies(builder.transform(records), builder.lexicon, top_k=10) == want
@@ -271,16 +303,16 @@ class TestAssemble:
 
     @pytest.mark.parametrize("layout", ["wider", "narrower", "no_blocks"])
     def test_blocks_that_do_not_fill_the_columns_raise(self, layout):
-        a = features.Block(sp.csr_matrix(np.ones((3, 2))), ("a0", "a1"), "vendor")
-        b = features.Block(sp.csr_matrix(np.ones((3, 3))), ("b0", "b1", "b2"), "indicator")
+        a = block_of(np.ones((3, 2)), ("a0", "a1"), "vendor")
+        b = block_of(np.ones((3, 3)), ("b0", "b1", "b2"), "indicator")
         names = a.names + b.names
         blocks = {"wider": [a], "narrower": [a, b, b], "no_blocks": []}[layout]
         with pytest.raises(ShapeError):
             features.assemble(blocks, names)
 
     def test_blocks_out_of_group_order_or_wider_than_the_names_raise(self):
-        a = features.Block(sp.csr_matrix(np.ones((3, 2))), ("a0", "a1"), "vendor")
-        b = features.Block(sp.csr_matrix(np.ones((3, 3))), ("b0", "b1", "b2"), "indicator")
+        a = block_of(np.ones((3, 2)), ("a0", "a1"), "vendor")
+        b = block_of(np.ones((3, 3)), ("b0", "b1", "b2"), "indicator")
         for blocks in ([b, a], [a, a]):
             with pytest.raises(ShapeError, match="order"):
                 features.assemble(blocks, a.names + b.names)
@@ -349,7 +381,7 @@ class TestIndicatorBlock:
             _rec(cve_id="CVE-2024-12345", description="a buffer overflow bug"),
             _rec(cve_id=None, description="stored xss"),
         ]
-        block = features.indicator_block(records, lex, [features.tokenize(r.description) for r in records])
+        block = features.indicator_block(records, lex, walked([features.tokenize(r.description) for r in records], lex))
         assert block.names == ("has_cve", "buffer overflow", "xss")
         assert block.data.toarray().tolist() == [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 
@@ -417,8 +449,8 @@ def _description(draw, words) -> str:
 
 
 @st.composite
-def _records(draw, vendors, words, min_size=0):
-    n = draw(st.integers(min_size, 8))
+def _records(draw, vendors, words, min_size=0, max_size=8):
+    n = draw(st.integers(min_size, max_size))
     return [
         DisclosureRecord(
             f"Z{i}",
@@ -543,7 +575,8 @@ class TestBatchHelpersMatchTheirOracles:
         lexicon = KeywordLexicon((phrase, "unrelated words"))
         expected = [0] if found else []
         assert _scan_contains(tokens, features.tokenize(phrase)) is found
-        assert features.keyword_hits(tokens, lexicon) == expected
+        assert walk_hits(tokens, lexicon) == expected
+        assert substring_hits(tokens, lexicon) == expected
         assert _kgram_set_hits(tokens, lexicon) == expected
 
     @given(
@@ -558,9 +591,9 @@ class TestBatchHelpersMatchTheirOracles:
     @settings(max_examples=300, deadline=None)
     def test_keyword_hits_equal_the_scan_and_the_kgram_set(self, tokens, phrases):
         lexicon = KeywordLexicon(tuple(phrases))
-        hits = features.keyword_hits(tokens, lexicon)
+        hits = walk_hits(tokens, lexicon)
         assert hits == [i for i, p in enumerate(lexicon.tokens) if _scan_contains(tokens, p)]
-        assert hits == _kgram_set_hits(tokens, lexicon)
+        assert hits == _kgram_set_hits(tokens, lexicon) == substring_hits(tokens, lexicon)
 
 
 def _select_groups_by_column(X: FeatureMatrix, wanted):
@@ -651,7 +684,7 @@ class TestTextBlockBits:
     @settings(max_examples=150, deadline=None)
     def test_batch_rows_equal_transform_tfidf_bit_for_bit(self, rows, ngram_range):
         model = _MANY_WORD_MODELS[ngram_range]
-        block = features.text_block(model, rows).data
+        block = features.text_block(model, walked(rows, KeywordLexicon.default(), model)).data
         assert block.shape == (len(rows), len(model.idf))
         for i, tokens in enumerate(rows):
             ref = features.transform_tfidf(model, " ".join(tokens))
@@ -662,7 +695,140 @@ class TestTextBlockBits:
     def test_a_row_past_the_pairwise_block_and_empty_rows(self):
         # numpy's pairwise sum adds blocks of 128 elements; this row has 300
         model = _MANY_WORD_MODELS[(1, 1)]
-        block = features.text_block(model, [list(_MANY_WORDS), ["zz"], []]).data
+        block = features.text_block(model, walked([list(_MANY_WORDS), ["zz"], []], KeywordLexicon.default(), model)).data
         assert np.diff(block.indptr).tolist() == [len(_MANY_WORDS), 0, 0]
         ref = features.transform_tfidf(model, " ".join(_MANY_WORDS))
         assert block.data.tobytes() == ref.data.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# FeatureBuilder.transform against the string path it replaced, bit for bit
+
+
+def _string_path_block(indptr, indices, values, width) -> sp.csr_matrix:
+    return sp.csr_matrix(
+        (np.asarray(values, dtype=np.float64), np.asarray(indices, dtype=np.int64), np.asarray(indptr, dtype=np.int64)),
+        shape=(len(indptr) - 1, width),
+    )
+
+
+def _string_path_ngrams(tokens, lo, hi) -> list[str]:
+    grams = []
+    for n in range(lo, hi + 1):
+        grams.extend(tokens if n == 1 else map(" ".join, zip(*(tokens[i:] for i in range(n)))))
+    return grams
+
+
+def _string_path_text(model: features.TfidfModel, tokens) -> sp.csr_matrix:
+    """The TF-IDF block built from n-gram strings, one vocabulary lookup per n-gram."""
+    lo, hi = model.ngram_range
+    n, d = len(tokens), len(model.idf)
+    grams, ends = [], [0]
+    for toks in tokens:
+        grams.extend(_string_path_ngrams(toks, lo, hi))
+        ends.append(len(grams))
+    cols = np.fromiter(map(model.vocabulary.get, grams, itertools.repeat(-1)), dtype=np.int64, count=len(grams))
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(np.asarray(ends, dtype=np.int64)))
+    hit = cols >= 0
+    keys, counts = np.unique(rows[hit] * d + cols[hit], return_counts=True)
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * d)
+    row_nnz = np.diff(indptr)
+    cols = keys % d
+    vals = counts * model.idf[cols]
+    sq = vals * vals
+    norms = np.sqrt([np.add.reduce(sq[a:b]) for a, b in itertools.pairwise(indptr.tolist())])
+    norms[norms == 0] = 1.0
+    return _string_path_block(indptr, cols, vals / np.repeat(norms, row_nnz), d)
+
+
+def _string_path_indicators(records, lexicon: KeywordLexicon, tokens) -> sp.csr_matrix:
+    """The CVE flag, then each phrase found by the substring rule."""
+    indptr, indices = [0], []
+    for r, toks in zip(records, tokens):
+        if features.cve_flag(r):
+            indices.append(0)
+        indices.extend(1 + i for i in substring_hits(toks, lexicon))
+        indptr.append(len(indices))
+    return _string_path_block(indptr, indices, np.ones(len(indices)), 1 + len(lexicon.phrases))
+
+
+def _string_path_vendor(encoder: features.VendorEncoder, records) -> sp.csr_matrix:
+    indptr, indices = [0], []
+    for r in records:
+        j = encoder.index.get(r.vendor)
+        if j is not None:
+            indices.append(j)
+        indptr.append(len(indices))
+    return _string_path_block(indptr, indices, np.ones(len(indices)), len(encoder.categories))
+
+
+def _string_path_transform(builder: FeatureBuilder, records) -> FeatureMatrix:
+    """Three per-block CSR matrices, then ``sp.hstack``, as the featurizer assembled them before the term table."""
+    tokens = [features.tokenize(r.description) for r in records]
+    blocks = [
+        _string_path_vendor(builder.vendor_encoder, records),
+        _string_path_indicators(records, builder.lexicon, tokens),
+        _string_path_text(builder.tfidf_model, tokens),
+    ]
+    widths = tuple(b.shape[1] for b in blocks)
+    return FeatureMatrix(sp.hstack(blocks, format="csr"), builder.names, widths)
+
+
+# Terms no n-gram can be: uppercase, two spaces, an empty or one-letter token, a tab
+_ODD_TERMS = ("AA", "Aa bb", "aa  bb", " aa", "aa ", "", "a", "aa b", "aa\tbb")
+
+
+@st.composite
+def _vocabularies(draw, ngram_range):
+    """A loaded vocabulary: n-grams of up to two tokens past ``ngram_range``'s top, sometimes odd terms, idf of any sign."""
+    hi = ngram_range[1]
+    grams = st.lists(st.sampled_from(_WORDS + _UNSEEN[:1]), min_size=1, max_size=hi + 2).map(" ".join)
+    terms = draw(st.lists(st.one_of(grams, grams, grams, st.sampled_from(_ODD_TERMS)), max_size=30, unique=True))
+    columns = draw(st.permutations(range(len(terms))))
+    weights = st.one_of(st.floats(0.05, 20.0), st.sampled_from([1.0, 0.0, -1.5, 1e-300]))
+    idf = np.array(draw(st.lists(weights, min_size=len(terms), max_size=len(terms))), dtype=np.float64)
+    return features.TfidfModel(dict(zip(terms, columns)), idf, ngram_range)
+
+
+@st.composite
+def _lexicons(draw, vocabulary):
+    """1-6 phrases of 1-4 tokens, some of them terms of ``vocabulary``."""
+    words = st.lists(st.sampled_from(_WORDS + _UNSEEN), min_size=1, max_size=4).map(" ".join)
+    terms = [t for t in vocabulary if features.tokenize(t) == t.split(" ") and len(t.split(" ")) <= 4]
+    phrases = st.one_of(words, st.sampled_from(terms)) if terms else words
+    return KeywordLexicon(tuple(draw(st.lists(phrases, min_size=1, max_size=6, unique=True))))
+
+
+@st.composite
+def _fitted_builders(draw):
+    ngram_range = draw(st.sampled_from([(1, 1), (1, 2), (1, 3), (1, 4), (2, 3)]))
+    model = draw(_vocabularies(ngram_range))
+    lexicon = draw(_lexicons(model.vocabulary))
+    encoder = features.VendorEncoder(tuple(sorted(draw(st.sets(st.sampled_from("ABC"), max_size=3)))))
+    tfidf = {"ngram_lo": ngram_range[0], "ngram_hi": ngram_range[1], "max_features": 5000}
+    return FeatureBuilder(lexicon, tfidf).set_fitted(model, encoder)
+
+
+class TestTransformEqualsTheStringPath:
+    @given(
+        builder=_fitted_builders(),
+        records=_records(("A", "B", "D"), _WORDS + _UNSEEN, max_size=16),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_every_array_and_dtype_and_every_chunking(self, builder, records):
+        whole = builder.transform(records)
+        assert _parts(whole) == _parts(_string_path_transform(builder, records))
+        dense = features.as_dense(whole)
+        for size in {1, 2, 7, len(records)} - {0}:
+            for a in range(0, len(records), size):
+                chunk = builder.transform(records[a : a + size])
+                assert _parts(chunk) == _parts(_string_path_transform(builder, records[a : a + size]))
+                assert features.as_dense(chunk).tobytes() == dense[a : a + size].tobytes()
+
+    def test_rows_without_tokens_and_an_empty_vocabulary(self):
+        builder = FeatureBuilder(KeywordLexicon(("aa bb",))).set_fitted(_NO_TERMS, features.VendorEncoder(("V",)))
+        records = [_rec(description=""), _rec(description="a, b; c"), _rec(description="aa bb", cve_id="CVE-2024-12345")]
+        X = builder.transform(records)
+        assert _parts(X) == _parts(_string_path_transform(builder, records))
+        assert features.as_dense(X).tolist() == [[1, 0, 0], [1, 0, 0], [1, 1, 1]]
+        assert _parts(builder.transform([])) == _parts(_string_path_transform(builder, []))
