@@ -8,13 +8,23 @@ fit; transforms are read-only and thread-safe. They carry no
 serializers: the scoring artifact (``pipelines.ScoringArtifact``) writes
 and reads them.
 
+Every description is split into its maximal alphanumeric runs by one
+splitter, :func:`_runs`, in one of two branches: lowercased ASCII text by
+one bytes ``translate`` (every byte outside ``[a-z0-9]`` to a space) and
+one ``split``, any other text by the regex ``_TOKEN_RE``, which keeps the
+runs of two or more characters. On lowercased ASCII the regex's
+character class is exactly ``[a-z0-9]``, so the branches differ only in the
+one-character runs, which never match; test properties against the
+regex pin both. :func:`tokenize` is the runs of two or more characters.
 A fitted featurizer holds one :class:`TermTable`: every TF-IDF term and
 keyword phrase as a path of token ids, one sorted array of
-``prefix * radix + token`` keys per path length. A description is
-tokenized once; :meth:`TermTable.walk` maps the batch's tokens to ids
-in one dictionary pass and follows the paths level by level with
-``searchsorted``, so it finds every term and phrase occurrence without
-building an n-gram string or testing a substring. The TF-IDF block
+``prefix * radix + token`` keys per path length, its tokens keyed by
+their UTF-8 bytes and every one-character ASCII run mapped to a short
+id. :meth:`TermTable.walk` takes the batch's descriptions, maps their
+runs to ids in one dictionary pass, drops the short ones with one mask
+and follows the paths level by level with ``searchsorted``, so it finds
+every term and phrase occurrence without building a token string, an
+n-gram string or testing a substring. The TF-IDF block
 counts the occurrences with one ``np.unique`` and weighs them in
 whole-batch passes; only the row norms are summed per row, to keep the
 bits of numpy's pairwise sum over each row. A block holds its entries
@@ -51,8 +61,14 @@ from .errors import ConfigError, DomainError, FitError, RowError, ShapeError
 GROUPS = ("vendor", "indicator", "text")
 
 # A maximal alphanumeric run of length 1 never matches and a longer one
-# matches whole, so these are the runs of length >= 2 without a filter.
+# matches whole, so these are the runs of length >= 2 without a filter;
+# only :func:`_runs` of a non-ASCII text reads them.
 _TOKEN_RE = re.compile(r"[^\W_]{2,}", re.UNICODE)
+# On lowercased ASCII, [^\W_] is exactly [a-z0-9]: every other byte breaks a run.
+_ALNUM = b"abcdefghijklmnopqrstuvwxyz0123456789"
+_RUN_BREAKS = bytes(c if c in _ALNUM else 32 for c in range(256))
+# The one-character runs of ASCII text, which no term or phrase can hold.
+_SHORT_RUNS = dict.fromkeys((bytes([c]) for c in _ALNUM), -1)
 _CVE_RE = re.compile(r"CVE-\d{4}-\d{4,}")
 _VENDOR = operator.attrgetter("vendor")
 _INT32_MAX = np.iinfo(np.int32).max
@@ -71,9 +87,23 @@ DEFAULT_KEYWORDS = (
 )
 
 
+def _runs(text: str) -> list[bytes]:
+    """The maximal alphanumeric runs of the lowercased ``text``, UTF-8 encoded (a lone surrogate too).
+
+    ASCII text is split by one ``translate`` to spaces and one ``split``,
+    every run kept; any other text by ``_TOKEN_RE``, only runs of two or
+    more characters. One-character runs never match, so both give the
+    same :func:`tokenize` and the same walk.
+    """
+    low = text.lower()
+    if low.isascii():
+        return low.encode("ascii").translate(_RUN_BREAKS).split()
+    return [t.encode("utf-8", "surrogatepass") for t in _TOKEN_RE.findall(low)]
+
+
 def tokenize(text: str) -> list[str]:
-    """Lowercase tokens: maximal alphanumeric runs of length >= 2."""
-    return _TOKEN_RE.findall(text.lower())
+    """Lowercase tokens: the maximal alphanumeric runs of length >= 2 of :func:`_runs`."""
+    return [t.decode("utf-8", "surrogatepass") for t in _runs(text) if len(t) > 1]
 
 
 def _kgrams(tokens: Sequence[str], k: int):
@@ -273,28 +303,31 @@ def assemble(blocks: Sequence[Block], names: Sequence[str]) -> FeatureMatrix:
 
 @dataclass(frozen=True)
 class KeywordLexicon:
-    """Ordered set of lowercase keyword phrases (1-4 tokens each, no two alike).
+    """Ordered set of keyword phrases (1-4 tokens each, no two alike), lowercased at construction.
 
     ``tokens`` holds each phrase's token tuple, fixed at construction. Two
     phrases of the same tokens (``info disclosure`` and ``info-disclosure``)
-    would flag the same rows, so they raise ConfigError naming both.
+    would flag the same rows, so they raise ConfigError naming both as given.
     """
 
     phrases: tuple[str, ...]
     tokens: tuple[tuple[str, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.phrases:
+        given = self.phrases
+        phrases = tuple(p.lower() for p in given)
+        if not phrases:
             raise ConfigError("lexicon must not be empty")
-        if len(set(self.phrases)) != len(self.phrases):
+        if len(set(phrases)) != len(phrases):
             raise ConfigError("lexicon phrases must be unique")
-        tokens = tuple(tuple(tokenize(p)) for p in self.phrases)
+        tokens = tuple(tuple(tokenize(p)) for p in phrases)
         first: dict[tuple[str, ...], str] = {}
-        for p, t in zip(self.phrases, tokens):
+        for p, t in zip(given, tokens):
             if not 1 <= len(t) <= 4:
                 raise ConfigError(f"phrase {p!r} must be 1-4 tokens, got {len(t)}")
             if (q := first.setdefault(t, p)) != p:
                 raise ConfigError(f"phrases {q!r} and {p!r} are both the tokens {' '.join(t)!r}")
+        object.__setattr__(self, "phrases", phrases)
         object.__setattr__(self, "tokens", tokens)
 
     @classmethod
@@ -306,7 +339,7 @@ class KeywordLexicon:
         """One phrase per line, decoded like the data CSV (see :func:`corpus.decode_utf8`); each error names the file."""
         try:
             lines = io.StringIO(decode_utf8(Path(path).read_bytes()), newline=None)
-            return cls(tuple(line.strip().lower() for line in lines if line.strip()))
+            return cls(tuple(line.strip() for line in lines if line.strip()))
         except (RowError, ConfigError) as exc:
             raise ConfigError(f"lexicon file {path}: {exc}") from None
 
@@ -339,7 +372,7 @@ def indicator_names(lexicon: KeywordLexicon) -> tuple[str, ...]:
 def indicator_block(records: Sequence[DisclosureRecord], lexicon: KeywordLexicon, found: Occurrences) -> Block:
     """CVE-presence flag plus keyword flags for each record.
 
-    ``found`` is the :meth:`TermTable.walk` of the records' tokens: phrase
+    ``found`` is the :meth:`TermTable.walk` of the records' descriptions: phrase
     ``i`` is flagged, in column ``1 + i``, in each row it occurs in, once.
     """
     d = 1 + len(lexicon.phrases)
@@ -490,36 +523,44 @@ class Occurrences:
 class TermTable:
     """A fitted featurizer's terms and phrases as paths of token ids, for :meth:`walk`.
 
-    ``ids`` numbers every token of a path, those that begin one first; a
-    token it lacks is ``unknown`` (``len(ids)``). ``levels[k]`` holds,
-    sorted, one key per distinct prefix of k + 1 tokens,
-    ``node * (unknown + 1) + token``, where ``node`` is the index of its
-    k-token prefix in ``levels[k - 1]`` (0 for k = 0), so no key ends in
-    ``unknown`` and a first token's id is its index in ``levels[0]``.
-    ``text`` and ``flag`` hold each prefix's vocabulary column and
-    lexicon index, -1 for neither, over the levels in turn;
+    ``ids`` numbers the UTF-8 bytes of every token of a path, those that
+    begin one first, from 0 up to ``unknown``, the id of a run it lacks;
+    every one-character ASCII run maps to -1, short, even one a path
+    holds. ``levels[k]`` holds, sorted, one key per distinct prefix of
+    k + 1 tokens, ``node * (unknown + 1) + token``, where ``node`` is the
+    index of its k-token prefix in ``levels[k - 1]`` (0 for k = 0), so no
+    key ends in ``unknown`` and a first token's id is its index in
+    ``levels[0]``. ``text`` and ``flag`` hold each prefix's vocabulary
+    column and lexicon index, -1 for neither, over the levels in turn;
     ``offsets[k]`` is where level k starts.
     """
 
-    ids: dict[str, int]
+    ids: dict[bytes, int]
+    unknown: int
     levels: tuple[np.ndarray, ...]
     text: np.ndarray
     flag: np.ndarray
     offsets: tuple[int, ...]
 
-    def walk(self, tokens: Sequence[Sequence[str]]) -> Occurrences:
-        """Every term and phrase occurrence in each token list (see :func:`tokenize`).
+    def walk(self, texts: Sequence[str]) -> Occurrences:
+        """Every term and phrase occurrence in each text's :func:`tokenize` tokens.
 
-        The batch's tokens become ids in one pass, each row followed by
-        ``unknown``, so no path runs past a row's end. Level 0 keeps the
-        positions of first tokens, whose ids are their nodes; level k then
-        keeps the positions whose first k + 1 tokens are a prefix in the
-        table, by one ``searchsorted`` over the positions level k - 1 kept.
+        The batch's :func:`_runs` become ids in one pass, each row followed
+        by ``unknown``, so no path runs past a row's end; one mask then drops
+        the short runs, which leaves the ids of the rows' tokens. Level 0
+        keeps the positions of first tokens, whose ids are their nodes;
+        level k then keeps the positions whose first k + 1 tokens are a
+        prefix in the table, by one ``searchsorted`` over the positions
+        level k - 1 kept.
         """
-        n, unknown = len(tokens), len(self.ids)
-        lengths = np.fromiter(map(len, tokens), dtype=np.int64, count=n)
-        ended = itertools.chain.from_iterable(itertools.chain.from_iterable(zip(tokens, itertools.repeat((None,)))))
+        n, unknown = len(texts), self.unknown
+        runs = list(map(_runs, texts))
+        lengths = np.fromiter(map(len, runs), dtype=np.int64, count=n)
+        ended = itertools.chain.from_iterable(itertools.chain.from_iterable(zip(runs, itertools.repeat((None,)))))
         seq = np.fromiter(map(self.ids.get, ended, itertools.repeat(unknown)), dtype=np.int64, count=int(lengths.sum()) + n)
+        rows = np.repeat(np.arange(n), lengths + 1)
+        long = seq >= 0
+        seq, rows = seq[long], rows[long]
         starts = np.flatnonzero(seq < len(self.levels[0]))
         node = seq[starts]
         at, nodes = [starts], [node]
@@ -531,7 +572,7 @@ class TermTable:
             starts, node = starts[hit], node[hit]
             at.append(starts)
             nodes.append(node + self.offsets[k])
-        rows = np.repeat(np.arange(n), lengths + 1)[np.concatenate(at)]
+        rows = rows[np.concatenate(at)]
         nodes = np.concatenate(nodes)
         text, flag = self.text[nodes], self.flag[nodes]
         is_text, is_flag = text >= 0, flag >= 0
@@ -547,7 +588,8 @@ def term_table(model: TfidfModel, lexicon: KeywordLexicon) -> TermTable:
     walk finds the n-grams a string lookup of each joined n-gram would.
     A phrase's path is its :attr:`KeywordLexicon.tokens`. A term a loaded
     vocabulary holds but no n-gram can be (uppercase, two spaces, a
-    3-gram under (1, 2)) is a path no walk completes, or no path at all.
+    one-letter token, a 3-gram under (1, 2)) is a path no walk
+    completes, or no path at all.
     """
     lo, hi = model.ngram_range
     paths: dict[tuple[str, ...], tuple[int, int]] = {}
@@ -567,7 +609,8 @@ def term_table(model: TfidfModel, lexicon: KeywordLexicon) -> TermTable:
         parent = {p: i for i, (_, p) in enumerate(prefixes)}
     text, flag = np.array(entries, dtype=np.int64).T
     offsets = tuple(itertools.accumulate(map(len, levels[:-1]), initial=0))
-    return TermTable(ids, tuple(levels), text, flag, offsets)
+    runs = {t.encode("utf-8", "surrogatepass"): i for t, i in ids.items()} | _SHORT_RUNS
+    return TermTable(runs, len(ids), tuple(levels), text, flag, offsets)
 
 
 def text_block(model: TfidfModel, found: Occurrences) -> Block:

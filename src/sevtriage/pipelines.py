@@ -46,8 +46,8 @@ class FeatureBuilder:
     assembled column names, each prefixed ``group__``) and ``terms``, the
     :class:`features.TermTable` of the TF-IDF terms and the lexicon's
     phrases, are fixed when the builder is fitted or loaded. ``transform``
-    tokenizes each description once and walks ``terms`` once over the
-    batch's tokens, for both the indicator and the text block.
+    walks ``terms`` once over the batch's descriptions, splitting each into
+    its runs once, for both the indicator and the text block.
     """
 
     def __init__(self, lexicon: KeywordLexicon | None = None, tfidf: Mapping = DEFAULTS["tfidf"]):
@@ -77,7 +77,7 @@ class FeatureBuilder:
     def transform(self, records: Sequence[DisclosureRecord]) -> FeatureMatrix:
         if self.names is None:
             raise ConfigError("FeatureBuilder.transform called before fit")
-        found = self.terms.walk([features.tokenize(r.description) for r in records])
+        found = self.terms.walk([r.description for r in records])
         return assemble(
             [
                 vendor_block(self.vendor_encoder, records),

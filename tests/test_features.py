@@ -40,8 +40,11 @@ _NO_TERMS = features.TfidfModel({}, np.zeros(0), (1, 1))
 
 
 def walked(rows, lexicon: KeywordLexicon, model: features.TfidfModel = _NO_TERMS) -> features.Occurrences:
-    """The term-table walk of token lists ``rows`` over ``model``'s terms and ``lexicon``'s phrases."""
-    return features.term_table(model, lexicon).walk(rows)
+    """The term-table walk of token lists ``rows`` over ``model``'s terms and ``lexicon``'s phrases.
+
+    Each list is walked as its tokens joined by spaces, which split back into the same tokens.
+    """
+    return features.term_table(model, lexicon).walk([" ".join(tokens) for tokens in rows])
 
 
 def walk_hits(tokens, lexicon: KeywordLexicon) -> list[int]:
@@ -137,11 +140,21 @@ class TestKeywordFlags:
         with pytest.raises(ConfigError, match=re.escape(f"phrases {first!r} and {second!r} are both the tokens")):
             KeywordLexicon(phrases)
 
+    def test_phrases_are_lowercased_as_a_file_lexicon_is(self, tmp_path):
+        built = KeywordLexicon(("XSS", "Buffer Overflow"))
+        path = tmp_path / "lexicon.txt"
+        path.write_text("XSS\nBuffer Overflow\n", encoding="utf-8")
+        assert built.phrases == KeywordLexicon.from_file(path).phrases == ("xss", "buffer overflow")
+        builder = FeatureBuilder(built).fit([_rec(description="stored XSS")])
+        assert builder.names[1:4] == ("indicator__has_cve", "indicator__xss", "indicator__buffer overflow")
+        with pytest.raises(ConfigError, match="lexicon phrases must be unique"):
+            KeywordLexicon(("xss", "XSS"))
+
 
 def _indicators(descriptions, lex, cve_id=None) -> FeatureMatrix:
     """The indicator block of one record per description."""
     records = [_rec(cve_id=cve_id, description=d) for d in descriptions]
-    block = features.indicator_block(records, lex, walked([features.tokenize(d) for d in descriptions], lex))
+    block = features.indicator_block(records, lex, features.term_table(_NO_TERMS, lex).walk(descriptions))
     return grouped_matrix((block.data, block.names, block.group))
 
 
@@ -381,7 +394,7 @@ class TestIndicatorBlock:
             _rec(cve_id="CVE-2024-12345", description="a buffer overflow bug"),
             _rec(cve_id=None, description="stored xss"),
         ]
-        block = features.indicator_block(records, lex, walked([features.tokenize(r.description) for r in records], lex))
+        block = features.indicator_block(records, lex, features.term_table(_NO_TERMS, lex).walk([r.description for r in records]))
         assert block.names == ("has_cve", "buffer overflow", "xss")
         assert block.data.toarray().tolist() == [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 
@@ -832,3 +845,122 @@ class TestTransformEqualsTheStringPath:
         assert _parts(X) == _parts(_string_path_transform(builder, records))
         assert features.as_dense(X).tolist() == [[1, 0, 0], [1, 0, 0], [1, 1, 1]]
         assert _parts(builder.transform([])) == _parts(_string_path_transform(builder, []))
+
+
+# ---------------------------------------------------------------------------
+# The run splitter and the walk over descriptions against the token-list code they replaced
+
+_ORACLE_TOKEN_RE = re.compile(r"[^\W_]{2,}", re.UNICODE)
+
+
+def _findall_tokens(text: str) -> list[str]:
+    """The tokenizer before the run splitter: the runs of length >= 2 of one regex over the lowercased text."""
+    return _ORACLE_TOKEN_RE.findall(text.lower())
+
+
+def _token_list_walk(model: features.TfidfModel, lexicon: KeywordLexicon, tokens) -> tuple:
+    """The term table and walk before the run splitter: str-keyed ids over token lists, as arrays."""
+    lo, hi = model.ngram_range
+    paths = {}
+    for term, j in model.vocabulary.items():
+        toks = tuple(term.split(" "))
+        if lo <= len(toks) <= hi:
+            paths[toks] = (j, -1)
+    for i, toks in enumerate(lexicon.tokens):
+        paths[toks] = (paths.get(toks, (-1, -1))[0], i)
+    ids = {t: i for i, t in enumerate(dict.fromkeys([p[0] for p in paths] + [t for p in paths for t in p]))}
+    unknown = len(ids)
+    levels, entries, parent = [], [], {(): 0}
+    for k in range(max(map(len, paths))):
+        prefixes = sorted({(parent[p[:k]] * (unknown + 1) + ids[p[k]], p[: k + 1]) for p in paths if len(p) > k})
+        levels.append(np.array([key for key, _ in prefixes], dtype=np.int64))
+        entries += [paths.get(p, (-1, -1)) for _, p in prefixes]
+        parent = {p: i for i, (_, p) in enumerate(prefixes)}
+    text, flag = np.array(entries, dtype=np.int64).T
+    offsets = tuple(itertools.accumulate(map(len, levels[:-1]), initial=0))
+    n = len(tokens)
+    lengths = np.fromiter(map(len, tokens), dtype=np.int64, count=n)
+    ended = itertools.chain.from_iterable(itertools.chain.from_iterable(zip(tokens, itertools.repeat((None,)))))
+    seq = np.fromiter(map(ids.get, ended, itertools.repeat(unknown)), dtype=np.int64, count=int(lengths.sum()) + n)
+    starts = np.flatnonzero(seq < len(levels[0]))
+    node = seq[starts]
+    at, nodes = [starts], [node]
+    for k in range(1, len(levels)):
+        key = node * (unknown + 1) + seq[starts + k]
+        node = np.searchsorted(levels[k], key)
+        hit = levels[k].take(node, mode="clip") == key
+        starts, node = starts[hit], node[hit]
+        at.append(starts)
+        nodes.append(node + offsets[k])
+    rows = np.repeat(np.arange(n), lengths + 1)[np.concatenate(at)]
+    nodes = np.concatenate(nodes)
+    text, flag = text[nodes], flag[nodes]
+    return rows[text >= 0], text[text >= 0], rows[flag >= 0], flag[flag >= 0]
+
+
+# Kelvin sign (lowercases to ASCII k), dotted capital I (to i and a combining dot), final sigma,
+# a superscript digit, and characters that break a run: no-break space, em dash, a combining dot,
+# an emoji and a lone surrogate
+_ODD_CHARS = ("é", "ß", "Σ", "\u0130", "\u212a", "²", "\u00a0", "—", "\u0307", "\U0001f600", "\ud800")
+_ASCII_PIECES = ("aa", "AA", "Bb", "bb", "a", "K", "k", "9", "x1", "ab_cd", "_", " ", "  ", "-", ",", "!", "\t", "\n", "\x00")
+_ODD_PIECES = _ODD_CHARS + ("éa", "ÉA", "ßa", "a²", "xΣ", "σς", "\u212ak", "\u0130x")
+
+
+def _texts(pieces):
+    return st.lists(st.sampled_from(pieces), max_size=14).map("".join)
+
+
+_ANY_TEXT = st.one_of(_texts(_ASCII_PIECES), _texts(_ASCII_PIECES + _ODD_PIECES), st.just(""))
+# TF-IDF terms: one-character, uppercase and non-ASCII ones among them
+_TERM_TOKENS = ("aa", "bb", "kk", "x1", "a", "k", "9", "AA", "é", "éa", "ßa", "a²", "xς", "σς", "i", "i\u0307x")
+# Phrases, lowercased by the lexicon; each of their tokens has two or more characters
+_PHRASE_TOKENS = ("aa", "AA", "bb", "kk", "x1", "éa", "ÉA", "ßa", "a²", "xς", "σς")
+
+
+@st.composite
+def _odd_vocabularies(draw):
+    ngram_range = draw(st.sampled_from([(1, 1), (1, 2), (1, 3), (2, 3)]))
+    grams = st.lists(st.sampled_from(_TERM_TOKENS), min_size=1, max_size=3).map(" ".join)
+    terms = draw(st.lists(grams, max_size=20, unique=True))
+    columns = draw(st.permutations(range(len(terms))))
+    return features.TfidfModel(dict(zip(terms, columns)), np.ones(len(terms)), ngram_range)
+
+
+_ODD_LEXICONS = st.lists(
+    st.lists(st.sampled_from(_PHRASE_TOKENS), min_size=1, max_size=4).map(" ".join),
+    min_size=1,
+    max_size=5,
+    unique_by=lambda p: tuple(features.tokenize(p)),
+).map(lambda phrases: KeywordLexicon(tuple(phrases)))
+
+
+class TestRunSplitterMatchesItsOracles:
+    @given(_ANY_TEXT)
+    @settings(max_examples=500, deadline=None)
+    def test_tokenize_equals_the_regex_over_the_lowercased_text(self, text):
+        assert features.tokenize(text) == _findall_tokens(text)
+
+    @pytest.mark.parametrize(
+        "text, tokens",
+        [
+            ("\u212aB x", ["kb"]),
+            ("\u0130x", []),
+            ("\u0130xy", ["xy"]),
+            ("ΑΣ a²", ["ας", "a²"]),
+            ("ab\ud800cd", ["ab", "cd"]),
+            ("aa\x00bb_cc", ["aa", "bb", "cc"]),
+        ],
+        ids=["kelvin-to-ascii", "dotted-i", "dotted-i-then-run", "final-sigma", "lone-surrogate", "nul-and-underscore"],
+    )
+    def test_both_branches_on_chosen_texts(self, text, tokens):
+        assert features.tokenize(text) == _findall_tokens(text) == tokens
+
+    @given(model=_odd_vocabularies(), lexicon=_ODD_LEXICONS, texts=st.lists(_ANY_TEXT, max_size=8))
+    @settings(max_examples=400, deadline=None)
+    def test_walk_of_descriptions_equals_the_token_list_walk(self, model, lexicon, texts):
+        found = features.term_table(model, lexicon).walk(texts)
+        want = _token_list_walk(model, lexicon, [_findall_tokens(t) for t in texts])
+        got = (found.text_rows, found.text_cols, found.flag_rows, found.flags)
+        assert found.n_rows == len(texts)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tolist() == b.tolist()
